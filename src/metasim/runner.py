@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SystemState, simulate
-from .errors import IntegrationBlowupError, MetasimError, NoRootError
+from .errors import IntegrationBlowupError, NoRootError
 from .observables import OscillationMetrics, Trajectory, oscillation_metrics
 from .scenarios import Scenario, SweepSpec, scenario_to_dict
 from .spectral import malthus_exponent
@@ -242,7 +242,7 @@ def _sweep_point(args) -> dict:
     sc, value, out_dir = args
     try:
         result = run_scenario(sc, out_dir=out_dir)
-    except MetasimError as exc:
+    except Exception as exc:  # any failure stays in its own row
         return {name: None for name in SUMMARY_COLUMNS} | {
             "value": value,
             "error": f"{type(exc).__name__}: {exc}",

@@ -138,6 +138,16 @@ class SweepSpec:
             raise ConfigurationError("sweep needs at least one value")
         if self.parallelism < 1:
             raise ConfigurationError("parallelism must be >= 1")
+        # point names and directories carry the value as {value:g}
+        labels: dict[str, float] = {}
+        for value in self.values:
+            label = f"{value:g}"
+            if label in labels:
+                raise ConfigurationError(
+                    f"sweep values {labels[label]!r} and {value!r} share the point "
+                    f"name {self.axis}={label}"
+                )
+            labels[label] = value
 
     def scenarios(self) -> list[Scenario]:
         out = []

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from metasim import IntegrationBlowupError, ModelParams, SolverSettings
+from metasim import runner
 from metasim.runner import run_scenario, run_sweep
 from metasim.scenarios import Scenario, SweepSpec
 
@@ -70,3 +71,21 @@ class TestRunSweep:
         assert rows[0]["error"] is None
         assert "IntegrationBlowupError" in rows[1]["error"]
         assert (tmp_path / "b=1e+09" / "r_b=1e+09_error.json").exists()
+
+    def test_unexpected_exception_stays_in_row(self, tmp_path, monkeypatch):
+        real_run = runner.run_scenario
+
+        def failing_at_half(sc, out_dir="."):
+            if sc.params.e == 0.5:
+                raise OSError("disk full")
+            return real_run(sc, out_dir=out_dir)
+
+        monkeypatch.setattr(runner, "run_scenario", failing_at_half)
+        sw = SweepSpec(base=_scenario(), axis="e", values=(2.0, 0.5, 1.0), parallelism=1)
+        rows = run_sweep(sw, out_dir=str(tmp_path), jobs=1)
+        assert [r["value"] for r in rows] == [2.0, 0.5, 1.0]
+        assert [r["error"] for r in rows] == [None, "OSError: disk full", None]
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        assert len(lines) == 4
+        assert lines[2].startswith("0.5,") and lines[2].endswith(",OSError: disk full")
+        assert lines[3].startswith("1.0,") and lines[3].endswith(",")

@@ -189,3 +189,10 @@ class TestSweepSpec:
             SweepSpec(base=Scenario(name="b"), axis="e", values=())
         with pytest.raises(ConfigurationError):
             SweepSpec(base=Scenario(name="b"), axis="e", values=(1.0,), parallelism=0)
+
+    def test_values_sharing_a_point_name_rejected(self):
+        # both format as e=1 and would write into one point directory
+        with pytest.raises(ConfigurationError, match=r"1\.0000001 and 1\.0000002"):
+            SweepSpec(base=Scenario(name="b"), axis="e", values=(1.0000001, 1.0000002))
+        with pytest.raises(ConfigurationError, match="e=2"):
+            SweepSpec(base=Scenario(name="b"), axis="e", values=(2.0, 0.5, 2.0))

@@ -9,6 +9,7 @@ from metasim import (
     NoRootError,
     NotLinearError,
 )
+from metasim import spectral
 from metasim.spectral import (
     characteristic_flow,
     fit_growth_rate,
@@ -96,6 +97,60 @@ class TestMalthusExponent:
         # switches emission on
         with pytest.raises(NoRootError):
             malthus_exponent(ModelParams(e=0.0, Vm=5.0))
+
+
+# the anchor, a slow b and the deep-seed regime, with the horizon and
+# node count each has always had
+FROZEN_FOOTPRINTS = [
+    (dict(), 50.0, 50001),
+    (dict(b=0.2), 200.0, 200001),
+    (dict(V0=1e-4, K0=1e-3), 100.0, 100001),
+]
+
+
+@pytest.mark.parametrize("params, tau_max, nodes", FROZEN_FOOTPRINTS)
+class TestQuadratureGrid:
+    def test_flow_grid_is_the_oracle_bit_for_bit(self, params, tau_max, nodes):
+        p = ModelParams(e=0.0, **params)
+        flow = spectral._flow_for(p)
+        dense = flow_dense(p.b, p.V0, p.K0, tau_max, 1e-3)
+        assert np.array_equal(flow.Va, dense)
+
+    def test_footprint_frozen_and_residual_tight(self, params, tau_max, nodes):
+        res = malthus_exponent(ModelParams(e=0.0, **params))
+        assert (res.tau_max, res.quadrature_nodes) == (tau_max, nodes)
+        assert res.residual < 1e-13
+
+
+class TestFlowCache:
+    def test_size_stays_within_bound(self):
+        size = spectral._FLOW_CACHE_SIZE
+        for k in range(size + 2):
+            characteristic_flow(1.0, ModelParams(e=0.0, b=2.0 + k))
+            assert len(spectral._flow_cache) <= size
+        assert len(spectral._flow_cache) == size
+
+    def test_recently_used_flow_is_kept(self):
+        p = ModelParams(e=0.0)
+        kept = spectral._flow_for(p)
+        for k in range(spectral._FLOW_CACHE_SIZE - 1):
+            spectral._flow_for(ModelParams(e=0.0, b=3.0 + k))
+        assert spectral._flow_for(p) is kept
+        spectral._flow_for(ModelParams(e=0.0, b=9.0))
+        assert spectral._flow_for(p) is kept
+
+    def test_evicted_flow_rebuilds_identically(self):
+        p = ModelParams(e=0.0)
+        first = spectral._flow_for(p)
+        for k in range(spectral._FLOW_CACHE_SIZE):
+            spectral._flow_for(ModelParams(e=0.0, b=2.0 + k))
+        assert (p.b, p.V0, p.K0) not in spectral._flow_cache
+        again = spectral._flow_for(p)
+        assert again is not first
+        assert np.array_equal(again.Va, first.Va)
+        assert np.array_equal(again.Ka, first.Ka)
+        assert np.array_equal(again.dVa, first.dVa)
+        assert np.array_equal(again.dKa, first.dKa)
 
 
 class TestFitGrowthRate:
