@@ -25,7 +25,7 @@ from .errors import (
     NoRootError,
     NotLinearError,
 )
-from .runner import run_scenario, run_sweep
+from .runner import _json_text, _write_atomic, run_scenario, run_sweep
 from .scenarios import catalog, load_scenario, load_sweep, scenario_to_dict
 from .spectral import malthus_exponent
 
@@ -107,9 +107,7 @@ def _cmd_catalog(args) -> int:
     os.makedirs(args.emit, exist_ok=True)
     for sc in scenarios:
         path = os.path.join(args.emit, f"{sc.name}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(scenario_to_dict(sc), fh, indent=2)
-            fh.write("\n")
+        _write_atomic(path, _json_text(scenario_to_dict(sc)))
         print(path)
     return EXIT_OK
 

@@ -5,10 +5,13 @@ cohorts: every tumor is born at the same state (V0, K0), so the density
 stays a finite sum of point masses, each following the growth ODE. No
 (V, K)-grid exists and there is no numerical diffusion.
 
-The full coupled vector field (primary tumor, every cohort, inhibitor)
-is advanced with the classical 4th-order Runge-Kutta scheme; the
-inhibitor seen by each stage is the stage's own value, so the coupling
-is integrated consistently rather than frozen per step.
+The primary tumor is the weight-1 tumor born at (V0, K0) at t = 0 and
+obeys the same growth, emission and inhibitor production, so it is row
+0 of the cohort arrays: it never exits and is left out of M and N. All
+rows and the inhibitor are advanced together with the classical
+4th-order Runge-Kutta scheme; the inhibitor seen by each stage is the
+stage's own value, so the coupling is integrated consistently rather
+than frozen per step.
 
 Births add one cohort per step with the trapezoid of the population
 emission rate over the step as its weight. The cohort enters advanced
@@ -160,28 +163,31 @@ class _Accumulator:
 class _Engine:
     """Mutable struct-of-arrays working state of one simulation.
 
-    Arrays carry ``n`` live cohorts in birth order within a capacity
-    that doubles on demand; scratch buffers for the four stages are kept
-    at the same capacity so the hot loop allocates nothing.
+    Row 0 holds the primary tumor with weight 1; rows 1 to ``n - 1``
+    hold the live cohorts in birth order. Every row enters the field,
+    the emission sum and the inhibitor production alike; only cohort
+    rows exit, get pruned, or count toward M, N and the exported
+    cohorts. Arrays have a capacity that doubles on demand; scratch
+    buffers for the four stages are kept at the same capacity so the
+    hot loop allocates nothing.
     """
 
     def __init__(self, p: ModelParams, state: SystemState, weight_floor: float = 0.0):
         self.p = p
         self.weight_floor = weight_floor
         self.t = state.t
-        self.Vp = state.primary.V
-        self.Kp = state.primary.K
         self.I = state.I
         self.born = _Accumulator(state.born_count)
         self.exited = _Accumulator(state.exited_count)
-        n = len(state.cohorts)
-        cap = max(4096, 1 << (n + 1).bit_length())
+        rows = [Cohort(birth_time=0.0, weight=1.0, state=state.primary), *state.cohorts]
+        n = len(rows)
+        cap = max(4096, 1 << n.bit_length())
         self.n = n
         self.V = np.empty(cap)
         self.K = np.empty(cap)
         self.w = np.empty(cap)
         self.birth_t = np.empty(cap)
-        for i, c in enumerate(state.cohorts):
+        for i, c in enumerate(rows):
             self.V[i] = c.state.V
             self.K[i] = c.state.K
             self.w[i] = c.weight
@@ -200,20 +206,16 @@ class _Engine:
 
     # -- model terms on the array representation ---------------------
 
-    def _emission_sum(self, Vp: float, V: np.ndarray) -> float:
-        """Population emission rate: primary plus weighted cohorts."""
+    def _emission_sum(self, V: np.ndarray) -> float:
+        """Population emission rate m * sum(w * beta(V)) over all rows."""
         p = self.p
-        total = p.m * Vp**p.alpha if Vp >= p.Vm else 0.0
-        if self.n:
-            beta = np.power(V, p.alpha)
-            if p.Vm > 0.0:
-                beta[V < p.Vm] = 0.0
-            total += p.m * float(np.dot(self.w[: self.n], beta))
-        return total
+        beta = np.power(V, p.alpha)
+        if p.Vm > 0.0:
+            beta[V < p.Vm] = 0.0
+        return p.m * float(np.dot(self.w[: self.n], beta))
 
-    def _burden(self, V: np.ndarray) -> float:
-        if not self.n:
-            return 0.0
+    def _production(self, V: np.ndarray) -> float:
+        """Inhibitor production sum(w * V) over all rows."""
         return float(np.dot(self.w[: self.n], V))
 
     # -- one step ----------------------------------------------------
@@ -227,64 +229,46 @@ class _Engine:
         (kV1, kK1, kV2, kK2, kV3, kK3, kV4, kK4, Vs, Ks, tmp) = (
             a[:n] for a in self._scratch
         )
-        Vp, Kp, I = self.Vp, self.Kp, self.I
+        I = self.I
 
-        B0 = self._emission_sum(Vp, V)
-
-        def stage(Vc, Kc, Vpc, Kpc, Ic, outV, outK):
-            """Field at one stage state; returns (dVp, dKp, dI)."""
-            if n:
-                np.divide(Kc, Vc, out=outV)
-                np.log(outV, out=outV)
-                outV *= Vc
-                np.power(Vc, 2.0 / 3.0, out=outK)
-                outK *= Kc
-                np.subtract(Vc, outK, out=outK)
-                outK *= b
-                if e != 0.0 and Ic != 0.0:
-                    np.multiply(Kc, e * Ic, out=tmp)
-                    outK -= tmp
-            dVp = Vpc * math.log(Kpc / Vpc)
-            dKp = b * (Vpc - Vpc ** (2.0 / 3.0) * Kpc) - e * Ic * Kpc
-            dI = Vpc + (float(np.dot(self.w[:n], Vc)) if n else 0.0) - k * Ic
-            return dVp, dKp, dI
+        def stage(Vc, Kc, Ic, outV, outK):
+            """Field of every row at one stage state; returns dI."""
+            np.divide(Kc, Vc, out=outV)
+            np.log(outV, out=outV)
+            outV *= Vc
+            np.power(Vc, 2.0 / 3.0, out=outK)
+            outK *= Kc
+            np.subtract(Vc, outK, out=outK)
+            outK *= b
+            if e != 0.0 and Ic != 0.0:
+                np.multiply(Kc, e * Ic, out=tmp)
+                outK -= tmp
+            return self._production(Vc) - k * Ic
 
         h2 = 0.5 * dt
-        # scalar ops raise on a diverging stage state (log of a
-        # nonpositive ratio, fractional power of a negative); fold
-        # those into the blowup signal instead of leaking them
-        try:
-            with np.errstate(all="ignore"):
-                dVp1, dKp1, dI1 = stage(V, K, Vp, Kp, I, kV1, kK1)
-                if n:
-                    np.multiply(kV1, h2, out=Vs)
-                    Vs += V
-                    np.multiply(kK1, h2, out=Ks)
-                    Ks += K
-                dVp2, dKp2, dI2 = stage(
-                    Vs, Ks, Vp + h2 * dVp1, Kp + h2 * dKp1, I + h2 * dI1, kV2, kK2
-                )
-                if n:
-                    np.multiply(kV2, h2, out=Vs)
-                    Vs += V
-                    np.multiply(kK2, h2, out=Ks)
-                    Ks += K
-                dVp3, dKp3, dI3 = stage(
-                    Vs, Ks, Vp + h2 * dVp2, Kp + h2 * dKp2, I + h2 * dI2, kV3, kK3
-                )
-                if n:
-                    np.multiply(kV3, dt, out=Vs)
-                    Vs += V
-                    np.multiply(kK3, dt, out=Ks)
-                    Ks += K
-                dVp4, dKp4, dI4 = stage(
-                    Vs, Ks, Vp + dt * dVp3, Kp + dt * dKp3, I + dt * dI3, kV4, kK4
-                )
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise IntegrationBlowupError(self.t + dt) from exc
-
         s6 = dt / 6.0
-        if n:
+        t_new = self.t + dt
+        # a diverging stage state leaves inf or nan in its rows, which
+        # the check after the update reports as a blowup
+        with np.errstate(all="ignore"):
+            B0 = self._emission_sum(V)
+            dI1 = stage(V, K, I, kV1, kK1)
+            np.multiply(kV1, h2, out=Vs)
+            Vs += V
+            np.multiply(kK1, h2, out=Ks)
+            Ks += K
+            dI2 = stage(Vs, Ks, I + h2 * dI1, kV2, kK2)
+            np.multiply(kV2, h2, out=Vs)
+            Vs += V
+            np.multiply(kK2, h2, out=Ks)
+            Ks += K
+            dI3 = stage(Vs, Ks, I + h2 * dI2, kV3, kK3)
+            np.multiply(kV3, dt, out=Vs)
+            Vs += V
+            np.multiply(kK3, dt, out=Ks)
+            Ks += K
+            dI4 = stage(Vs, Ks, I + dt * dI3, kV4, kK4)
+
             kV2 += kV3
             kV2 *= 2.0
             kV2 += kV1
@@ -297,23 +281,13 @@ class _Engine:
             kK2 += kK4
             kK2 *= s6
             K += kK2
-        self.Vp = Vp + s6 * (dVp1 + 2.0 * (dVp2 + dVp3) + dVp4)
-        self.Kp = Kp + s6 * (dKp1 + 2.0 * (dKp2 + dKp3) + dKp4)
-        I_new = I + s6 * (dI1 + 2.0 * (dI2 + dI3) + dI4)
-        self.I = I_new
-        t_new = self.t + dt
+            I_new = I + s6 * (dI1 + 2.0 * (dI2 + dI3) + dI4)
+            self.I = I_new
 
-        ok = (
-            math.isfinite(self.Vp)
-            and self.Vp > 0
-            and math.isfinite(self.Kp)
-            and self.Kp > 0
-            and math.isfinite(I_new)
-        )
-        if ok and n:
-            ok = bool(np.isfinite(V).all() and np.isfinite(K).all())
-        if not ok:
-            raise IntegrationBlowupError(t_new)
+            if not (math.isfinite(I_new) and V[0] > 0 and K[0] > 0
+                    and np.isfinite(V).all() and np.isfinite(K).all()):
+                raise IntegrationBlowupError(t_new)
+            B1 = self._emission_sum(V)
 
         # birth: trapezoid of the emission rate over the step. Three
         # first-order leaks are closed to keep the global order at two:
@@ -323,10 +297,8 @@ class _Engine:
         # inhibitor records the newborn's in-step production, which the
         # stages cannot see.
         try:
-            with np.errstate(all="ignore"):
-                B1 = self._emission_sum(self.Vp, V)
-                Vn, Kn = _half_step_from_birth(p, 0.5 * (I + I_new), h2)
-                beta_n = p.m * Vn**p.alpha if Vn >= p.Vm else 0.0
+            Vn, Kn = _half_step_from_birth(p, 0.5 * (I + I_new), h2)
+            beta_n = p.m * Vn**p.alpha if Vn >= p.Vm else 0.0
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise IntegrationBlowupError(t_new) from exc
         denom = 1.0 - h2 * beta_n
@@ -350,12 +322,13 @@ class _Engine:
                 self.n += 1
                 n = self.n
                 V = self.V[:n]
-                K = self.K[:n]
 
-        # removal through the V = V0 edge, then pruning
+        # removal through the V = V0 edge, then pruning; both spare the
+        # primary in row 0
         drop = V < p.V0
         if self.weight_floor > 0.0:
             drop |= self.w[:n] < self.weight_floor
+        drop[0] = False
         if drop.any():
             for x in self.w[:n][drop]:
                 self.exited.add(float(x))
@@ -368,17 +341,17 @@ class _Engine:
 
         self.t = t_new
 
-    # -- observation -------------------------------------------------
+    # -- observation: cohort rows only -------------------------------
 
     def burden(self) -> float:
-        return self._burden(self.V[: self.n])
+        return float(np.dot(self.w[1 : self.n], self.V[1 : self.n]))
 
     def live_weight(self) -> float:
         """Exactly rounded sum of live weights (conservation checks)."""
-        return math.fsum(self.w[: self.n]) if self.n else 0.0
+        return math.fsum(self.w[1 : self.n])
 
     def largest_volume(self) -> float:
-        return float(self.V[: self.n].max()) if self.n else math.nan
+        return float(self.V[1 : self.n].max()) if self.n > 1 else math.nan
 
     def to_state(self) -> SystemState:
         cohorts = tuple(
@@ -387,11 +360,11 @@ class _Engine:
                 weight=float(self.w[i]),
                 state=TumorState(V=float(self.V[i]), K=float(self.K[i])),
             )
-            for i in range(self.n)
+            for i in range(1, self.n)
         )
         return SystemState(
             t=self.t,
-            primary=TumorState(V=self.Vp, K=self.Kp),
+            primary=TumorState(V=float(self.V[0]), K=float(self.K[0])),
             I=self.I,
             cohorts=cohorts,
             born_count=self.born.value,
@@ -455,18 +428,15 @@ def total_burden(s: SystemState) -> float:
 def inhibitor_rate(s: SystemState, p: ModelParams) -> float:
     """Rate of change of the inhibitor amount: production by the whole
     tumor bulk (primary plus metastases) minus first-order clearance."""
-    return s.primary.V + total_burden(s) - p.k * s.I
+    eng = _Engine(p, s)
+    return eng._production(eng.V[: eng.n]) - p.k * s.I
 
 
 def birth_rate(s: SystemState, p: ModelParams) -> float:
     """Population emission rate: new metastases shed per unit time by
     the primary and every live cohort together."""
-    from .model import emission_rate
-
-    total = emission_rate(s.primary.V, p)
-    for c in s.cohorts:
-        total += c.weight * emission_rate(c.state.V, p)
-    return total
+    eng = _Engine(p, s)
+    return eng._emission_sum(eng.V[: eng.n])
 
 
 def step(s: SystemState, p: ModelParams, dt: float, weight_floor: float = 0.0) -> SystemState:
@@ -529,7 +499,7 @@ def simulate(
         M[row] = eng.burden()
         N[row] = eng.live_weight()
         I[row] = eng.I
-        Vp[row] = eng.Vp
+        Vp[row] = eng.V[0]
         born[row] = eng.born.value
         exited[row] = eng.exited.value
         largest[row] = eng.largest_volume()

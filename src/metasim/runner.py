@@ -11,21 +11,26 @@ One scenario run emits, per requested output kind:
 
 plus ``{name}_run.json`` metadata. Numbers in CSV files are written as
 shortest round-trip decimal strings, so identical runs produce
-byte-identical files.
+byte-identical files. Every file is built in memory, written to a
+temporary file in its directory and renamed into place, so an artifact
+is either complete or absent.
 
 A sweep executes one run per axis value (in parallel up to the
 requested worker count), writes each run's artifacts to its own
 subdirectory, and assembles ``summary.csv`` with one row per value;
-failed runs carry their error in-row and never abort the sweep.
+failed runs carry their error in-row and never abort the sweep. A point
+that fails with anything but an integration blowup (which writes its own
+``{name}_error.json``) leaves ``{name}_error.json`` with the traceback.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
-import math
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -68,34 +73,31 @@ def _dec(x: float) -> str:
     return repr(float(x))
 
 
-def _write_timeseries(path: str, traj: Trajectory):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,M,N,I,Vp,born_cum,exited_cum\n")
-        for i in range(traj.times.size):
-            fh.write(
-                ",".join(
-                    (
-                        _dec(traj.times[i]),
-                        _dec(traj.M[i]),
-                        _dec(traj.N[i]),
-                        _dec(traj.I[i]),
-                        _dec(traj.Vp[i]),
-                        _dec(traj.born[i]),
-                        _dec(traj.exited[i]),
-                    )
-                )
-                + "\n"
-            )
+def _write_atomic(path: str, text: str):
+    """Write ``text`` to ``path`` completely or not at all.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path`` in one rename; on failure the temporary file is
+    removed and ``path`` is left as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def _write_histogram(path: str, traj: Trajectory):
-    h = traj.final_histogram
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin_lo,bin_hi,mass\n")
-        for i in range(h.mass.size):
-            fh.write(
-                f"{_dec(h.bin_edges[i])},{_dec(h.bin_edges[i + 1])},{_dec(h.mass[i])}\n"
-            )
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv_text(header: str, columns) -> str:
+    """CSV text of equal-length numeric columns, one decimal per cell."""
+    return header + "\n" + "".join(",".join(map(_dec, row)) + "\n" for row in zip(*columns))
 
 
 def _window_largest_volume(traj: Trajectory, transient: float) -> float | None:
@@ -143,14 +145,10 @@ def run_scenario(
             sc.params, sc.settings, sc.initial_cohorts, n_bins=sc.n_bins
         )
     except IntegrationBlowupError as exc:
-        err_path = os.path.join(out_dir, f"{sc.name}_error.json")
-        with open(err_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"name": sc.name, "error": "integration-blowup", "t": exc.t},
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        _write_atomic(
+            os.path.join(out_dir, f"{sc.name}_error.json"),
+            _json_text({"name": sc.name, "error": "integration-blowup", "t": exc.t}),
+        )
         raise
     elapsed = time.perf_counter() - t_start
 
@@ -162,17 +160,18 @@ def run_scenario(
 
     if "timeseries" in sc.outputs:
         p = path_of("timeseries.csv")
-        _write_timeseries(p, traj)
+        columns = (traj.times, traj.M, traj.N, traj.I, traj.Vp, traj.born, traj.exited)
+        _write_atomic(p, _csv_text("t,M,N,I,Vp,born_cum,exited_cum", columns))
         files.append(p)
     if "histogram" in sc.outputs:
         p = path_of("histogram.csv")
-        _write_histogram(p, traj)
+        h = traj.final_histogram
+        columns = (h.bin_edges[:-1], h.bin_edges[1:], h.mass)
+        _write_atomic(p, _csv_text("bin_lo,bin_hi,mass", columns))
         files.append(p)
     if "metrics" in sc.outputs:
         p = path_of("metrics.json")
-        with open(p, "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, indent=2)
-            fh.write("\n")
+        _write_atomic(p, _json_text(metrics))
         files.append(p)
     if "plots" in sc.outputs:
         series = (
@@ -189,8 +188,7 @@ def run_scenario(
             except ValueError:
                 continue  # plots never gate the run
             p = path_of(f"{label}.svg")
-            with open(p, "w", encoding="utf-8") as fh:
-                fh.write(svg)
+            _write_atomic(p, svg)
             files.append(p)
 
     run_meta = {
@@ -211,9 +209,7 @@ def run_scenario(
         "for desk-scale runtime unless the scenario overrides them",
     }
     p = path_of("run.json")
-    with open(p, "w", encoding="utf-8") as fh:
-        json.dump(run_meta, fh, indent=2)
-        fh.write("\n")
+    _write_atomic(p, _json_text(run_meta))
     files.append(p)
 
     return RunResult(
@@ -238,11 +234,30 @@ def _summary_row(value: float, metrics: dict, traj: Trajectory) -> dict:
     }
 
 
+def _write_point_error(sc: Scenario, out_dir: str, exc: Exception):
+    """Best effort ``{name}_error.json`` for a point that failed outside
+    the blowup path; a failed write must not lose the summary row."""
+    doc = {
+        "name": sc.name,
+        "error": "exception",
+        "type": type(exc).__name__,
+        "message": str(exc),
+        "traceback": "".join(traceback.format_exception(exc)),
+    }
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_atomic(os.path.join(out_dir, f"{sc.name}_error.json"), _json_text(doc))
+    except OSError:
+        pass
+
+
 def _sweep_point(args) -> dict:
     sc, value, out_dir = args
     try:
         result = run_scenario(sc, out_dir=out_dir)
     except Exception as exc:  # any failure stays in its own row
+        if not isinstance(exc, IntegrationBlowupError):
+            _write_point_error(sc, out_dir, exc)
         return {name: None for name in SUMMARY_COLUMNS} | {
             "value": value,
             "error": f"{type(exc).__name__}: {exc}",
@@ -268,15 +283,15 @@ def run_sweep(sw: SweepSpec, out_dir: str = ".", jobs: int | None = None) -> lis
     else:
         rows = [_sweep_point(task) for task in tasks]
 
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    "" if row[col] is None else (_dec(row[col]) if col != "error" else row[col])
-                    for col in SUMMARY_COLUMNS
-                ]
-            )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(SUMMARY_COLUMNS)
+    for row in rows:
+        writer.writerow(
+            [
+                "" if row[col] is None else (_dec(row[col]) if col != "error" else row[col])
+                for col in SUMMARY_COLUMNS
+            ]
+        )
+    _write_atomic(os.path.join(out_dir, "summary.csv"), buf.getvalue())
     return rows

@@ -32,7 +32,7 @@ _OUTPUT_KINDS = ("timeseries", "histogram", "metrics", "plots")
 SCENARIO_SCHEMA = {
     "type": "object",
     "properties": {
-        "name": {"type": "string", "pattern": "^[A-Za-z0-9._-]+$"},
+        "name": {"type": "string", "pattern": "^[A-Za-z0-9._=+-]+$"},
         "params": {
             "type": "object",
             "properties": {name: {"type": "number"} for name in _PARAM_NAMES},

@@ -196,6 +196,41 @@ class TestStep:
         assert s.cohorts[0].state == TumorState(1.0, 1.0)
 
 
+class TestPrimaryRow:
+    """The primary tumor is integrated as one more row of the cohort
+    arrays, exempt only from exit, pruning and the cohort observables."""
+
+    @pytest.mark.parametrize(
+        "V,K", [(0.5, 1.0), (0.3, 0.2), (2.0, 0.7), (0.123456, 0.98765)]
+    )
+    def test_primary_and_cohort_at_one_state_share_one_path(self, V, K):
+        p = ModelParams(m=0.0, e=0.5)
+        twin = Cohort(birth_time=0.0, weight=1.0, state=TumorState(V, K))
+        s = _state(p, [twin], primary=TumorState(V, K), I=0.2)
+        for i in range(2000):
+            s = step(s, p, 1e-2)
+            assert s.cohorts[0].state == s.primary, f"paths split at step {i + 1}"
+
+    def test_primary_below_domain_edge_does_not_exit(self):
+        p = ModelParams(m=0.0)
+        s = _state(p, primary=TumorState(0.1000001, 0.001))
+        for _ in range(2):
+            s = step(s, p, 1e-2)
+        assert s.primary.V < p.V0
+        assert s.exited_count == 0.0
+        assert s.born_count == 0.0
+
+    def test_weight_floor_prunes_cohorts_but_not_the_primary(self):
+        p = ModelParams()
+        c = Cohort(birth_time=0.0, weight=2.0, state=TumorState(0.5, 1.0))
+        s0 = _state(p, [c], primary=TumorState(0.5, 1.0))
+        s = step(s0, p, 1e-2, weight_floor=5.0)
+        assert s.cohorts == ()
+        assert s.primary == step(s0, p, 1e-2).primary
+        assert s.born_count > 2.0
+        assert s.exited_count == pytest.approx(s.born_count, rel=1e-15)
+
+
 class TestSimulate:
     def test_sampling_grid(self):
         p = ModelParams()

@@ -5,7 +5,7 @@ import pytest
 from metasim import IntegrationBlowupError, ModelParams, SolverSettings
 from metasim import runner
 from metasim.runner import run_scenario, run_sweep
-from metasim.scenarios import Scenario, SweepSpec
+from metasim.scenarios import Scenario, SweepSpec, scenario_from_dict, scenario_to_dict
 
 
 def _scenario(name="r", outputs=None, **params):
@@ -89,3 +89,46 @@ class TestRunSweep:
         assert len(lines) == 4
         assert lines[2].startswith("0.5,") and lines[2].endswith(",OSError: disk full")
         assert lines[3].startswith("1.0,") and lines[3].endswith(",")
+        doc = json.loads((tmp_path / "e=0.5" / "r_e=0.5_error.json").read_text())
+        assert doc["error"] == "exception"
+        assert (doc["type"], doc["message"]) == ("OSError", "disk full")
+        assert "failing_at_half" in doc["traceback"]
+        assert not (tmp_path / "e=2" / "r_e=2_error.json").exists()
+
+    @pytest.mark.parametrize(
+        "axis,values", [("e", (0.1, 2.0)), ("b", (0.5, 2.0)), ("m", (1e-5, 3.0))]
+    )
+    def test_point_run_json_scenario_reloads(self, tmp_path, axis, values):
+        sw = SweepSpec(base=_scenario(outputs=["metrics"]), axis=axis, values=values)
+        rows = run_sweep(sw, out_dir=str(tmp_path), jobs=1)
+        assert all(r["error"] is None for r in rows)
+        for sc, value in zip(sw.scenarios(), values):
+            point_dir = tmp_path / f"{axis}={value:g}"
+            meta = json.loads((point_dir / f"{sc.name}_run.json").read_text())
+            assert scenario_to_dict(scenario_from_dict(meta["scenario"])) == scenario_to_dict(sc)
+
+
+class TestAtomicArtifacts:
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
+        real_dec = runner._dec
+        calls = []
+
+        def dec_failing_on_fifth(x):
+            calls.append(x)
+            if len(calls) == 5:
+                raise RuntimeError("interrupted")
+            return real_dec(x)
+
+        monkeypatch.setattr(runner, "_dec", dec_failing_on_fifth)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_scenario(_scenario(outputs=["timeseries"]), out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_removes_temp_file(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(runner.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            run_scenario(_scenario(outputs=["timeseries"]), out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []

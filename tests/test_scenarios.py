@@ -196,3 +196,9 @@ class TestSweepSpec:
             SweepSpec(base=Scenario(name="b"), axis="e", values=(1.0000001, 1.0000002))
         with pytest.raises(ConfigurationError, match="e=2"):
             SweepSpec(base=Scenario(name="b"), axis="e", values=(2.0, 0.5, 2.0))
+
+    @pytest.mark.parametrize("axis,value", [("e", 0.1), ("b", 1e9), ("m", 1e-5)])
+    def test_point_scenarios_round_trip(self, axis, value):
+        sc = SweepSpec(base=Scenario(name="base"), axis=axis, values=(value,)).scenarios()[0]
+        assert "=" in sc.name
+        assert scenario_from_dict(scenario_to_dict(sc)) == sc
