@@ -31,13 +31,11 @@ from .model import (
     nondimensionalize,
 )
 from .observables import (
-    ObservationRow,
     OscillationMetrics,
     Trajectory,
     VolumeHistogram,
     histogram,
     oscillation_metrics,
-    sample,
 )
 from .runner import RunResult, run_scenario, run_sweep
 from .scenarios import (
@@ -80,13 +78,11 @@ __all__ = [
     "simulate",
     "step",
     "total_burden",
-    "ObservationRow",
     "OscillationMetrics",
     "Trajectory",
     "VolumeHistogram",
     "histogram",
     "oscillation_metrics",
-    "sample",
     "RunResult",
     "run_scenario",
     "run_sweep",

@@ -28,7 +28,7 @@ millions of steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +51,12 @@ _MAX_STEPS = 20_000_000
 
 @dataclass(frozen=True)
 class Cohort:
-    """One characteristic curve carrying a point mass of the density.
+    """One initial cohort of a scenario: a characteristic curve carrying
+    a point mass of the density.
 
     ``weight`` is the expected number of metastases riding the curve;
-    ``birth_time`` is the instant the mass entered the domain.
+    ``birth_time`` is the instant the mass entered the domain. Live
+    cohorts are held as arrays in :class:`SystemState`, not as records.
     """
 
     birth_time: float
@@ -68,9 +70,17 @@ class Cohort:
             raise InvalidStateError(f"cohort birth_time must be finite, got {self.birth_time!r}")
 
 
-@dataclass(frozen=True)
+_COHORT_ARRAYS = ("V", "K", "w", "birth_t")
+
+
+@dataclass(frozen=True, eq=False)
 class SystemState:
     """Full state of the coupled system at one instant.
+
+    The live cohorts are four equal-length float64 arrays in birth
+    order: volume ``V``, carrying capacity ``K``, weight ``w`` (the
+    expected number of metastases riding the curve) and ``birth_t``.
+    Construction copies them into new read-only arrays.
 
     ``V0`` is the lower edge of the live domain, copied from the model
     parameters at construction; it travels with the state so that
@@ -84,7 +94,10 @@ class SystemState:
     t: float
     primary: TumorState
     I: float
-    cohorts: tuple[Cohort, ...]
+    V: np.ndarray
+    K: np.ndarray
+    w: np.ndarray
+    birth_t: np.ndarray
     born_count: float
     exited_count: float
     V0: float
@@ -96,11 +109,22 @@ class SystemState:
             raise InvalidStateError(f"time must be finite, got {self.t!r}")
         if not (math.isfinite(self.V0) and self.V0 > 0):
             raise InvalidStateError(f"V0 must be finite and > 0, got {self.V0!r}")
-        for c in self.cohorts:
-            if c.state.V < self.V0:
-                raise InvalidStateError(
-                    f"cohort at V={c.state.V} lies below the domain edge V0={self.V0}"
-                )
+        for name in _COHORT_ARRAYS:
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            if arr.ndim != 1 or arr.size != np.size(self.V):
+                raise InvalidStateError("cohort arrays must be 1-D and of equal length")
+            if not np.isfinite(arr).all():
+                raise InvalidStateError(f"cohort {name} must be finite")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if (self.w < 0).any():
+            raise InvalidStateError(f"cohort weights must be >= 0, got {self.w.min()!r}")
+        if (self.K <= 0).any():
+            raise InvalidStateError(f"cohort K must be > 0, got {self.K.min()!r}")
+        if (self.V < self.V0).any():
+            raise InvalidStateError(
+                f"cohort at V={self.V.min()} lies below the domain edge V0={self.V0}"
+            )
 
 
 @dataclass(frozen=True)
@@ -137,6 +161,15 @@ class SolverSettings:
                 f"t_end/dt = {self.t_end / self.dt:.3g} exceeds the step-count cap {_MAX_STEPS}"
             )
 
+    @property
+    def n_steps(self) -> int:
+        """Steps a run takes: round(t_end/dt) when that lands on t_end,
+        otherwise ceil(t_end/dt), so a run never stops short of t_end."""
+        n = round(self.t_end / self.dt)
+        if math.isclose(n * self.dt, self.t_end, rel_tol=1e-9):
+            return n
+        return math.ceil(self.t_end / self.dt)
+
 
 class _Accumulator:
     """Neumaier-compensated running sum for cumulative weight counters."""
@@ -167,7 +200,7 @@ class _Engine:
     hold the live cohorts in birth order. Every row enters the field,
     the emission sum and the inhibitor production alike; only cohort
     rows exit, get pruned, or count toward M, N and the exported
-    cohorts. Arrays have a capacity that doubles on demand; scratch
+    state. Arrays have a capacity that doubles on demand; scratch
     buffers for the four stages are kept at the same capacity so the
     hot loop allocates nothing.
     """
@@ -179,44 +212,26 @@ class _Engine:
         self.I = state.I
         self.born = _Accumulator(state.born_count)
         self.exited = _Accumulator(state.exited_count)
-        rows = [Cohort(birth_time=0.0, weight=1.0, state=state.primary), *state.cohorts]
-        n = len(rows)
+        n = state.w.size + 1
         cap = max(4096, 1 << n.bit_length())
         self.n = n
-        self.V = np.empty(cap)
-        self.K = np.empty(cap)
-        self.w = np.empty(cap)
-        self.birth_t = np.empty(cap)
-        for i, c in enumerate(rows):
-            self.V[i] = c.state.V
-            self.K[i] = c.state.K
-            self.w[i] = c.weight
-            self.birth_t[i] = c.birth_time
+        row0 = {"V": state.primary.V, "K": state.primary.K, "w": 1.0, "birth_t": 0.0}
+        for name, first in row0.items():
+            arr = np.empty(cap)
+            arr[0] = first
+            arr[1:n] = getattr(state, name)
+            setattr(self, name, arr)
         self._scratch = [np.empty(cap) for _ in range(11)]
 
     # -- storage -----------------------------------------------------
 
     def _grow(self):
         cap = 2 * self.V.size
-        for name in ("V", "K", "w", "birth_t"):
+        for name in _COHORT_ARRAYS:
             arr = np.empty(cap)
             arr[: self.n] = getattr(self, name)[: self.n]
             setattr(self, name, arr)
         self._scratch = [np.empty(cap) for _ in range(11)]
-
-    # -- model terms on the array representation ---------------------
-
-    def _emission_sum(self, V: np.ndarray) -> float:
-        """Population emission rate m * sum(w * beta(V)) over all rows."""
-        p = self.p
-        beta = np.power(V, p.alpha)
-        if p.Vm > 0.0:
-            beta[V < p.Vm] = 0.0
-        return p.m * float(np.dot(self.w[: self.n], beta))
-
-    def _production(self, V: np.ndarray) -> float:
-        """Inhibitor production sum(w * V) over all rows."""
-        return float(np.dot(self.w[: self.n], V))
 
     # -- one step ----------------------------------------------------
 
@@ -226,6 +241,7 @@ class _Engine:
         b, e, k = p.b, p.e, p.k
         V = self.V[:n]
         K = self.K[:n]
+        w = self.w[:n]
         (kV1, kK1, kV2, kK2, kV3, kK3, kV4, kK4, Vs, Ks, tmp) = (
             a[:n] for a in self._scratch
         )
@@ -243,7 +259,7 @@ class _Engine:
             if e != 0.0 and Ic != 0.0:
                 np.multiply(Kc, e * Ic, out=tmp)
                 outK -= tmp
-            return self._production(Vc) - k * Ic
+            return _volume_sum(w, Vc) - k * Ic
 
         h2 = 0.5 * dt
         s6 = dt / 6.0
@@ -251,7 +267,7 @@ class _Engine:
         # a diverging stage state leaves inf or nan in its rows, which
         # the check after the update reports as a blowup
         with np.errstate(all="ignore"):
-            B0 = self._emission_sum(V)
+            B0 = _emission_sum(p, V, w)
             dI1 = stage(V, K, I, kV1, kK1)
             np.multiply(kV1, h2, out=Vs)
             Vs += V
@@ -287,7 +303,7 @@ class _Engine:
             if not (math.isfinite(I_new) and V[0] > 0 and K[0] > 0
                     and np.isfinite(V).all() and np.isfinite(K).all()):
                 raise IntegrationBlowupError(t_new)
-            B1 = self._emission_sum(V)
+            B1 = _emission_sum(p, V, w)
 
         # birth: trapezoid of the emission rate over the step. Three
         # first-order leaks are closed to keep the global order at two:
@@ -334,7 +350,7 @@ class _Engine:
                 self.exited.add(float(x))
             keep = ~drop
             m_keep = int(keep.sum())
-            for name in ("V", "K", "w", "birth_t"):
+            for name in _COHORT_ARRAYS:
                 arr = getattr(self, name)
                 arr[:m_keep] = arr[:n][keep]
             self.n = m_keep
@@ -344,7 +360,7 @@ class _Engine:
     # -- observation: cohort rows only -------------------------------
 
     def burden(self) -> float:
-        return float(np.dot(self.w[1 : self.n], self.V[1 : self.n]))
+        return _volume_sum(self.w[1 : self.n], self.V[1 : self.n])
 
     def live_weight(self) -> float:
         """Exactly rounded sum of live weights (conservation checks)."""
@@ -354,23 +370,33 @@ class _Engine:
         return float(self.V[1 : self.n].max()) if self.n > 1 else math.nan
 
     def to_state(self) -> SystemState:
-        cohorts = tuple(
-            Cohort(
-                birth_time=float(self.birth_t[i]),
-                weight=float(self.w[i]),
-                state=TumorState(V=float(self.V[i]), K=float(self.K[i])),
-            )
-            for i in range(1, self.n)
-        )
+        n = self.n
         return SystemState(
             t=self.t,
             primary=TumorState(V=float(self.V[0]), K=float(self.K[0])),
             I=self.I,
-            cohorts=cohorts,
+            V=self.V[1:n],
+            K=self.K[1:n],
+            w=self.w[1:n],
+            birth_t=self.birth_t[1:n],
             born_count=self.born.value,
             exited_count=self.exited.value,
             V0=self.p.V0,
         )
+
+
+def _emission_sum(p: ModelParams, V: np.ndarray, w: np.ndarray) -> float:
+    """Population emission rate m * sum(w * beta(V)) over the given rows."""
+    beta = np.power(V, p.alpha)
+    if p.Vm > 0.0:
+        beta[V < p.Vm] = 0.0
+    return p.m * float(np.dot(w, beta))
+
+
+def _volume_sum(w: np.ndarray, V: np.ndarray) -> float:
+    """Weighted volume sum(w * V): the burden M over cohort rows, the
+    inhibitor production over all rows."""
+    return float(np.dot(w, V))
 
 
 def _half_step_from_birth(p: ModelParams, I_mid: float, h2: float) -> tuple[float, float]:
@@ -405,13 +431,15 @@ def initial_state(p: ModelParams, initial_cohorts: tuple[Cohort, ...] = ()) -> S
     ``born_count`` starts at the total initial weight so the
     conservation identity holds from the first sample.
     """
-    born0 = math.fsum(c.weight for c in initial_cohorts) if initial_cohorts else 0.0
     return SystemState(
         t=0.0,
         primary=TumorState(V=p.V0, K=p.K0),
         I=0.0,
-        cohorts=tuple(initial_cohorts),
-        born_count=born0,
+        V=[c.state.V for c in initial_cohorts],
+        K=[c.state.K for c in initial_cohorts],
+        w=[c.weight for c in initial_cohorts],
+        birth_t=[c.birth_time for c in initial_cohorts],
+        born_count=math.fsum(c.weight for c in initial_cohorts),
         exited_count=0.0,
         V0=p.V0,
     )
@@ -422,21 +450,26 @@ def total_burden(s: SystemState) -> float:
 
     The primary tumor is excluded; it is tracked separately.
     """
-    return math.fsum(c.weight * c.state.V for c in s.cohorts)
+    return _volume_sum(s.w, s.V)
+
+
+def _all_rows(s: SystemState) -> tuple[np.ndarray, np.ndarray]:
+    """Volumes and weights of the primary (weight 1) and every cohort."""
+    return np.append(s.primary.V, s.V), np.append(1.0, s.w)
 
 
 def inhibitor_rate(s: SystemState, p: ModelParams) -> float:
     """Rate of change of the inhibitor amount: production by the whole
     tumor bulk (primary plus metastases) minus first-order clearance."""
-    eng = _Engine(p, s)
-    return eng._production(eng.V[: eng.n]) - p.k * s.I
+    V, w = _all_rows(s)
+    return _volume_sum(w, V) - p.k * s.I
 
 
 def birth_rate(s: SystemState, p: ModelParams) -> float:
     """Population emission rate: new metastases shed per unit time by
     the primary and every live cohort together."""
-    eng = _Engine(p, s)
-    return eng._emission_sum(eng.V[: eng.n])
+    V, w = _all_rows(s)
+    return _emission_sum(p, V, w)
 
 
 def step(s: SystemState, p: ModelParams, dt: float, weight_floor: float = 0.0) -> SystemState:
@@ -477,9 +510,7 @@ def simulate(
     """
     from .observables import Trajectory, histogram
 
-    n_steps = round(settings.t_end / settings.dt)
-    if not math.isclose(n_steps * settings.dt, settings.t_end, rel_tol=1e-9):
-        n_steps = math.ceil(settings.t_end / settings.dt)
+    n_steps = settings.n_steps
     every = max(1, round(settings.sample_every / settings.dt))
 
     eng = _Engine(p, initial_state(p, initial_cohorts), weight_floor=settings.weight_floor)

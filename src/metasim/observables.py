@@ -6,35 +6,21 @@ into the dynamics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import find_peaks
 
-from .engine import SystemState, total_burden
+from .engine import SystemState
 from .errors import ConfigurationError
 
 __all__ = [
-    "ObservationRow",
     "Trajectory",
     "VolumeHistogram",
     "OscillationMetrics",
-    "sample",
     "histogram",
     "oscillation_metrics",
 ]
-
-
-class ObservationRow(NamedTuple):
-    """One sampled instant of the macroscopic state."""
-
-    t: float
-    M: float
-    N: float
-    I: float
-    Vp: float
 
 
 @dataclass(frozen=True)
@@ -114,20 +100,6 @@ class OscillationMetrics:
         return self.peak_times.size >= 2
 
 
-def sample(s: SystemState) -> ObservationRow:
-    """Macroscopic observation of one state: (t, M, N, I, Vp).
-
-    N counts metastases only; the primary tumor is reported through Vp.
-    """
-    return ObservationRow(
-        t=s.t,
-        M=total_burden(s),
-        N=math.fsum(c.weight for c in s.cohorts),
-        I=s.I,
-        Vp=s.primary.V,
-    )
-
-
 def histogram(s: SystemState, n_bins: int = 40) -> VolumeHistogram:
     """Bin live cohort mass by volume on log-spaced bins over [V0, 1].
 
@@ -141,13 +113,11 @@ def histogram(s: SystemState, n_bins: int = 40) -> VolumeHistogram:
         raise ConfigurationError("histogram bins require V0 < 1")
     edges = np.geomspace(s.V0, 1.0, n_bins + 1)
     mass = np.zeros(n_bins)
-    if not s.cohorts:
+    if not s.w.size:
         return VolumeHistogram(bin_edges=edges, mass=mass, largest_volume=None)
-    V = np.array([c.state.V for c in s.cohorts])
-    w = np.array([c.weight for c in s.cohorts])
-    idx = np.clip(np.searchsorted(edges, V, side="right") - 1, 0, n_bins - 1)
-    np.add.at(mass, idx, w)
-    return VolumeHistogram(bin_edges=edges, mass=mass, largest_volume=float(V.max()))
+    idx = np.clip(np.searchsorted(edges, s.V, side="right") - 1, 0, n_bins - 1)
+    np.add.at(mass, idx, s.w)
+    return VolumeHistogram(bin_edges=edges, mass=mass, largest_volume=float(s.V.max()))
 
 
 def oscillation_metrics(traj: Trajectory, transient: float) -> OscillationMetrics:

@@ -195,13 +195,13 @@ def run_scenario(
         "name": sc.name,
         "scenario": scenario_to_dict(sc),
         "runtime_s": elapsed,
-        "n_steps": round(sc.settings.t_end / sc.settings.dt),
+        "n_steps": sc.settings.n_steps,
         "final": {
             "t": final.t,
             "Vp": final.primary.V,
             "Kp": final.primary.K,
             "I": final.I,
-            "n_live": len(final.cohorts),
+            "n_live": final.w.size,
             "born": final.born_count,
             "exited": final.exited_count,
         },

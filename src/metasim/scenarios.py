@@ -229,25 +229,25 @@ def scenario_to_dict(sc: Scenario) -> dict:
     return out
 
 
-def load_scenario(path: str) -> Scenario:
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object in the file at ``path``; ``what`` names the file
+    kind in errors."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: scenario file must hold a JSON object")
-    return scenario_from_dict(raw)
+        raise ConfigurationError(f"{path}: {what} file must hold a JSON object")
+    return raw
+
+
+def load_scenario(path: str) -> Scenario:
+    return scenario_from_dict(_read_object(path, "scenario"))
 
 
 def load_sweep(path: str) -> SweepSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: sweep file must hold a JSON object")
+    raw = _read_object(path, "sweep")
     _validate(raw, SWEEP_SCHEMA, "sweep")
 
     base_raw = raw["base"]

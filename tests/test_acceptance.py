@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 from metasim import (
-    Cohort,
     ModelParams,
     SolverSettings,
     SystemState,
@@ -131,7 +130,10 @@ def test_c05_inhibitor_closed_form():
         t=0.0,
         primary=TumorState(1.0, 1.0),
         I=0.0,
-        cohorts=(Cohort(birth_time=0.0, weight=2.0, state=TumorState(1.0, 1.0)),),
+        V=[1.0],
+        K=[1.0],
+        w=[2.0],
+        birth_t=[0.0],
         born_count=2.0,
         exited_count=0.0,
         V0=p.V0,
@@ -153,7 +155,7 @@ def test_c06_conservation_on_every_catalog_scenario(catalog_runs):
     worst = 0.0
     for name, (_, traj, final) in catalog_runs.items():
         gap = float(np.abs(traj.born - traj.exited - traj.N).max())
-        live = math.fsum(c.weight for c in final.cohorts)
+        live = math.fsum(final.w)
         gap = max(gap, abs(final.born_count - final.exited_count - live))
         assert gap < 1e-9, f"conservation broken on {name}: {gap:.3e}"
         worst = max(worst, gap)

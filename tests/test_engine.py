@@ -16,6 +16,7 @@ from metasim import (
     TumorState,
 )
 from metasim.engine import (
+    _Engine,
     birth_rate,
     inhibitor_rate,
     initial_state,
@@ -26,13 +27,18 @@ from metasim.engine import (
 
 
 def _state(p, cohorts=(), primary=None, I=0.0, t=0.0, born=None, exited=0.0):
-    born0 = math.fsum(c.weight for c in cohorts) if born is None else born
+    """State whose live cohorts are the (weight, V, K) rows of
+    ``cohorts``, all born at t = 0."""
+    w, V, K = np.array(cohorts, dtype=float).reshape(-1, 3).T
     return SystemState(
         t=t,
         primary=primary or TumorState(p.V0, p.K0),
         I=I,
-        cohorts=tuple(cohorts),
-        born_count=born0,
+        V=V,
+        K=K,
+        w=w,
+        birth_t=np.zeros(w.size),
+        born_count=math.fsum(w) if born is None else born,
         exited_count=exited,
         V0=p.V0,
     )
@@ -45,7 +51,7 @@ class TestInitialState:
         assert s.t == 0.0
         assert s.primary == TumorState(0.1, 0.2)
         assert s.I == 0.0
-        assert s.cohorts == ()
+        assert s.w.size == 0
         assert s.born_count == 0.0 and s.exited_count == 0.0
         assert s.V0 == p.V0
 
@@ -57,12 +63,15 @@ class TestInitialState:
         )
         s = initial_state(p, cs)
         assert s.born_count == 5.0
-        assert s.cohorts == cs
+        assert s.w.tolist() == [2.0, 3.0]
+        assert s.V.tolist() == [0.5, 0.2]
+        assert s.K.tolist() == [1.0, 0.4]
+        assert s.birth_t.tolist() == [0.0, 0.0]
 
     def test_cohort_below_domain_edge_rejected(self):
         p = ModelParams()
         with pytest.raises(InvalidStateError):
-            _state(p, [Cohort(birth_time=0.0, weight=1.0, state=TumorState(0.05, 0.4))])
+            _state(p, [(1.0, 0.05, 0.4)])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -72,23 +81,12 @@ class TestInitialState:
 class TestRates:
     def test_burden_weights_volumes(self):
         p = ModelParams()
-        s = _state(
-            p,
-            [
-                Cohort(birth_time=0.0, weight=2.0, state=TumorState(0.5, 1.0)),
-                Cohort(birth_time=0.0, weight=3.0, state=TumorState(0.2, 0.4)),
-            ],
-        )
+        s = _state(p, [(2.0, 0.5, 1.0), (3.0, 0.2, 0.4)])
         assert total_burden(s) == pytest.approx(1.6, rel=1e-15)
 
     def test_inhibitor_rate_includes_primary_and_clearance(self):
         p = ModelParams(k=2.0)
-        s = _state(
-            p,
-            [Cohort(birth_time=0.0, weight=2.0, state=TumorState(0.5, 1.0))],
-            primary=TumorState(1.0, 1.0),
-            I=0.25,
-        )
+        s = _state(p, [(2.0, 0.5, 1.0)], primary=TumorState(1.0, 1.0), I=0.25)
         # 1 + 2*0.5 - 2*0.25
         assert inhibitor_rate(s, p) == pytest.approx(1.5, rel=1e-15)
 
@@ -100,9 +98,9 @@ class TestRates:
 
     def test_birth_rate_silent_below_threshold(self):
         p = ModelParams(Vm=0.5)
-        s = _state(p, [Cohort(birth_time=0.0, weight=4.0, state=TumorState(0.3, 1.0))])
+        s = _state(p, [(4.0, 0.3, 1.0)])
         assert birth_rate(s, p) == 0.0
-        s2 = _state(p, [Cohort(birth_time=0.0, weight=4.0, state=TumorState(0.5, 1.0))])
+        s2 = _state(p, [(4.0, 0.5, 1.0)])
         assert birth_rate(s2, p) == pytest.approx(4.0 * 0.5 ** (2.0 / 3.0), rel=1e-14)
 
 
@@ -110,14 +108,13 @@ class TestStep:
     def test_first_step_spawns_midstep_cohort(self):
         p = ModelParams()
         s1 = step(initial_state(p), p, 1e-2)
-        assert len(s1.cohorts) == 1
-        c = s1.cohorts[0]
+        assert s1.w.size == 1
         # frozen regression values for the base first step at dt = 1e-2
-        assert c.weight == pytest.approx(0.0021617433664636336, rel=1e-12)
-        assert c.birth_time == pytest.approx(0.005, abs=1e-15)
-        assert c.state.V == pytest.approx(0.10034666278753236, rel=1e-12)
-        assert c.state.K == pytest.approx(0.20028452128747418, rel=1e-12)
-        assert s1.born_count == c.weight
+        assert s1.w[0] == pytest.approx(0.0021617433664636336, rel=1e-12)
+        assert s1.birth_t[0] == pytest.approx(0.005, abs=1e-15)
+        assert s1.V[0] == pytest.approx(0.10034666278753236, rel=1e-12)
+        assert s1.K[0] == pytest.approx(0.20028452128747418, rel=1e-12)
+        assert s1.born_count == s1.w[0]
         assert s1.primary.V == pytest.approx(0.10069350477953093, rel=1e-12)
         assert s1.I == pytest.approx(0.0009995528994514342, rel=1e-12)
 
@@ -126,37 +123,37 @@ class TestStep:
         s0 = initial_state(p)
         s1 = step(s0, p, 1e-2)
         crude = 1e-2 * birth_rate(s0, p)
-        assert s1.cohorts[0].weight == pytest.approx(crude, rel=5e-3)
+        assert s1.w[0] == pytest.approx(crude, rel=5e-3)
 
     def test_no_emission_no_cohorts(self):
         p = ModelParams(m=0.0)
         s = initial_state(p)
         for _ in range(50):
             s = step(s, p, 1e-2)
-        assert s.cohorts == ()
+        assert s.w.size == 0
         assert s.born_count == 0.0
 
     def test_shrinking_cohort_exits_through_lower_edge(self):
         p = ModelParams(m=0.0)
-        doomed = Cohort(birth_time=0.0, weight=0.5, state=TumorState(0.1000001, 0.001))
+        doomed = (0.5, 0.1000001, 0.001)
         s = step(_state(p, [doomed], primary=TumorState(1.0, 1.0)), p, 1e-2)
-        assert s.cohorts == ()
+        assert s.w.size == 0
         assert s.exited_count == pytest.approx(0.5, rel=1e-15)
         assert s.born_count == pytest.approx(0.5, rel=1e-15)
 
     def test_cohort_at_edge_survives(self):
         p = ModelParams(m=0.0, e=0.0)
-        edge = Cohort(birth_time=0.0, weight=1.0, state=TumorState(p.V0, p.K0))
+        edge = (1.0, p.V0, p.K0)
         s = step(_state(p, [edge], primary=TumorState(1.0, 1.0)), p, 1e-2)
-        assert len(s.cohorts) == 1
-        assert s.cohorts[0].state.V >= p.V0
+        assert s.w.size == 1
+        assert s.V[0] >= p.V0
 
     def test_weight_floor_books_pruned_mass_as_exited(self):
         p = ModelParams()
         s = initial_state(p)
         for _ in range(100):
             s = step(s, p, 1e-2, weight_floor=1.0)
-        assert s.cohorts == ()
+        assert s.w.size == 0
         assert s.born_count > 0
         assert s.exited_count == pytest.approx(s.born_count, abs=1e-12)
 
@@ -183,17 +180,13 @@ class TestStep:
         # m = e = 0: the source stays exactly c = 1 + 2, so
         # I(t) = (c/k)(1 - exp(-k t))
         p = ModelParams(m=0.0, e=0.0, k=2.0)
-        s = _state(
-            p,
-            [Cohort(birth_time=0.0, weight=2.0, state=TumorState(1.0, 1.0))],
-            primary=TumorState(1.0, 1.0),
-        )
+        s = _state(p, [(2.0, 1.0, 1.0)], primary=TumorState(1.0, 1.0))
         for _ in range(1000):
             s = step(s, p, 1e-3)
         exact = (3.0 / 2.0) * (1.0 - math.exp(-2.0))
         assert s.I == pytest.approx(exact, rel=1e-10)
         assert s.primary == TumorState(1.0, 1.0)
-        assert s.cohorts[0].state == TumorState(1.0, 1.0)
+        assert (s.V[0], s.K[0]) == (1.0, 1.0)
 
 
 class TestPrimaryRow:
@@ -205,11 +198,11 @@ class TestPrimaryRow:
     )
     def test_primary_and_cohort_at_one_state_share_one_path(self, V, K):
         p = ModelParams(m=0.0, e=0.5)
-        twin = Cohort(birth_time=0.0, weight=1.0, state=TumorState(V, K))
-        s = _state(p, [twin], primary=TumorState(V, K), I=0.2)
+        s = _state(p, [(1.0, V, K)], primary=TumorState(V, K), I=0.2)
         for i in range(2000):
             s = step(s, p, 1e-2)
-            assert s.cohorts[0].state == s.primary, f"paths split at step {i + 1}"
+            twin = (s.V[0], s.K[0])
+            assert twin == (s.primary.V, s.primary.K), f"paths split at step {i + 1}"
 
     def test_primary_below_domain_edge_does_not_exit(self):
         p = ModelParams(m=0.0)
@@ -222,13 +215,74 @@ class TestPrimaryRow:
 
     def test_weight_floor_prunes_cohorts_but_not_the_primary(self):
         p = ModelParams()
-        c = Cohort(birth_time=0.0, weight=2.0, state=TumorState(0.5, 1.0))
-        s0 = _state(p, [c], primary=TumorState(0.5, 1.0))
+        s0 = _state(p, [(2.0, 0.5, 1.0)], primary=TumorState(0.5, 1.0))
         s = step(s0, p, 1e-2, weight_floor=5.0)
-        assert s.cohorts == ()
+        assert s.w.size == 0
         assert s.primary == step(s0, p, 1e-2).primary
         assert s.born_count > 2.0
         assert s.exited_count == pytest.approx(s.born_count, rel=1e-15)
+
+
+class TestSystemStateArrays:
+    _GOOD = {"V": [0.5, 0.2], "K": [1.0, 0.4], "w": [2.0, 3.0], "birth_t": [0.0, 1.0]}
+
+    @staticmethod
+    def _build(p, **arrays):
+        return SystemState(
+            t=0.0,
+            primary=TumorState(p.V0, p.K0),
+            I=0.0,
+            born_count=5.0,
+            exited_count=0.0,
+            V0=p.V0,
+            **arrays,
+        )
+
+    @pytest.mark.parametrize(
+        "name,bad",
+        [
+            ("V", [0.5, 0.05]),
+            ("V", [0.5, math.inf]),
+            ("K", [1.0, 0.0]),
+            ("K", [1.0, -0.4]),
+            ("K", [1.0, math.nan]),
+            ("w", [2.0, -1.0]),
+            ("w", [2.0, math.nan]),
+            ("birth_t", [0.0, math.inf]),
+            ("w", [2.0, 3.0, 1.0]),
+            ("birth_t", [0.0]),
+            ("V", [[0.5, 0.2]]),
+        ],
+        ids=[
+            "V-below-V0",
+            "V-inf",
+            "K-zero",
+            "K-negative",
+            "K-nan",
+            "w-negative",
+            "w-nan",
+            "birth_t-inf",
+            "w-longer",
+            "birth_t-shorter",
+            "V-2d",
+        ],
+    )
+    def test_bad_cohort_arrays_rejected(self, name, bad):
+        p = ModelParams()
+        self._build(p, **self._GOOD)
+        with pytest.raises(InvalidStateError):
+            self._build(p, **(self._GOOD | {name: bad}))
+
+    def test_arrays_are_read_only_copies(self):
+        p = ModelParams()
+        given_arrays = {name: np.array(v) for name, v in self._GOOD.items()}
+        s = self._build(p, **given_arrays)
+        for name, arr in given_arrays.items():
+            held = getattr(s, name)
+            assert held.dtype == np.float64
+            assert not np.shares_memory(held, arr)
+            with pytest.raises(ValueError):
+                held[0] = 1.0
 
 
 class TestSimulate:
@@ -264,10 +318,10 @@ class TestSimulate:
         assert total_burden(final) == pytest.approx(float(traj.M[-1]), rel=1e-12)
         assert final.I == pytest.approx(float(traj.I[-1]), rel=1e-12)
         assert final.born_count == pytest.approx(float(traj.born[-1]), rel=1e-12)
-        bts = [c.birth_time for c in final.cohorts]
+        bts = final.birth_t.tolist()
         assert bts == sorted(bts)
-        assert all(c.state.V >= p.V0 for c in final.cohorts)
-        assert all(c.state.K > 0 for c in final.cohorts)
+        assert all(final.V >= p.V0)
+        assert all(final.K > 0)
 
     def test_second_order_on_smooth_window(self):
         # no cohort exits before t = 7 at base parameters, so the
@@ -307,14 +361,10 @@ def _system_states(draw):
         m=draw(st.floats(0.0, 3.0)),
     )
     n = draw(st.integers(0, 5))
-    cohorts = tuple(
-        Cohort(
-            birth_time=0.0,
-            weight=draw(st.floats(0.0, 10.0)),
-            state=TumorState(draw(st.floats(p.V0, 5.0)), draw(st.floats(0.01, 5.0))),
-        )
+    cohorts = [
+        (draw(st.floats(0.0, 10.0)), draw(st.floats(p.V0, 5.0)), draw(st.floats(0.01, 5.0)))
         for _ in range(n)
-    )
+    ]
     primary = TumorState(draw(st.floats(0.05, 5.0)), draw(st.floats(0.05, 5.0)))
     I = draw(st.floats(0.0, 5.0))
     return p, _state(p, cohorts, primary=primary, I=I)
@@ -326,13 +376,13 @@ class TestStepProperties:
     def test_step_preserves_accounting_and_domain(self, case):
         p, s = case
         s1 = step(s, p, 1e-2)
-        live = math.fsum(c.weight for c in s1.cohorts)
+        live = math.fsum(s1.w)
         assert abs(s1.born_count - s1.exited_count - live) < 1e-10
         assert s1.born_count >= s.born_count
         assert s1.exited_count >= s.exited_count
         assert s1.I >= 0.0
-        assert all(c.state.V >= p.V0 for c in s1.cohorts)
-        assert all(c.state.K > 0 for c in s1.cohorts)
+        assert all(s1.V >= p.V0)
+        assert all(s1.K > 0)
         assert s1.t == pytest.approx(s.t + 1e-2)
 
     @hsettings(max_examples=30, deadline=None)
@@ -340,5 +390,33 @@ class TestStepProperties:
     def test_emission_off_means_closed_population(self, b, k):
         p = ModelParams(b=b, k=k, m=0.0)
         s = step(initial_state(p), p, 1e-2)
-        assert s.cohorts == ()
+        assert s.w.size == 0
         assert s.born_count == 0.0
+
+
+def _assert_same_state(a, b):
+    for name in ("t", "primary", "I", "born_count", "exited_count", "V0"):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("V", "K", "w", "birth_t"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestStateHandOff:
+    @hsettings(max_examples=60, deadline=None)
+    @given(_system_states())
+    def test_engine_round_trip_is_exact(self, case):
+        p, s = case
+        _assert_same_state(_Engine(p, s).to_state(), s)
+
+    def test_exported_state_does_not_alias_the_engine(self):
+        p = ModelParams()
+        eng = _Engine(p, step(step(initial_state(p), p, 1e-2), p, 1e-2))
+        out = eng.to_state()
+        before = {name: getattr(out, name).copy() for name in ("V", "K", "w", "birth_t")}
+        for name in before:
+            with pytest.raises(ValueError):
+                getattr(out, name)[0] = 1.0
+        eng.step(1e-2)
+        assert not np.array_equal(eng.V[1:3], before["V"])  # the engine moved on
+        for name, arr in before.items():
+            assert np.array_equal(getattr(out, name), arr)

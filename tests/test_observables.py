@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from metasim import (
-    Cohort,
     ConfigurationError,
     ModelParams,
     SystemState,
@@ -15,17 +14,22 @@ from metasim.observables import (
     VolumeHistogram,
     histogram,
     oscillation_metrics,
-    sample,
 )
 
 
 def _state(cohorts=(), primary=(1.0, 3.0), I=0.3, t=2.5, V0=0.1):
+    """State whose live cohorts are the (weight, V, K) rows of
+    ``cohorts``, all born at t = 0."""
+    w, V, K = np.array(cohorts, dtype=float).reshape(-1, 3).T
     return SystemState(
         t=t,
         primary=TumorState(*primary),
         I=I,
-        cohorts=tuple(cohorts),
-        born_count=math.fsum(c.weight for c in cohorts),
+        V=V,
+        K=K,
+        w=w,
+        birth_t=np.zeros(w.size),
+        born_count=math.fsum(w),
         exited_count=0.0,
         V0=V0,
     )
@@ -51,56 +55,22 @@ def _traj(times, M):
     )
 
 
-class TestSample:
-    def test_two_cohort_example(self):
-        s = _state(
-            [
-                Cohort(birth_time=0.0, weight=2.0, state=TumorState(0.5, 1.0)),
-                Cohort(birth_time=1.0, weight=3.0, state=TumorState(0.2, 0.4)),
-            ]
-        )
-        row = sample(s)
-        assert row.t == 2.5
-        assert row.M == pytest.approx(1.6, rel=1e-15)
-        assert row.N == pytest.approx(5.0, rel=1e-15)
-        assert row.I == 0.3
-        assert row.Vp == 1.0
-
-    def test_empty_population(self):
-        row = sample(_state())
-        assert row.M == 0.0 and row.N == 0.0
-
-
 class TestHistogram:
     def test_mass_lands_in_log_bins_with_overflow_clipped(self):
-        s = _state(
-            [
-                Cohort(birth_time=0.0, weight=1.0, state=TumorState(0.2, 1.0)),
-                Cohort(birth_time=0.0, weight=2.0, state=TumorState(0.5, 1.0)),
-                Cohort(birth_time=0.0, weight=4.0, state=TumorState(1.5, 2.0)),
-            ]
-        )
+        s = _state([(1.0, 0.2, 1.0), (2.0, 0.5, 1.0), (4.0, 1.5, 2.0)])
         h = histogram(s, n_bins=2)
         assert h.bin_edges == pytest.approx([0.1, 0.31622776601683794, 1.0])
         assert h.mass == pytest.approx([1.0, 6.0])
         assert h.largest_volume == 1.5
 
     def test_edge_volumes(self):
-        s = _state(
-            [
-                Cohort(birth_time=0.0, weight=1.0, state=TumorState(0.1, 1.0)),
-                Cohort(birth_time=0.0, weight=2.0, state=TumorState(1.0, 2.0)),
-            ]
-        )
+        s = _state([(1.0, 0.1, 1.0), (2.0, 1.0, 2.0)])
         h = histogram(s, n_bins=4)
         assert h.mass[0] == 1.0
         assert h.mass[-1] == 2.0
 
     def test_total_mass_equals_count(self):
-        cohorts = [
-            Cohort(birth_time=0.0, weight=w, state=TumorState(v, 1.0))
-            for w, v in [(0.5, 0.11), (1.5, 0.3), (2.5, 0.97), (3.5, 2.0)]
-        ]
+        cohorts = [(w, v, 1.0) for w, v in [(0.5, 0.11), (1.5, 0.3), (2.5, 0.97), (3.5, 2.0)]]
         h = histogram(_state(cohorts), n_bins=17)
         assert float(h.mass.sum()) == pytest.approx(8.0, rel=1e-15)
 

@@ -48,6 +48,20 @@ class TestRunScenario:
         doc = json.loads((tmp_path / "r_error.json").read_text())
         assert doc["error"] == "integration-blowup"
 
+    def test_run_json_counts_the_steps_that_ran(self, tmp_path):
+        # 1.0 / 0.3 is not a whole number of steps: the run rounds up
+        # to 4 steps and ends at t = 1.2
+        sc = Scenario(
+            name="r",
+            settings=SolverSettings(dt=0.3, t_end=1.0, sample_every=0.3),
+            outputs=("timeseries",),
+        )
+        result = run_scenario(sc, out_dir=str(tmp_path))
+        meta = json.loads((tmp_path / "r_run.json").read_text())
+        assert meta["n_steps"] == 4
+        assert meta["final"]["t"] == pytest.approx(1.2)
+        assert result.trajectory.times[-1] == pytest.approx(1.2)
+
     def test_result_carries_trajectory_and_final_state(self, tmp_path):
         result = run_scenario(_scenario(), out_dir=str(tmp_path))
         assert result.trajectory.times[-1] == pytest.approx(10.0)

@@ -114,17 +114,19 @@ class TestLoaders:
         assert sc.name == "loaded"
         assert sc.params.m == 2.0
 
-    def test_load_invalid_json(self, tmp_path):
+    @pytest.mark.parametrize("load", [load_scenario, load_sweep], ids=lambda f: f.__name__)
+    def test_load_invalid_json(self, tmp_path, load):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ConfigurationError, match="not valid JSON"):
-            load_scenario(str(path))
+            load(str(path))
 
-    def test_load_non_object(self, tmp_path):
+    @pytest.mark.parametrize("load", [load_scenario, load_sweep], ids=lambda f: f.__name__)
+    def test_load_non_object(self, tmp_path, load):
         path = tmp_path / "arr.json"
         path.write_text("[1, 2]")
-        with pytest.raises(ConfigurationError):
-            load_scenario(str(path))
+        with pytest.raises(ConfigurationError, match="must hold a JSON object"):
+            load(str(path))
 
     def test_load_sweep_with_catalog_base(self, tmp_path):
         path = tmp_path / "sw.json"
