@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, IntegrationBlowupError, InvalidStateError
-from .model import ModelParams, TumorState
+from .model import ModelParams, TumorState, _rk4_step, emission_rate
 
 __all__ = [
     "Cohort",
@@ -311,11 +311,13 @@ class _Engine:
         # the trapezoid's right endpoint includes the newborn's own
         # emission (implicit in w, solved in closed form); and the
         # inhibitor records the newborn's in-step production, which the
-        # stages cannot see.
+        # stages cannot see. The newborn's half step freezes the inhibitor
+        # at its step midpoint; the O(h^2) error this leaves in its state
+        # is weighted by an O(h) cohort mass, so the order is unaffected.
         try:
-            Vn, Kn = _half_step_from_birth(p, 0.5 * (I + I_new), h2)
-            beta_n = p.m * Vn**p.alpha if Vn >= p.Vm else 0.0
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            Vn, Kn = _rk4_step(p.V0, p.K0, p.b, p.e * (0.5 * (I + I_new)), h2)
+            beta_n = emission_rate(Vn, p)
+        except (ValueError, OverflowError, ZeroDivisionError, InvalidStateError) as exc:
             raise IntegrationBlowupError(t_new) from exc
         denom = 1.0 - h2 * beta_n
         if denom <= 0.5:
@@ -397,32 +399,6 @@ def _volume_sum(w: np.ndarray, V: np.ndarray) -> float:
     """Weighted volume sum(w * V): the burden M over cohort rows, the
     inhibitor production over all rows."""
     return float(np.dot(w, V))
-
-
-def _half_step_from_birth(p: ModelParams, I_mid: float, h2: float) -> tuple[float, float]:
-    """Advance the birth state by h2 with one scalar stage step.
-
-    The inhibitor is frozen at its step midpoint; the O(h^2) error this
-    leaves in the newborn state is weighted by an O(h) cohort mass, so
-    the overall order is unaffected.
-    """
-    b, e = p.b, p.e
-    eI = e * I_mid
-
-    def f(V, K):
-        return V * math.log(K / V), b * (V - V ** (2.0 / 3.0) * K) - eI * K
-
-    V, K = p.V0, p.K0
-    q = 0.5 * h2
-    dV1, dK1 = f(V, K)
-    dV2, dK2 = f(V + q * dV1, K + q * dK1)
-    dV3, dK3 = f(V + q * dV2, K + q * dK2)
-    dV4, dK4 = f(V + h2 * dV3, K + h2 * dK3)
-    s = h2 / 6.0
-    return (
-        V + s * (dV1 + 2.0 * (dV2 + dV3) + dV4),
-        K + s * (dK1 + 2.0 * (dK2 + dK3) + dK4),
-    )
 
 
 def initial_state(p: ModelParams, initial_cohorts: tuple[Cohort, ...] = ()) -> SystemState:

@@ -210,9 +210,31 @@ def growth_field(s: TumorState, I: float, p: ModelParams) -> tuple[float, float]
     I = _require_finite("I", I)
     if I < 0:
         raise InvalidStateError(f"inhibitor amount must be >= 0, got {I}")
-    dV = s.V * math.log(s.K / s.V)
-    dK = p.b * (s.V - _pow23(s.V) * s.K) - p.e * I * s.K
-    return dV, dK
+    return _field(s.V, s.K, p.b, p.e * I)
+
+
+def _field(V: float, K: float, b: float, eI: float) -> tuple[float, float]:
+    """Unchecked growth field (dV, dK) under systemic inhibition eI = e*I."""
+    return V * math.log(K / V), b * (V - V ** (2.0 / 3.0) * K) - eI * K
+
+
+def _rk4_step(V: float, K: float, b: float, eI: float, h: float) -> tuple[float, float]:
+    """One classical RK4 step of length h of the growth field with eI
+    frozen over the step.
+
+    ``spectral._Flow._extend_to`` writes these operations out in the same
+    order for speed, and its grid must stay equal to iterating this step.
+    """
+    q = 0.5 * h
+    dV1, dK1 = _field(V, K, b, eI)
+    dV2, dK2 = _field(V + q * dV1, K + q * dK1, b, eI)
+    dV3, dK3 = _field(V + q * dV2, K + q * dK2, b, eI)
+    dV4, dK4 = _field(V + h * dV3, K + h * dK3, b, eI)
+    s = h / 6.0
+    return (
+        V + s * (dV1 + 2.0 * (dV2 + dV3) + dV4),
+        K + s * (dK1 + 2.0 * (dK2 + dK3) + dK4),
+    )
 
 
 def emission_rate(V: float, p: ModelParams) -> float:

@@ -148,22 +148,27 @@ class SweepSpec:
                     f"name {self.axis}={label}"
                 )
             labels[label] = value
+            try:
+                self._point_params(value)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"sweep point {self.axis}={label}: {exc}") from exc
+
+    def _point_params(self, value: float) -> ModelParams:
+        params = replace(self.base.params, **{self.axis: value})
+        if self.axis == "V0" and self.base.params.Vm == self.base.params.V0:
+            # a swept V0 drags a defaulted Vm along with it
+            params = replace(params, Vm=value)
+        return params
 
     def scenarios(self) -> list[Scenario]:
-        out = []
-        for value in self.values:
-            params = replace(self.base.params, **{self.axis: value})
-            if self.axis == "V0" and self.base.params.Vm == self.base.params.V0:
-                # a swept V0 drags a defaulted Vm along with it
-                params = replace(params, Vm=value)
-            out.append(
-                replace(
-                    self.base,
-                    name=f"{self.base.name}_{self.axis}={value:g}",
-                    params=params,
-                )
+        return [
+            replace(
+                self.base,
+                name=f"{self.base.name}_{self.axis}={value:g}",
+                params=self._point_params(value),
             )
-        return out
+            for value in self.values
+        ]
 
 
 def _validate(instance: dict, schema: dict, what: str):

@@ -13,17 +13,18 @@ converges superlinearly and keeps the bracket.
 
 The flow is integrated once per parameter set on a fine fixed grid with
 the same stage scheme as the simulation engine, and the most recently
-used flows are cached; queries interpolate with cubic Hermite segments
-using exact field slopes at the nodes. The spectral integral uses a
+used flows are cached; a query between nodes takes one step of that
+scheme from the nearest node. The spectral integral uses a
 product rule: beta is linearized on each cell while the exponential
 factor is integrated exactly, which keeps the constant-beta case exact
 to rounding and the smooth case at grid-squared accuracy. Every cell
 but the first (from the emission onset to the next node) is a grid cell
 of width dtau, so their exact weights are two scalars, and the sum over
 them is one exponential and two dot products with arrays fixed before
-the solve. Beyond the cached horizon the flow sits at the fixed point
-(1, 1) to high accuracy and the tail integral
-(m / lambda) * exp(-lambda * tau_max) is added in closed form.
+the solve. The horizon is extended until the flow settles at the fixed
+point (1, 1), up to a cap; beyond it the tail integral
+(m / lambda) * exp(-lambda * tau_max) is added in closed form, and a
+flow query past the horizon of a flow that never settled is an error.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NoRootError, NotLinearError
-from .model import ModelParams, TumorState
+from .model import ModelParams, TumorState, _rk4_step
 
 __all__ = [
     "SpectralResult",
@@ -66,6 +67,7 @@ class SpectralResult:
 class _Flow:
     """Cached autonomous growth flow from (V0, K0) on a uniform grid.
 
+    Node i + 1 is ``model._rk4_step`` of node i with eI = 0 and h = dtau.
     Extends itself by doubling the horizon until the state settles at
     the fixed point (1, 1), so slow parameter regimes get the horizon
     they need without penalizing fast ones.
@@ -82,8 +84,6 @@ class _Flow:
         # a view pins its buffer against resizing, so take it only now
         self.Va = np.frombuffer(self.V)
         self.Ka = np.frombuffer(self.K)
-        self.dVa = self.Va * np.log(self.Ka / self.Va)
-        self.dKa = b * (self.Va - self.Va ** (2.0 / 3.0) * self.Ka)
 
     @property
     def tau_max(self) -> float:
@@ -94,10 +94,9 @@ class _Flow:
         return abs(self.V[-1] - 1.0) + abs(self.K[-1] - 1.0) < _SETTLE_TOL
 
     def _extend_to(self, tau_target: float):
-        # RK4 on the growth field with the stages written out; the
-        # operations and their order are those of the field
-        # V ln(K/V), b (V - V^(2/3) K), so the grid is bit-identical to
-        # a plain stage-function loop
+        # model._rk4_step(V, K, b, 0.0, h) with its stages written out, in
+        # the same operations and order, so the grid is bit-identical to
+        # iterating it; a call per node would cost about a fifth more
         b = self.b
         h = self.dtau
         q = 0.5 * h
@@ -127,30 +126,18 @@ class _Flow:
             put_K(K)
 
     def at(self, tau: float) -> tuple[float, float]:
-        """Cubic Hermite interpolation between grid nodes."""
+        """State at tau: one ``model._rk4_step`` of length tau - i*dtau,
+        forward or back, from the nearest node i, so a node maps to
+        itself; the last node at and past a settled horizon."""
         if tau >= self.tau_max:
-            return float(self.Va[-1]), float(self.Ka[-1])
-        pos = tau / self.dtau
-        i = min(int(pos), self.Va.size - 2)
-        s = pos - i
-        h = self.dtau
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        V = (
-            h00 * self.Va[i]
-            + h10 * h * self.dVa[i]
-            + h01 * self.Va[i + 1]
-            + h11 * h * self.dVa[i + 1]
-        )
-        K = (
-            h00 * self.Ka[i]
-            + h10 * h * self.dKa[i]
-            + h01 * self.Ka[i + 1]
-            + h11 * h * self.dKa[i + 1]
-        )
-        return float(V), float(K)
+            if tau > self.tau_max and not self.settled:
+                raise ConfigurationError(
+                    f"tau={tau:g} lies past the flow horizon tau_max={self.tau_max:g}, "
+                    f"where the flow has not settled at (1, 1)"
+                )
+            return self.V[-1], self.K[-1]
+        i = round(tau / self.dtau)
+        return _rk4_step(self.V[i], self.K[i], self.b, 0.0, tau - i * self.dtau)
 
 
 # least recently used first; a slow-regime flow holds up to 900k nodes
@@ -182,8 +169,8 @@ def _emission_threshold_time(flow: _Flow, Vm: float) -> float | None:
     """First time the flow volume reaches Vm, or None if it never does.
 
     V is strictly increasing along the flow for V0 < K0, so the
-    crossing is unique; it is bracketed on the grid and polished on the
-    Hermite interpolant.
+    crossing is unique; it is bracketed on the grid and solved on the
+    flow's in-cell step.
     """
     if flow.Va[0] >= Vm:
         return 0.0
@@ -191,15 +178,13 @@ def _emission_threshold_time(flow: _Flow, Vm: float) -> float | None:
     if not hits.any():
         return None
     i = int(np.argmax(hits))
-    lo = (i - 1) * flow.dtau
-    hi = i * flow.dtau
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if flow.at(mid)[0] < Vm:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(
+        lambda tau: flow.at(tau)[0] - Vm,
+        (i - 1) * flow.dtau,
+        i * flow.dtau,
+        xtol=1e-15,
+        rtol=4.0 * np.finfo(float).eps,
+    )
 
 
 def malthus_exponent(p: ModelParams) -> SpectralResult:

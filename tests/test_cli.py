@@ -131,6 +131,13 @@ class TestSweep:
             {"base": base, "axis": axis, "values": values, "parallelism": parallelism},
         )
 
+    def test_invalid_point_exits_2_before_any_output(self, tmp_path, capsys):
+        sw = self._sweep_file(tmp_path, [0.5, 1.5], axis="alpha")
+        out = tmp_path / "out"
+        assert main(["sweep", sw, "--out", str(out)]) == 2
+        assert "alpha=1.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_summary_has_one_row_per_value(self, tmp_path, capsys):
         sw = self._sweep_file(tmp_path, [0.5, 1.0, 2.0])
         out = tmp_path / "out"

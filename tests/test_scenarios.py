@@ -191,6 +191,13 @@ class TestSweepSpec:
             SweepSpec(base=Scenario(name="b"), axis="e", values=())
         with pytest.raises(ConfigurationError):
             SweepSpec(base=Scenario(name="b"), axis="e", values=(1.0,), parallelism=0)
+        # every point's parameters are checked when the sweep is built
+        with pytest.raises(ConfigurationError, match="sweep point K0=0.05: need 0 < V0 < K0"):
+            SweepSpec(base=Scenario(name="b"), axis="K0", values=(0.3, 0.05))
+        with pytest.raises(ConfigurationError, match="sweep point K0=0.1:"):
+            SweepSpec(base=Scenario(name="b"), axis="K0", values=(0.1,))
+        with pytest.raises(ConfigurationError, match="sweep point alpha=1.5: alpha"):
+            SweepSpec(base=Scenario(name="b"), axis="alpha", values=(0.5, 1.5))
 
     def test_values_sharing_a_point_name_rejected(self):
         # both format as e=1 and would write into one point directory

@@ -10,6 +10,7 @@ from metasim import (
     NotLinearError,
 )
 from metasim import spectral
+from metasim.model import _rk4_step
 from metasim.spectral import (
     characteristic_flow,
     fit_growth_rate,
@@ -37,6 +38,42 @@ class TestCharacteristicFlow:
         dense = flow_dense(p.b, p.V0, p.K0, 4.0, 1e-4)
         oracle_V = dense[int(round(tau / 1e-4))]
         assert characteristic_flow(tau, p).V == pytest.approx(oracle_V, rel=1e-8)
+
+    def test_off_grid_matches_fine_oracle(self):
+        p = ModelParams(e=0.0)
+        h = 1e-5
+        dense = flow_dense(p.b, p.V0, p.K0, 3.0, h)
+        # fine-grid indices off the 1e-3 flow grid, then two times just
+        # below the node at 3
+        ks = [17 + 14993 * j for j in range(20)] + [299_999]
+        assert all(k % 100 for k in ks)
+        for k in ks:
+            assert characteristic_flow(k * h, p).V == pytest.approx(dense[k], rel=0, abs=1e-12)
+        below = math.nextafter(3.0, 0.0)
+        assert characteristic_flow(below, p).V == pytest.approx(dense[-1], rel=0, abs=1e-12)
+
+    def test_last_cell_matches_fine_oracle(self):
+        # an unsettled flow, so the state still moves within the cell
+        p = ModelParams(e=0.0, b=0.01)
+        flow = spectral._flow_for(p)
+        h = 1e-5
+        node = flow.Va.size - 2
+        dense = flow_dense(p.b, flow.Va[node], flow.Ka[node], flow.dtau, h)
+        for k in (1, 37, 63, 99):
+            tau = node * flow.dtau + k * h
+            assert tau < flow.tau_max
+            assert characteristic_flow(tau, p).V == pytest.approx(dense[k], rel=0, abs=1e-12)
+
+    def test_past_an_unsettled_horizon_rejected(self):
+        # b = 0.01 reaches the horizon cap before settling at (1, 1); the
+        # last node is 6.4e-3 from the state at tau = 1200
+        p = ModelParams(e=0.0, b=0.01)
+        flow = spectral._flow_for(p)
+        assert not flow.settled
+        assert flow.tau_max == spectral._TAU_MAX_CAP
+        assert characteristic_flow(flow.tau_max, p).V == flow.Va[-1]
+        with pytest.raises(ConfigurationError, match="tau=1200 .* tau_max=900"):
+            characteristic_flow(1200.0, p)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -79,6 +116,17 @@ class TestMalthusExponent:
         assert lam2 > lam1
         assert lam2 == pytest.approx(0.7028569585168192, rel=1e-9)
 
+    @pytest.mark.parametrize("Vm", [0.3, 0.5, 0.9])
+    def test_gated_threshold_vs_brute_force(self, Vm):
+        # the oracle's trapezoid is first order at the switch-on, so its
+        # gap to the product rule reaches about 5e-5 here
+        p = ModelParams(e=0.0, Vm=Vm)
+        res = malthus_exponent(p)
+        oracle = brute_lambda0(p.b, p.m, p.alpha, p.V0, p.K0, p.Vm)
+        assert res.lambda0 == pytest.approx(oracle, rel=1e-4)
+        tau_star = spectral._emission_threshold_time(spectral._flow_for(p), Vm)
+        assert characteristic_flow(tau_star, p).V == pytest.approx(Vm, rel=0, abs=1e-13)
+
     def test_emission_threshold_shrinks_exponent(self):
         free = malthus_exponent(ModelParams(e=0.0)).lambda0
         gated = malthus_exponent(ModelParams(e=0.0, Vm=0.5)).lambda0
@@ -116,6 +164,19 @@ class TestQuadratureGrid:
         dense = flow_dense(p.b, p.V0, p.K0, tau_max, 1e-3)
         assert np.array_equal(flow.Va, dense)
 
+    def test_inlined_loop_is_the_rk4_step_bit_for_bit(self, params, tau_max, nodes):
+        p = ModelParams(e=0.0, **params)
+        flow = spectral._flow_for(p)
+        # over the whole grid: a regrouped sum can stay bit-identical for
+        # the first ten thousand nodes
+        V, K = [p.V0], [p.K0]
+        for _ in range(nodes - 1):
+            v, k = _rk4_step(V[-1], K[-1], p.b, 0.0, 1e-3)
+            V.append(v)
+            K.append(k)
+        assert np.array_equal(flow.Va, V)
+        assert np.array_equal(flow.Ka, K)
+
     def test_footprint_frozen_and_residual_tight(self, params, tau_max, nodes):
         res = malthus_exponent(ModelParams(e=0.0, **params))
         assert (res.tau_max, res.quadrature_nodes) == (tau_max, nodes)
@@ -149,8 +210,6 @@ class TestFlowCache:
         assert again is not first
         assert np.array_equal(again.Va, first.Va)
         assert np.array_equal(again.Ka, first.Ka)
-        assert np.array_equal(again.dVa, first.dVa)
-        assert np.array_equal(again.dKa, first.dKa)
 
 
 class TestFitGrowthRate:
