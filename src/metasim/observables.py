@@ -6,7 +6,7 @@ into the dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import find_peaks
@@ -50,7 +50,9 @@ class Trajectory:
     Beyond the core series (M, N, I, Vp), carries the cumulative birth
     and exit counters and the largest live volume per sample, which the
     output files and the homeostasis diagnostics need; ``largest_V`` is
-    NaN at samples with no live cohort.
+    NaN at samples with no live cohort. ``diagnostics`` holds the run's
+    scalar health figures, which ``simulate`` fills in (see README,
+    "Run artifacts").
     """
 
     times: np.ndarray
@@ -62,6 +64,7 @@ class Trajectory:
     exited: np.ndarray
     largest_V: np.ndarray
     final_histogram: VolumeHistogram
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("times", "M", "N", "I", "Vp", "born", "exited", "largest_V"):

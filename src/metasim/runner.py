@@ -147,7 +147,15 @@ def run_scenario(
     except IntegrationBlowupError as exc:
         _write_atomic(
             os.path.join(out_dir, f"{sc.name}_error.json"),
-            _json_text({"name": sc.name, "error": "integration-blowup", "t": exc.t}),
+            _json_text(
+                {
+                    "name": sc.name,
+                    "error": "integration-blowup",
+                    "t": exc.t,
+                    "reason": exc.reason,
+                    "last_sample": exc.last_sample,
+                }
+            ),
         )
         raise
     elapsed = time.perf_counter() - t_start
@@ -205,6 +213,7 @@ def run_scenario(
             "born": final.born_count,
             "exited": final.exited_count,
         },
+        "diagnostics": traj.diagnostics,
         "note": "horizon, step size, and transient are tool defaults chosen "
         "for desk-scale runtime unless the scenario overrides them",
     }

@@ -25,7 +25,7 @@ from metasim.observables import oscillation_metrics
 from metasim.runner import run_scenario
 from metasim.scenarios import catalog
 from metasim.spectral import fit_growth_rate, malthus_exponent
-from oracles import brute_lambda0, flow_dense
+from oracles import brute_lambda0, flow_dense, renewal
 
 
 def _verdict(ok: bool, label: str, detail: str):
@@ -249,3 +249,28 @@ def test_c11_determinism_byte_identical_reruns(tmp_path):
         "c11 determinism",
         "repeated runs emit byte-identical time series (base, linear)",
     )
+
+
+def test_c12_linear_model_converges_to_the_renewal_oracle():
+    # the oracle is second order in its grid step too; its Richardson
+    # value from h = 2e-3 and 1e-3 is the exact reference here
+    p = next(sc.params for sc in catalog() if sc.name == "linear")
+    T = 10.0
+    (M2, N2), (M1, N1) = renewal(p, T, 2e-3), renewal(p, T, 1e-3)
+    exact = {"M": (4.0 * M1 - M2) / 3.0, "N": (4.0 * N1 - N2) / 3.0}
+    at = {}
+    for dt in (2e-2, 1e-2, 5e-3):
+        traj, _ = simulate(p, SolverSettings(dt=dt, t_end=T, sample_every=T))
+        at[dt] = {"M": float(traj.M[-1]), "N": float(traj.N[-1])}
+    for key, ref in exact.items():
+        err = [abs(at[dt][key] - ref) / ref for dt in (2e-2, 1e-2, 5e-3)]
+        orders = [math.log2(err[0] / err[1]), math.log2(err[1] / err[2])]
+        extrapolated = (4.0 * at[5e-3][key] - at[1e-2][key]) / 3.0
+        gap = abs(extrapolated - ref) / ref
+        _verdict(
+            min(orders) >= 1.9 and gap <= 1e-9,
+            f"c12 renewal oracle, {key}(10)",
+            f"relative errors {err[0]:.2e}, {err[1]:.2e}, {err[2]:.2e} at dt = 2e-2, "
+            f"1e-2, 5e-3 (orders {orders[0]:.3f}, {orders[1]:.3f} >= 1.9); "
+            f"Richardson value {gap:.1e} <= 1e-9 from the oracle",
+        )

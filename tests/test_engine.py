@@ -17,6 +17,7 @@ from metasim import (
 )
 from metasim.engine import (
     _Engine,
+    _pow23,
     birth_rate,
     inhibitor_rate,
     initial_state,
@@ -420,3 +421,69 @@ class TestStateHandOff:
         assert not np.array_equal(eng.V[1:3], before["V"])  # the engine moved on
         for name, arr in before.items():
             assert np.array_equal(getattr(out, name), arr)
+
+
+def _pow23_of(V):
+    return _pow23(V, np.empty_like(V))
+
+
+class TestCarriedPower:
+    """The engine carries P = V^(2/3) per row across steps; it must
+    equal the helper applied to V after every step, whatever moved."""
+
+    def test_helper_matches_pow(self):
+        rng = np.random.default_rng(7)
+        V = np.exp(rng.uniform(math.log(1e-6), math.log(10.0), 10_000))
+        exact = np.power(V, 2.0 / 3.0)
+        assert np.max(np.abs(_pow23_of(V) - exact) / exact) <= 1e-15
+        edges = np.array([0.0, 1.0])
+        assert np.array_equal(_pow23_of(edges), edges)
+
+    @staticmethod
+    def _run(seed, n0, n_edge, n_light, weight_floor, dts):
+        """Step an engine of n0 cohorts, n_edge of them with K < V just
+        above V0 (they exit through it) and n_light below the floor,
+        checking P after every step."""
+        p = ModelParams()
+        rng = np.random.default_rng(seed)
+        V = np.exp(rng.uniform(math.log(p.V0), math.log(3.0), n0))
+        K = np.exp(rng.uniform(math.log(0.5), math.log(3.0), n0))
+        w = rng.uniform(1e-3, 1e-2, n0)
+        edge = rng.choice(n0, size=min(n_edge + n_light, n0), replace=False)
+        edge, light = edge[:n_edge], edge[n_edge:]
+        V[edge] = p.V0 * rng.uniform(1.0, 1.002, edge.size)
+        K[edge] = 0.9 * V[edge]
+        w[light] = rng.uniform(0.0, weight_floor, light.size)
+        s = SystemState(
+            t=0.0, primary=TumorState(p.V0, p.K0), I=0.0, V=V, K=K, w=w,
+            birth_t=np.zeros(n0), born_count=math.fsum(w), exited_count=0.0, V0=p.V0,
+        )
+        eng = _Engine(p, s, weight_floor=weight_floor)
+        assert np.array_equal(eng.P[: eng.n], _pow23_of(eng.V[: eng.n]))
+        for i, dt in enumerate(dts):
+            with np.errstate(all="ignore"):
+                eng.step(dt)
+            n = eng.n
+            assert np.array_equal(eng.P[:n], _pow23_of(eng.V[:n])), f"stale P after step {i + 1}"
+        return eng
+
+    @hsettings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n0=st.sampled_from([0, 5, 300, 4094]),
+        n_edge=st.integers(0, 3),
+        n_light=st.integers(0, 3),
+        weight_floor=st.sampled_from([0.0, 1e-3]),
+        dts=st.lists(st.sampled_from([1e-2, 5e-2]), min_size=1, max_size=12),
+    )
+    def test_carried_power_stays_exact(self, seed, n0, n_edge, n_light, weight_floor, dts):
+        self._run(seed, n0, n_edge, n_light, weight_floor, dts)
+
+    def test_carried_power_through_every_row_event(self):
+        # one sequence that is known to see a birth, an exit through V0,
+        # pruning and a growth past 4096 rows
+        eng = self._run(1, 4094, 2, 2, 1e-3, [1e-2] * 10)
+        assert eng.V.size > 4096
+        assert eng.pruned > 0.0
+        assert eng.exited.value > eng.pruned  # exits through V0 as well
+        assert eng.n == 1 + 4094 + 10 - 4  # ten births kept, four rows dropped

@@ -1,9 +1,19 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from metasim import IntegrationBlowupError, ModelParams, SolverSettings
+from metasim import (
+    Cohort,
+    IntegrationBlowupError,
+    ModelParams,
+    SolverSettings,
+    TumorState,
+)
 from metasim import runner
+from metasim.engine import initial_state, step
+from metasim.model import _rk4_step, emission_rate
 from metasim.runner import run_scenario, run_sweep
 from metasim.scenarios import Scenario, SweepSpec, scenario_from_dict, scenario_to_dict
 
@@ -47,6 +57,55 @@ class TestRunScenario:
             run_scenario(_scenario(b=1e8), out_dir=str(tmp_path))
         doc = json.loads((tmp_path / "r_error.json").read_text())
         assert doc["error"] == "integration-blowup"
+
+    @pytest.mark.parametrize(
+        "params,reason",
+        [({"b": 1e9}, "non-finite-state"), ({"m": 500.0}, "birth-term-limit")],
+    )
+    def test_blowup_reports_the_check_and_the_last_sample(self, tmp_path, params, reason):
+        with pytest.raises(IntegrationBlowupError) as exc:
+            run_scenario(_scenario(**params), out_dir=str(tmp_path))
+        doc = json.loads((tmp_path / "r_error.json").read_text())
+        assert doc["reason"] == exc.value.reason == reason
+        last = doc["last_sample"]
+        assert last == exc.value.last_sample
+        assert sorted(last) == ["I", "M", "N", "Vp", "n_live", "t"]
+        assert all(math.isfinite(v) for v in last.values())
+        assert last["t"] < doc["t"]
+
+    def test_run_json_reports_diagnostics(self, tmp_path):
+        # linear model, so every newborn has one state and one birth
+        # denominator; two cohorts start below the floor and five sit
+        # just above V0 with K < V, so they exit through it
+        p = ModelParams(e=0.0)
+        light = (Cohort(0.0, 4e-4, TumorState(0.5, 0.6)), Cohort(0.0, 3e-4, TumorState(1.0, 1.2)))
+        edge = tuple(
+            Cohort(0.0, 0.05, TumorState(p.V0 * f, 0.9 * p.V0 * f))
+            for f in (1.0005, 1.001, 1.0015, 1.002, 1.003)
+        )
+        settings = SolverSettings(dt=1e-2, t_end=0.05, sample_every=1e-2, weight_floor=1e-3)
+        sc = Scenario(
+            name="r", params=p, settings=settings, initial_cohorts=light + edge,
+            outputs=("timeseries",),
+        )
+        result = run_scenario(sc, out_dir=str(tmp_path))
+        diag = json.loads((tmp_path / "r_run.json").read_text())["diagnostics"]
+
+        s = initial_state(p, light + edge)
+        live = [s.w.size]
+        for _ in range(settings.n_steps):
+            s = step(s, p, settings.dt, weight_floor=settings.weight_floor)
+            live.append(s.w.size)
+        assert diag["peak_live"] == max(live) > live[-1] == diag["final_live"]
+        assert diag["final_live"] == result.final_state.w.size
+        Vn, _ = _rk4_step(p.V0, p.K0, p.b, 0.0, 0.5 * settings.dt)
+        beta_n = emission_rate(Vn, p)
+        assert diag["min_birth_denominator"] == 1.0 - 0.5 * settings.dt * beta_n
+        traj = result.trajectory
+        gap = np.abs(traj.born - traj.exited - traj.N)
+        assert diag["max_conservation_gap"] == gap.max() <= 1e-12
+        assert diag["pruned_weight"] == pytest.approx(7e-4, rel=1e-15)
+        assert result.final_state.exited_count == pytest.approx(0.2507, rel=1e-15)
 
     def test_run_json_counts_the_steps_that_ran(self, tmp_path):
         # 1.0 / 0.3 is not a whole number of steps: the run rounds up
