@@ -21,10 +21,13 @@ to rounding and the smooth case at grid-squared accuracy. Every cell
 but the first (from the emission onset to the next node) is a grid cell
 of width dtau, so their exact weights are two scalars, and the sum over
 them is one exponential and two dot products with arrays fixed before
-the solve. The horizon is extended until the flow settles at the fixed
-point (1, 1), up to a cap; beyond it the tail integral
-(m / lambda) * exp(-lambda * tau_max) is added in closed form, and a
-flow query past the horizon of a flow that never settled is an error.
+the solve. The horizon doubles from 50 until the flow has settled at
+the fixed point (1, 1) or the part of the integral past it can no
+longer move the root, whichever comes first, up to a cap of 900;
+beyond it the tail integral (m / lambda) * exp(-lambda * tau_max) is
+added in closed form. A flow query extends the cached flow as far as
+it needs, up to the cap; past the cap, a flow that never settled is an
+error.
 """
 
 from __future__ import annotations
@@ -51,6 +54,12 @@ _DTAU = 1e-3
 _TAU_MAX_INITIAL = 50.0
 _TAU_MAX_CAP = 900.0
 _SETTLE_TOL = 1e-8
+# bound on what the spectral integral past the horizon may add, a tenth
+# of the unit roundoff of its value 1 at the root
+_TAIL_TOL = 1e-17
+# lower end of a root bracket, halved while the function is not yet
+# positive there
+_LAM_FLOOR = 1e-9
 _FLOW_CACHE_SIZE = 4
 
 
@@ -68,44 +77,45 @@ class _Flow:
     """Cached autonomous growth flow from (V0, K0) on a uniform grid.
 
     Node i + 1 is ``model._rk4_step`` of node i with eI = 0 and h = dtau.
-    Extends itself by doubling the horizon until the state settles at
-    the fixed point (1, 1), so slow parameter regimes get the horizon
-    they need without penalizing fast ones.
+    Built to tau = 50 and extended on demand up to the cap. A caller
+    that needs a horizon picks it itself and reads only the nodes up to
+    it, so what it computes does not depend on how far earlier queries
+    extended the flow.
     """
 
     def __init__(self, b: float, V0: float, K0: float):
         self.b = b
         self.dtau = _DTAU
-        self.V = array("d", [V0])
-        self.K = array("d", [K0])
-        self._extend_to(_TAU_MAX_INITIAL)
-        while not self.settled and self.tau_max < _TAU_MAX_CAP:
-            self._extend_to(min(2.0 * self.tau_max, _TAU_MAX_CAP))
-        # a view pins its buffer against resizing, so take it only now
-        self.Va = np.frombuffer(self.V)
-        self.Ka = np.frombuffer(self.K)
+        self.Va = np.array([V0], dtype=float)
+        self.Ka = np.array([K0], dtype=float)
+        self.extend_to(_TAU_MAX_INITIAL)
 
     @property
     def tau_max(self) -> float:
-        return (len(self.V) - 1) * self.dtau
+        return (self.Va.size - 1) * self.dtau
 
-    @property
-    def settled(self) -> bool:
-        return abs(self.V[-1] - 1.0) + abs(self.K[-1] - 1.0) < _SETTLE_TOL
+    def node(self, tau: float) -> int:
+        return round(tau / self.dtau)
 
-    def _extend_to(self, tau_target: float):
+    def settled_at(self, i: int) -> bool:
+        return abs(self.Va[i] - 1.0) + abs(self.Ka[i] - 1.0) < _SETTLE_TOL
+
+    def extend_to(self, tau_target: float):
         # model._rk4_step(V, K, b, 0.0, h) with its stages written out, in
         # the same operations and order, so the grid is bit-identical to
-        # iterating it; a call per node would cost about a fifth more
+        # iterating it; a call per node would cost about a fifth more.
+        # New nodes go to fresh buffers, and Va and Ka are replaced by the
+        # concatenation, so an array handed out earlier stays valid.
         b = self.b
         h = self.dtau
         q = 0.5 * h
         h6 = h / 6.0
         log = math.log
-        put_V = self.V.append
-        put_K = self.K.append
-        V, K = self.V[-1], self.K[-1]
-        for _ in range(len(self.V) - 1, round(tau_target / h)):
+        new_V, new_K = array("d"), array("d")
+        put_V = new_V.append
+        put_K = new_K.append
+        V, K = float(self.Va[-1]), float(self.Ka[-1])
+        for _ in range(self.Va.size - 1, self.node(tau_target)):
             dV1 = V * log(K / V)
             dK1 = b * (V - V ** (2.0 / 3.0) * K)
             V2 = V + q * dV1
@@ -124,20 +134,30 @@ class _Flow:
             K += h6 * (dK1 + 2.0 * (dK2 + dK3) + dK4)
             put_V(V)
             put_K(K)
+        if new_V:
+            self.Va = np.concatenate((self.Va, np.frombuffer(new_V)))
+            self.Ka = np.concatenate((self.Ka, np.frombuffer(new_K)))
 
     def at(self, tau: float) -> tuple[float, float]:
         """State at tau: one ``model._rk4_step`` of length tau - i*dtau,
         forward or back, from the nearest node i, so a node maps to
-        itself; the last node at and past a settled horizon."""
-        if tau >= self.tau_max:
-            if tau > self.tau_max and not self.settled:
+        itself. Extends the flow as far as tau needs, up to the cap; past
+        the cap, the last node of a flow settled there."""
+        if tau >= _TAU_MAX_CAP:
+            self.extend_to(_TAU_MAX_CAP)
+            if tau > self.tau_max and not self.settled_at(-1):
                 raise ConfigurationError(
                     f"tau={tau:g} lies past the flow horizon tau_max={self.tau_max:g}, "
                     f"where the flow has not settled at (1, 1)"
                 )
-            return self.V[-1], self.K[-1]
-        i = round(tau / self.dtau)
-        return _rk4_step(self.V[i], self.K[i], self.b, 0.0, tau - i * self.dtau)
+            return float(self.Va[-1]), float(self.Ka[-1])
+        i = self.node(tau)
+        if i >= self.Va.size:
+            # at least doubling keeps rising queries linear in the nodes
+            self.extend_to(min(max(tau, 2.0 * self.tau_max), _TAU_MAX_CAP))
+        return _rk4_step(
+            float(self.Va[i]), float(self.Ka[i]), self.b, 0.0, tau - i * self.dtau
+        )
 
 
 # least recently used first; a slow-regime flow holds up to 900k nodes
@@ -169,14 +189,23 @@ def _emission_threshold_time(flow: _Flow, Vm: float) -> float | None:
     """First time the flow volume reaches Vm, or None if it never does.
 
     V is strictly increasing along the flow for V0 < K0, so the
-    crossing is unique; it is bracketed on the grid and solved on the
-    flow's in-cell step.
+    crossing is unique. The search horizon doubles from 50 until it
+    holds the crossing, or the flow has settled there or reached the
+    cap; the crossing is bracketed on the grid and solved on the flow's
+    in-cell step.
     """
     if flow.Va[0] >= Vm:
         return 0.0
-    hits = flow.Va >= Vm
-    if not hits.any():
-        return None
+    horizon = _TAU_MAX_INITIAL
+    while True:
+        flow.extend_to(horizon)
+        last = flow.node(horizon)
+        hits = flow.Va[: last + 1] >= Vm
+        if hits.any():
+            break
+        if horizon >= _TAU_MAX_CAP or flow.settled_at(last):
+            return None
+        horizon = min(2.0 * horizon, _TAU_MAX_CAP)
     i = int(np.argmax(hits))
     return brentq(
         lambda tau: flow.at(tau)[0] - Vm,
@@ -207,12 +236,68 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
             f"the flow never reaches the emission threshold Vm={p.Vm:g}; no births occur"
         )
 
-    # quadrature nodes: the crossing time, then every grid node past it
+    # The horizon doubles from 50 until it holds the crossing, and on
+    # until the flow has settled there, the cap is reached, or the tail
+    # can no longer move the root: beta <= C = max(m, max beta on the
+    # grid) along the whole flow, so the cells past tau add at most
+    # (C / lam) exp(-lam tau) to the integral. The root of the integral
+    # truncated at the horizon, with no tail, is a lower estimate lam_lo
+    # of lambda0, and the bound is taken there; short of it, the horizon
+    # grows to the bound, at most doubling. A longer horizon only raises
+    # lam_lo and lowers the bound, so a horizon that reached the bound
+    # needs no second solve.
+    horizon = _TAU_MAX_INITIAL
+    while horizon < tau_star:
+        horizon = min(2.0 * horizon, _TAU_MAX_CAP)
+    tau_bound = math.inf
+    while True:
+        flow.extend_to(horizon)
+        last = flow.node(horizon)
+        integral, Vs = _truncated_integral(flow, p, tau_star, last)
+        # F -> +inf as lam -> 0+ and F < 0 once lam exceeds the
+        # emission-rate ceiling along the flow, m * max(Vs)^alpha
+        peak = float(np.max(Vs)) ** p.alpha
+        hi = 1.5 * p.m * peak + 1e-6
+        if horizon >= min(tau_bound, _TAU_MAX_CAP) or flow.settled_at(last):
+            break
+        # a truncated integral that stays <= 1 as lam -> 0 has no root to
+        # bound the horizon with
+        if integral(_LAM_FLOOR) > 1.0:
+            lam_lo = _root(lambda lam: integral(lam) - 1.0, hi)
+            C = p.m * max(1.0, peak)
+            tau_bound = math.log(C / (lam_lo * _TAIL_TOL)) / lam_lo
+        if horizon >= tau_bound:
+            break
+        horizon = min(2.0 * horizon, math.ceil(tau_bound), _TAU_MAX_CAP)
+
+    # past the horizon the flow sits at (1, 1), where beta = m
+    tau_max = last * flow.dtau
+
+    def F(lam: float) -> float:
+        return integral(lam) + (p.m / lam) * math.exp(-lam * tau_max) - 1.0
+
+    root = _root(F, hi)
+
+    return SpectralResult(
+        lambda0=root,
+        tau_max=tau_max,
+        quadrature_nodes=int(Vs.size),
+        residual=float(abs(F(root))),
+    )
+
+
+def _truncated_integral(flow: _Flow, p: ModelParams, tau_star: float, last: int):
+    """The spectral integral over [tau_star, last * dtau] as a function
+    of lambda, with the volumes at its quadrature nodes.
+
+    The quadrature nodes are the crossing time, then every grid node
+    past it up to ``last``.
+    """
     h = flow.dtau
     first = int(math.ceil(tau_star / h - 1e-12))
     if first * h <= tau_star:
         first += 1
-    Vs = np.concatenate(([p.Vm if tau_star > 0 else p.V0], flow.Va[first:]))
+    Vs = np.concatenate(([p.Vm if tau_star > 0 else p.V0], flow.Va[first : last + 1]))
     betas = p.m * Vs**p.alpha
     # the first cell runs from the crossing to node `first` (there is none
     # when the crossing rounds onto the last node); every later cell is a
@@ -223,10 +308,9 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
         slope0 = float(betas[1] - beta0) / d0
     beta_lo = betas[1:-1]
     slope = np.diff(betas[1:]) / h
-    tau_lo = np.arange(first, flow.Va.size - 1) * h
-    tau_max = flow.tau_max
+    tau_lo = np.arange(first, last) * h
 
-    def F(lam: float) -> float:
+    def integral(lam: float) -> float:
         i0, i1 = _cell_weights(lam, h)
         j0, j1 = _cell_weights(lam, d0)
         decay = np.exp(-lam * tau_lo)
@@ -234,34 +318,28 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
         # every dot, which measured 8 ms per call on a 2-vCPU host
         cells = i0 * np.einsum("i,i", decay, beta_lo) + i1 * np.einsum("i,i", decay, slope)
         first_cell = math.exp(-lam * tau_star) * (beta0 * j0 + slope0 * j1)
-        tail = (p.m / lam) * math.exp(-lam * tau_max)
-        return first_cell + cells + tail - 1.0
+        return first_cell + cells
 
-    # bracket: F -> +inf as lam -> 0+ and F < 0 once lam exceeds the
-    # emission-rate ceiling along the flow
-    lo = 1e-9
-    hi = 1.5 * p.m * float(np.max(Vs)) ** p.alpha + 1e-6
+    return integral, Vs
+
+
+def _root(f, hi: float) -> float:
+    """Brent root of a function decreasing in lambda, after bracketing
+    it by doubling ``hi`` and halving the lower end from ``_LAM_FLOOR``."""
     for _ in range(200):
-        if F(hi) < 0.0:
+        if f(hi) < 0.0:
             break
         hi *= 2.0
     else:
         raise NoRootError("failed to bracket the growth exponent from above")
+    lo = _LAM_FLOOR
     for _ in range(200):
-        if F(lo) > 0.0:
+        if f(lo) > 0.0:
             break
         lo *= 0.5
     else:
         raise NoRootError("failed to bracket the growth exponent from below")
-
-    root = brentq(F, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
-
-    return SpectralResult(
-        lambda0=root,
-        tau_max=tau_max,
-        quadrature_nodes=int(Vs.size),
-        residual=float(abs(F(root))),
-    )
+    return brentq(f, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
 
 
 def _cell_weights(lam: float, width: float) -> tuple[float, float]:

@@ -79,9 +79,10 @@ def brute_lambda0(
     return 0.5 * (lo + hi)
 
 
-def renewal(p, T: float, h: float) -> tuple[float, float]:
-    """Burden M(T) and count N(T) of the uncoupled model (e = 0) from
-    its renewal equation.
+def renewal_births(p, T: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flow volume V at ages 0, h, ..., T and birth rate B at times
+    0, h, ..., T of the uncoupled model (e = 0), from its renewal
+    equation.
 
     With no inhibitor every tumor, the primary included, rides the same
     flow X_tau from (V0, K0), so a cohort's state is a function of its
@@ -89,8 +90,7 @@ def renewal(p, T: float, h: float) -> tuple[float, float]:
 
         B(t) = k(t) + int_0^t k(t - s) B(s) ds,   k(tau) = m beta(X_tau),
 
-    whose first term is the primary's emission. Then N(T) = int_0^T B
-    and M(T) = int_0^T V(X_{T-s}) B(s) ds. Trapezoid rule on the
+    whose first term is the primary's emission. Trapezoid rule on the
     ``flow_dense`` grid of step h, solved node by node; the error is
     O(h^2) with an even expansion, so two grids extrapolate cleanly.
     ``p`` needs only the attributes b, m, alpha, V0, K0 and Vm.
@@ -105,6 +105,15 @@ def renewal(p, T: float, h: float) -> tuple[float, float]:
         # h * (k_i B_0 / 2 + sum_{j=1}^{i-1} k_{i-j} B_j + k_0 B_i / 2)
         known = 0.5 * k[i] * B[0] + np.dot(k[i - 1 : 0 : -1], B[1:i])
         B[i] = (k[i] + h * known) / (1.0 - 0.5 * h * k[0])
+    return V, B
+
+
+def renewal(p, T: float, h: float) -> tuple[float, float]:
+    """Burden M(T) and count N(T) of the uncoupled model from
+    ``renewal_births``: N(T) = int_0^T B and M(T) = int_0^T V(X_{T-s})
+    B(s) ds, by the trapezoid rule on the same grid."""
+    V, B = renewal_births(p, T, h)
+    n = V.size - 1
     N = trapezoid(B, h)
     M = h * (0.5 * (V[n] * B[0] + V[0] * B[n]) + np.dot(V[n - 1 : 0 : -1], B[1:n]))
     return float(M), float(N)

@@ -319,6 +319,9 @@ class TestSimulate:
         assert total_burden(final) == pytest.approx(float(traj.M[-1]), rel=1e-12)
         assert final.I == pytest.approx(float(traj.I[-1]), rel=1e-12)
         assert final.born_count == pytest.approx(float(traj.born[-1]), rel=1e-12)
+        # N is NumPy's pairwise sum of the positive live weights, whose
+        # error is at most about log2(n) ulps of the exact sum
+        assert float(traj.N[-1]) == pytest.approx(math.fsum(final.w), rel=1e-14)
         bts = final.birth_t.tolist()
         assert bts == sorted(bts)
         assert all(final.V >= p.V0)

@@ -68,12 +68,13 @@ class TestCharacteristicFlow:
         # b = 0.01 reaches the horizon cap before settling at (1, 1); the
         # last node is 6.4e-3 from the state at tau = 1200
         p = ModelParams(e=0.0, b=0.01)
-        flow = spectral._flow_for(p)
-        assert not flow.settled
-        assert flow.tau_max == spectral._TAU_MAX_CAP
-        assert characteristic_flow(flow.tau_max, p).V == flow.Va[-1]
+        spectral._flow_cache.clear()
         with pytest.raises(ConfigurationError, match="tau=1200 .* tau_max=900"):
             characteristic_flow(1200.0, p)
+        flow = spectral._flow_for(p)
+        assert flow.tau_max == spectral._TAU_MAX_CAP
+        assert not flow.settled_at(-1)
+        assert characteristic_flow(flow.tau_max, p).V == flow.Va[-1]
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -147,17 +148,24 @@ class TestMalthusExponent:
             malthus_exponent(ModelParams(e=0.0, Vm=5.0))
 
 
-# the anchor, a slow b and the deep-seed regime, with the horizon and
-# node count each has always had
+# the anchor and the deep-seed regime, whose flows settle first and keep
+# the horizon and node count they have always had, and a slow b, whose
+# horizon the decay bound sets (it settled at 200 before the bound)
 FROZEN_FOOTPRINTS = [
     (dict(), 50.0, 50001),
-    (dict(b=0.2), 200.0, 200001),
+    (dict(b=0.2), 114.0, 114001),
     (dict(V0=1e-4, K0=1e-3), 100.0, 100001),
 ]
 
 
 @pytest.mark.parametrize("params, tau_max, nodes", FROZEN_FOOTPRINTS)
 class TestQuadratureGrid:
+    @pytest.fixture(autouse=True)
+    def cold_solve(self, params):
+        # the flow a cold solve leaves: exactly the nodes up to its horizon
+        spectral._flow_cache.clear()
+        malthus_exponent(ModelParams(e=0.0, **params))
+
     def test_flow_grid_is_the_oracle_bit_for_bit(self, params, tau_max, nodes):
         p = ModelParams(e=0.0, **params)
         flow = spectral._flow_for(p)
@@ -181,6 +189,95 @@ class TestQuadratureGrid:
         res = malthus_exponent(ModelParams(e=0.0, **params))
         assert (res.tau_max, res.quadrature_nodes) == (tau_max, nodes)
         assert res.residual < 1e-13
+
+
+# lambda0 as the solver gave it when every flow ran until it settled or
+# reached the cap: the anchor and the frozen footprints, slow b, other m,
+# Vm and alpha, the benchmark's first batch of b for seeds 1-3, and two
+# gated slow sets whose crossing lies past the first horizon of 50
+FROZEN_LAMBDA0 = [
+    (dict(), 0.42928146616383706),
+    (dict(b=0.2), 0.3542599066564831),
+    (dict(V0=0.0001, K0=0.001), 0.15377797754573885),
+    (dict(b=0.1), 0.3344544743047505),
+    (dict(b=0.05), 0.3225633226953571),
+    (dict(b=0.01), 0.31191701804661287),
+    (dict(m=2.0), 0.7028569585463132),
+    (dict(Vm=0.5), 0.26649122038193906),
+    (dict(alpha=0.0), 0.9999999999999992),
+    (dict(b=0.13377827870871892), 0.34168654579596935),
+    (dict(b=0.2501480146657758), 0.3625859532111909),
+    (dict(b=0.26569742918010036), 0.3649879592193192),
+    (dict(b=0.623528060608783), 0.4047465668835961),
+    (dict(b=0.705089629226061), 0.4110762440801883),
+    (dict(b=1.258826309551153), 0.4411775692046234),
+    (dict(b=1.6308656851560326), 0.4541885098968872),
+    (dict(b=2.6448660862927884), 0.4766873542713131),
+    (dict(b=4.323041096130361), 0.49629059149914734),
+    (dict(b=6.758640533344163), 0.5108561625593918),
+    (dict(b=0.1541420619830465), 0.3457658796620098),
+    (dict(b=0.18179893845911338), 0.3509972549189624),
+    (dict(b=0.2784342134592024), 0.36689754193986057),
+    (dict(b=0.41002577954227787), 0.3840455618046811),
+    (dict(b=0.889007765782287), 0.4231450063449156),
+    (dict(b=1.1086513575379868), 0.43463792532922624),
+    (dict(b=1.6316410376067534), 0.4542118908091495),
+    (dict(b=3.570789421807664), 0.4890972900590895),
+    (dict(b=5.6201446365814896), 0.505226361742785),
+    (dict(b=8.196029016113725), 0.5161764066551836),
+    (dict(b=0.1486119117369139), 0.34467785882929186),
+    (dict(b=0.21700228420527476), 0.35718747927451033),
+    (dict(b=0.28519373160062783), 0.3678905922623109),
+    (dict(b=0.5663829949817726), 0.3998595857133727),
+    (dict(b=0.7436844494954645), 0.4138405184329096),
+    (dict(b=1.442005161376431), 0.44806774046514963),
+    (dict(b=1.8766584288578447), 0.4609976002353166),
+    (dict(b=3.0517841062485926), 0.48276856428686604),
+    (dict(b=4.106998463921434), 0.4944175401694936),
+    (dict(b=6.502225641609164), 0.5097199792116635),
+    (dict(b=0.01, Vm=0.9), 0.00934611960819758),
+    (dict(b=0.1, Vm=0.95), 0.046890330890380784),
+]
+
+
+class TestHorizon:
+    @pytest.mark.parametrize("params, lambda0", FROZEN_LAMBDA0)
+    def test_lambda0_frozen(self, params, lambda0):
+        res = malthus_exponent(ModelParams(e=0.0, **params))
+        assert res.lambda0 == pytest.approx(lambda0, rel=1e-12)
+        assert res.residual < 1e-13
+
+    @pytest.mark.parametrize(
+        "params, tau_star",
+        [(dict(b=0.01, Vm=0.9), 495.5592281661308), (dict(b=0.1, Vm=0.95), 64.94905844896935)],
+    )
+    def test_crossing_past_the_first_horizon(self, params, tau_star):
+        # the threshold search extends a cold flow until it finds the crossing
+        p = ModelParams(e=0.0, **params)
+        spectral._flow_cache.clear()
+        found = spectral._emission_threshold_time(spectral._flow_for(p), p.Vm)
+        assert found == pytest.approx(tau_star, rel=1e-12)
+        assert found > spectral._TAU_MAX_INITIAL
+
+    @pytest.mark.parametrize("params", [dict(b=0.134), dict(b=0.1, Vm=0.95)])
+    def test_result_does_not_depend_on_earlier_queries(self, params):
+        p = ModelParams(e=0.0, **params)
+        spectral._flow_cache.clear()
+        cold = malthus_exponent(p)
+        spectral._flow_cache.clear()
+        characteristic_flow(800.0, p)
+        assert spectral._flow_for(p).tau_max > cold.tau_max
+        assert malthus_exponent(p) == cold
+
+    def test_queries_past_the_decay_horizon_extend_the_flow(self):
+        p = ModelParams(e=0.0, b=0.134)
+        spectral._flow_cache.clear()
+        res = malthus_exponent(p)
+        assert res.tau_max < 150.0
+        ks = (150_000, 300_000, 899_000)
+        dense = flow_dense(p.b, p.V0, p.K0, ks[-1] * 1e-3, 1e-3)
+        for k in ks:
+            assert characteristic_flow(k * 1e-3, p).V == dense[k]
 
 
 class TestFlowCache:
