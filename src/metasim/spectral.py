@@ -26,8 +26,9 @@ the fixed point (1, 1) or the part of the integral past it can no
 longer move the root, whichever comes first, up to a cap of 900;
 beyond it the tail integral (m / lambda) * exp(-lambda * tau_max) is
 added in closed form. A flow query extends the cached flow as far as
-it needs, up to the cap; past the cap, a flow that never settled is an
-error.
+it needs, up to the cap; past the cap it returns the state at the
+first doubled horizon where the flow has settled, and a flow that
+never settled is an error.
 """
 
 from __future__ import annotations
@@ -100,6 +101,18 @@ class _Flow:
     def settled_at(self, i: int) -> bool:
         return abs(self.Va[i] - 1.0) + abs(self.Ka[i] - 1.0) < _SETTLE_TOL
 
+    def horizon_where(self, done) -> float:
+        """First horizon of 50, 100, 200, ... at which ``done(last)``
+        holds for its last node, the flow has settled there, or the cap
+        is reached; the flow is built at least that far."""
+        horizon = _TAU_MAX_INITIAL
+        while True:
+            self.extend_to(horizon)
+            last = self.node(horizon)
+            if done(last) or horizon >= _TAU_MAX_CAP or self.settled_at(last):
+                return horizon
+            horizon = min(2.0 * horizon, _TAU_MAX_CAP)
+
     def extend_to(self, tau_target: float):
         # model._rk4_step(V, K, b, 0.0, h) with its stages written out, in
         # the same operations and order, so the grid is bit-identical to
@@ -142,15 +155,16 @@ class _Flow:
         """State at tau: one ``model._rk4_step`` of length tau - i*dtau,
         forward or back, from the nearest node i, so a node maps to
         itself. Extends the flow as far as tau needs, up to the cap; past
-        the cap, the last node of a flow settled there."""
+        the cap, the node at the first horizon where the flow settled."""
         if tau >= _TAU_MAX_CAP:
-            self.extend_to(_TAU_MAX_CAP)
-            if tau > self.tau_max and not self.settled_at(-1):
+            horizon = self.horizon_where(lambda last: False)
+            last = self.node(horizon)
+            if tau > horizon and not self.settled_at(last):
                 raise ConfigurationError(
-                    f"tau={tau:g} lies past the flow horizon tau_max={self.tau_max:g}, "
+                    f"tau={tau:g} lies past the flow horizon tau_max={horizon:g}, "
                     f"where the flow has not settled at (1, 1)"
                 )
-            return float(self.Va[-1]), float(self.Ka[-1])
+            return float(self.Va[last]), float(self.Ka[last])
         i = self.node(tau)
         if i >= self.Va.size:
             # at least doubling keeps rising queries linear in the nodes
@@ -196,16 +210,10 @@ def _emission_threshold_time(flow: _Flow, Vm: float) -> float | None:
     """
     if flow.Va[0] >= Vm:
         return 0.0
-    horizon = _TAU_MAX_INITIAL
-    while True:
-        flow.extend_to(horizon)
-        last = flow.node(horizon)
-        hits = flow.Va[: last + 1] >= Vm
-        if hits.any():
-            break
-        if horizon >= _TAU_MAX_CAP or flow.settled_at(last):
-            return None
-        horizon = min(2.0 * horizon, _TAU_MAX_CAP)
+    horizon = flow.horizon_where(lambda last: bool((flow.Va[: last + 1] >= Vm).any()))
+    hits = flow.Va[: flow.node(horizon) + 1] >= Vm
+    if not hits.any():
+        return None
     i = int(np.argmax(hits))
     return brentq(
         lambda tau: flow.at(tau)[0] - Vm,
@@ -236,19 +244,17 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
             f"the flow never reaches the emission threshold Vm={p.Vm:g}; no births occur"
         )
 
-    # The horizon doubles from 50 until it holds the crossing, and on
-    # until the flow has settled there, the cap is reached, or the tail
-    # can no longer move the root: beta <= C = max(m, max beta on the
-    # grid) along the whole flow, so the cells past tau add at most
-    # (C / lam) exp(-lam tau) to the integral. The root of the integral
-    # truncated at the horizon, with no tail, is a lower estimate lam_lo
-    # of lambda0, and the bound is taken there; short of it, the horizon
-    # grows to the bound, at most doubling. A longer horizon only raises
-    # lam_lo and lowers the bound, so a horizon that reached the bound
-    # needs no second solve.
-    horizon = _TAU_MAX_INITIAL
-    while horizon < tau_star:
-        horizon = min(2.0 * horizon, _TAU_MAX_CAP)
+    # The horizon starts at the first doubled one that holds the crossing
+    # (where the threshold search stopped) and grows until the flow has
+    # settled there, the cap is reached, or the tail can no longer move
+    # the root: beta <= C = max(m, max beta on the grid) along the whole
+    # flow, so the cells past tau add at most (C / lam) exp(-lam tau) to
+    # the integral. The root of the integral truncated at the horizon,
+    # with no tail, is a lower estimate lam_lo of lambda0, and the bound
+    # is taken there; short of it, the horizon grows to the bound, at
+    # most doubling. A longer horizon only raises lam_lo and lowers the
+    # bound, so a horizon that reached the bound needs no second solve.
+    horizon = flow.horizon_where(lambda last: last * flow.dtau >= tau_star)
     tau_bound = math.inf
     while True:
         flow.extend_to(horizon)
@@ -261,16 +267,18 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
         if horizon >= min(tau_bound, _TAU_MAX_CAP) or flow.settled_at(last):
             break
         # a truncated integral that stays <= 1 as lam -> 0 has no root to
-        # bound the horizon with
+        # bound the horizon with, so the horizon just doubles
         if integral(_LAM_FLOOR) > 1.0:
             lam_lo = _root(lambda lam: integral(lam) - 1.0, hi)
             C = p.m * max(1.0, peak)
-            tau_bound = math.log(C / (lam_lo * _TAIL_TOL)) / lam_lo
+            tau_bound = float(math.ceil(math.log(C / (lam_lo * _TAIL_TOL)) / lam_lo))
         if horizon >= tau_bound:
             break
-        horizon = min(2.0 * horizon, math.ceil(tau_bound), _TAU_MAX_CAP)
+        horizon = min(2.0 * horizon, tau_bound, _TAU_MAX_CAP)
 
-    # past the horizon the flow sits at (1, 1), where beta = m
+    # the tail past the horizon as if the flow sat at (1, 1), where
+    # beta = m: exact for a settled flow, below _TAIL_TOL near the root
+    # at the decay bound, and an estimate for a flow capped unsettled
     tau_max = last * flow.dtau
 
     def F(lam: float) -> float:

@@ -76,6 +76,19 @@ class TestCharacteristicFlow:
         assert not flow.settled_at(-1)
         assert characteristic_flow(flow.tau_max, p).V == flow.Va[-1]
 
+    def test_past_the_cap_a_settled_flow_answers_from_where_it_settled(self):
+        # the anchor flow settles at tau = 50, so a query past the cap
+        # neither builds to the cap nor depends on how far it was built
+        p = ModelParams(e=0.0)
+        spectral._flow_cache.clear()
+        far = characteristic_flow(1000.0, p)
+        flow = spectral._flow_for(p)
+        assert flow.tau_max == spectral._TAU_MAX_INITIAL
+        assert flow.settled_at(-1)
+        assert (far.V, far.K) == (flow.Va[-1], flow.Ka[-1])
+        characteristic_flow(800.0, p)
+        assert characteristic_flow(1000.0, p) == far
+
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
             characteristic_flow(-1.0, ModelParams(e=0.0))
@@ -193,8 +206,9 @@ class TestQuadratureGrid:
 
 # lambda0 as the solver gave it when every flow ran until it settled or
 # reached the cap: the anchor and the frozen footprints, slow b, other m,
-# Vm and alpha, the benchmark's first batch of b for seeds 1-3, and two
-# gated slow sets whose crossing lies past the first horizon of 50
+# Vm and alpha, the benchmark's first batch of b for seeds 1-3, two
+# gated slow sets whose crossing lies past the first horizon of 50, and
+# slow sets with a small m, whose integral truncated at 50 stays below 1
 FROZEN_LAMBDA0 = [
     (dict(), 0.42928146616383706),
     (dict(b=0.2), 0.3542599066564831),
@@ -237,6 +251,9 @@ FROZEN_LAMBDA0 = [
     (dict(b=6.502225641609164), 0.5097199792116635),
     (dict(b=0.01, Vm=0.9), 0.00934611960819758),
     (dict(b=0.1, Vm=0.95), 0.046890330890380784),
+    (dict(b=0.1, m=0.01), 0.0086634767486672),
+    (dict(b=0.01, m=0.01), 0.005778893224218418),
+    (dict(b=0.3, m=0.02), 0.017687165670610856),
 ]
 
 
