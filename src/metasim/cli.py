@@ -92,7 +92,7 @@ def _cmd_sweep(args) -> int:
     print(os.path.join(args.out, "summary.csv"))
     failures = [row for row in rows if row["error"] is not None]
     for row in failures:
-        print(f"{sw.axis}={row['value']:g} failed: {row['error']}", file=sys.stderr)
+        print(f"{sw.point_label(row['value'])} failed: {row['error']}", file=sys.stderr)
     if rows and len(failures) == len(rows):
         return EXIT_BLOWUP
     return EXIT_OK

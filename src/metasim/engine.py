@@ -208,10 +208,13 @@ class _Engine:
     hold the live cohorts in birth order. Every row enters the field,
     the emission sum and the inhibitor production alike; only cohort
     rows exit, get pruned, or count toward M, N and the exported
-    state. Beside ``V``, ``K``, ``w`` and ``birth_t`` each row keeps
-    ``P`` = V^(2/3), set wherever V is. Arrays have a capacity that
-    doubles on demand; scratch buffers for the four stages are kept at
-    the same capacity so the hot loop allocates nothing.
+    state. A step appends its newborn, then drops in one removal pass
+    every cohort row, the newborn included, that left the domain or
+    lies below the weight floor. Beside ``V``, ``K``, ``w`` and
+    ``birth_t`` each row keeps ``P`` = V^(2/3), set wherever V is.
+    Arrays have a capacity that doubles on demand; scratch buffers for
+    the four stages are kept at the same capacity so the hot loop
+    allocates nothing.
 
     The run diagnostics are scalars updated on the way: the peak row
     count, the smallest birth denominator and the weight pruned by the
@@ -277,9 +280,8 @@ class _Engine:
             np.multiply(Pc, Kc, out=outK)
             np.subtract(Vc, outK, out=outK)
             outK *= b
-            if e != 0.0 and Ic != 0.0:
-                np.multiply(Kc, e * Ic, out=tmp)
-                outK -= tmp
+            np.multiply(Kc, e * Ic, out=tmp)
+            outK -= tmp
             return _volume_sum(w, Vc) - k * Ic
 
         h2 = 0.5 * dt
@@ -352,24 +354,18 @@ class _Engine:
             self.born.add(w_new)
             I_new += h2 * w_new * p.V0
             self.I = I_new
-            if w_new < self.weight_floor:
-                self.exited.add(w_new)
-                self.pruned += w_new
-            else:
-                if self.n == self.V.size:
-                    self._grow()
-                i = self.n
-                self.V[i] = Vn
-                _pow23(self.V[i : i + 1], self.P[i : i + 1])
-                self.K[i] = Kn
-                self.w[i] = w_new
-                self.birth_t[i] = self.t + h2
-                self.n += 1
-                n = self.n
-                V = self.V[:n]
+            if n == self.V.size:
+                self._grow()
+            self.V[n] = Vn
+            _pow23(self.V[n : n + 1], self.P[n : n + 1])
+            self.K[n] = Kn
+            self.w[n] = w_new
+            self.birth_t[n] = self.t + h2
+            n += 1
 
-        # removal through the V = V0 edge, then pruning; both spare the
-        # primary in row 0
+        # one removal pass, newborn included: exits through the V = V0
+        # edge, then pruning; both spare the primary in row 0
+        V = self.V[:n]
         drop = V < p.V0
         if self.weight_floor > 0.0:
             drop |= self.w[:n] < self.weight_floor
@@ -384,24 +380,23 @@ class _Engine:
             for name in _ROW_ARRAYS:
                 arr = getattr(self, name)
                 arr[:m_keep] = arr[:n][keep]
-            self.n = m_keep
-        if self.n > self.peak_n:
-            self.peak_n = self.n
+            n = m_keep
+        self.n = n
+        if n > self.peak_n:
+            self.peak_n = n
 
         self.t = t_new
 
     # -- observation: cohort rows only -------------------------------
 
-    def burden(self) -> float:
-        return _volume_sum(self.w[1 : self.n], self.V[1 : self.n])
-
-    def live_weight(self) -> float:
-        """Sum of live weights (N, conservation checks): NumPy's pairwise
-        sum, within a few ulps of the exactly rounded one."""
-        return float(self.w[1 : self.n].sum())
-
-    def largest_volume(self) -> float:
-        return float(self.V[1 : self.n].max()) if self.n > 1 else math.nan
+    def sample_row(self) -> tuple:
+        """One row of ``simulate``'s sample buffer: t, M, N, I, Vp, born,
+        exited, largest_V (NaN with no cohort) and n_live. N is NumPy's
+        pairwise sum, within a few ulps of the exactly rounded one."""
+        V, w = self.V[1 : self.n], self.w[1 : self.n]
+        largest = float(V.max()) if V.size else math.nan
+        return (self.t, _volume_sum(w, V), float(w.sum()), self.I, self.V[0],
+                self.born.value, self.exited.value, largest, self.n - 1)
 
     def to_state(self) -> SystemState:
         n = self.n
@@ -432,17 +427,16 @@ def _emission_sum(
 ) -> float:
     """Population emission rate m * sum(w * beta(V)) over the given rows.
 
-    ``P`` = V^(2/3) is beta itself for the default alpha; any other
-    alpha is a ``np.power`` into the scratch buffer ``out``, which also
-    takes the masked beta when a threshold Vm is set.
+    beta is built in the scratch buffer ``out`` and zeroed below the
+    threshold Vm: a copy of ``P`` = V^(2/3) for the default alpha, a
+    ``np.power`` for any other.
     """
-    beta = P if p.alpha == _TWO_THIRDS else np.power(V, p.alpha, out=out)
-    if p.Vm > 0.0:
-        if beta is P:
-            np.copyto(out, P)
-            beta = out
-        beta[V < p.Vm] = 0.0
-    return p.m * float(np.dot(w, beta))
+    if p.alpha == _TWO_THIRDS:
+        np.copyto(out, P)
+    else:
+        np.power(V, p.alpha, out=out)
+    out[V < p.Vm] = 0.0
+    return p.m * float(np.dot(w, out))
 
 
 def _volume_sum(w: np.ndarray, V: np.ndarray) -> float:
@@ -519,6 +513,11 @@ def step(s: SystemState, p: ModelParams, dt: float, weight_floor: float = 0.0) -
     return eng.to_state()
 
 
+def _steps_per_sample(settings: SolverSettings) -> int:
+    """Steps between two samples: ``sample_every`` in whole steps, >= 1."""
+    return max(1, round(settings.sample_every / settings.dt))
+
+
 def simulate(
     p: ModelParams,
     settings: SolverSettings,
@@ -529,45 +528,27 @@ def simulate(
 
     Returns (trajectory, final_state). The trajectory rows are sampled
     every ``settings.sample_every`` (rounded to whole steps), starting
-    with t = 0; its final histogram is taken from the end state with
-    ``n_bins`` log-spaced bins, and its ``diagnostics`` hold the peak and
-    final live counts, the smallest birth denominator, the largest
+    with t = 0, as rows of one buffer whose columns become the series;
+    its final histogram is taken from the end state with ``n_bins``
+    log-spaced bins, and its ``diagnostics`` hold the peak and final
+    live counts, the smallest birth denominator, the largest
     conservation gap over the samples and the pruned weight.
 
-    Raises IntegrationBlowupError if the state leaves the finite domain,
-    carrying the time of the failed step, the check that tripped and
-    the last recorded sample.
+    A bin layout ``histogram`` cannot build is rejected before the
+    first step. Raises IntegrationBlowupError if the state leaves the
+    finite domain, carrying the time of the failed step, the check that
+    tripped and the last recorded sample.
     """
-    from .observables import Trajectory, histogram
+    from .observables import Trajectory, _check_bins, histogram
 
+    _check_bins(p.V0, n_bins)
     n_steps = settings.n_steps
-    every = max(1, round(settings.sample_every / settings.dt))
+    every = _steps_per_sample(settings)
 
     eng = _Engine(p, initial_state(p, initial_cohorts), weight_floor=settings.weight_floor)
 
-    n_rows = n_steps // every + 1
-    times = np.empty(n_rows)
-    M = np.empty(n_rows)
-    N = np.empty(n_rows)
-    I = np.empty(n_rows)
-    Vp = np.empty(n_rows)
-    born = np.empty(n_rows)
-    exited = np.empty(n_rows)
-    largest = np.empty(n_rows)
-    live = np.empty(n_rows, dtype=np.int64)
-
-    def record(row: int):
-        times[row] = eng.t
-        M[row] = eng.burden()
-        N[row] = eng.live_weight()
-        I[row] = eng.I
-        Vp[row] = eng.V[0]
-        born[row] = eng.born.value
-        exited[row] = eng.exited.value
-        largest[row] = eng.largest_volume()
-        live[row] = eng.n - 1
-
-    record(0)
+    samples = np.empty((n_steps // every + 1, 9))
+    samples[0] = eng.sample_row()
     row = 1
     dt = settings.dt
     try:
@@ -576,36 +557,23 @@ def simulate(
                 eng.step(dt)
                 eng.t = (i + 1) * dt  # pin to the exact grid against drift
                 if (i + 1) % every == 0:
-                    record(row)
+                    samples[row] = eng.sample_row()
                     row += 1
     except IntegrationBlowupError as exc:
-        r = row - 1
-        exc.last_sample = {
-            "t": float(times[r]),
-            "M": float(M[r]),
-            "N": float(N[r]),
-            "I": float(I[r]),
-            "Vp": float(Vp[r]),
-            "n_live": int(live[r]),
-        }
+        t, M, N, I, Vp, *_, n_live = samples[row - 1].tolist()
+        exc.last_sample = {"t": t, "M": M, "N": N, "I": I, "Vp": Vp, "n_live": int(n_live)}
         raise
 
     final = eng.to_state()
+    times, M, N, I, Vp, born, exited, largest, _ = samples[:row].T.copy()
     traj = Trajectory(
-        times=times[:row],
-        M=M[:row],
-        N=N[:row],
-        I=I[:row],
-        Vp=Vp[:row],
-        born=born[:row],
-        exited=exited[:row],
-        largest_V=largest[:row],
+        times, M, N, I, Vp, born, exited, largest,
         final_histogram=histogram(final, n_bins),
         diagnostics={
             "peak_live": eng.peak_n - 1,
             "final_live": eng.n - 1,
             "min_birth_denominator": eng.min_denom,
-            "max_conservation_gap": float(np.abs(born[:row] - exited[:row] - N[:row]).max()),
+            "max_conservation_gap": float(np.abs(born - exited - N).max()),
             "pruned_weight": eng.pruned,
         },
     )

@@ -103,6 +103,15 @@ class OscillationMetrics:
         return self.peak_times.size >= 2
 
 
+def _check_bins(V0: float, n_bins: int):
+    """Reject a bin layout ``histogram`` cannot build; ``simulate``
+    calls this before its first step."""
+    if n_bins < 1:
+        raise ConfigurationError(f"n_bins must be >= 1, got {n_bins}")
+    if not V0 < 1.0:
+        raise ConfigurationError("histogram bins require V0 < 1")
+
+
 def histogram(s: SystemState, n_bins: int = 40) -> VolumeHistogram:
     """Bin live cohort mass by volume on log-spaced bins over [V0, 1].
 
@@ -110,10 +119,7 @@ def histogram(s: SystemState, n_bins: int = 40) -> VolumeHistogram:
     at or above 1 go to the last bin, so total mass always equals the
     live count.
     """
-    if n_bins < 1:
-        raise ConfigurationError(f"n_bins must be >= 1, got {n_bins}")
-    if not s.V0 < 1.0:
-        raise ConfigurationError("histogram bins require V0 < 1")
+    _check_bins(s.V0, n_bins)
     edges = np.geomspace(s.V0, 1.0, n_bins + 1)
     mass = np.zeros(n_bins)
     if not s.w.size:
@@ -121,6 +127,17 @@ def histogram(s: SystemState, n_bins: int = 40) -> VolumeHistogram:
     idx = np.clip(np.searchsorted(edges, s.V, side="right") - 1, 0, n_bins - 1)
     np.add.at(mass, idx, s.w)
     return VolumeHistogram(bin_edges=edges, mass=mass, largest_volume=float(s.V.max()))
+
+
+def _window(times: np.ndarray, transient: float) -> np.ndarray:
+    """Mask of the sample times at or past ``transient``; fewer than 3
+    of them cannot be analysed."""
+    mask = times >= transient
+    if int(mask.sum()) < 3:
+        raise ConfigurationError(
+            f"window beyond transient={transient:g} holds fewer than 3 samples"
+        )
+    return mask
 
 
 def oscillation_metrics(traj: Trajectory, transient: float) -> OscillationMetrics:
@@ -133,11 +150,7 @@ def oscillation_metrics(traj: Trajectory, transient: float) -> OscillationMetric
     amplitude is the mean drop from a peak to the following trough,
     taken over consecutive peak pairs.
     """
-    mask = traj.times >= transient
-    if int(mask.sum()) < 3:
-        raise ConfigurationError(
-            f"window beyond transient={transient:g} holds fewer than 3 samples"
-        )
+    mask = _window(traj.times, transient)
     tw = traj.times[mask]
     Mw = traj.M[mask]
 

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SystemState, simulate
+from .engine import SystemState, _steps_per_sample, simulate
 from .errors import IntegrationBlowupError, NoRootError
-from .observables import OscillationMetrics, Trajectory, oscillation_metrics
+from .observables import OscillationMetrics, Trajectory, _window, oscillation_metrics
 from .scenarios import Scenario, SweepSpec, scenario_to_dict
 from .spectral import malthus_exponent
 from .svgplot import line_chart
@@ -134,9 +134,14 @@ def run_scenario(
     """Execute one scenario and write its artifacts to ``out_dir``.
 
     ``log_scale`` overrides the scenario's own plotting flag when given.
-    On integration blowup a diagnostic ``{name}_error.json`` is written
-    and the blowup is re-raised for the caller to handle.
+    A metrics window too short to analyse is rejected before the run, on
+    the sample grid ``simulate`` records. On integration blowup a
+    diagnostic ``{name}_error.json`` is written and the blowup is
+    re-raised for the caller to handle.
     """
+    settings = sc.settings
+    grid = np.arange(0, settings.n_steps + 1, _steps_per_sample(settings)) * settings.dt
+    _window(grid, sc.resolved_transient)
     os.makedirs(out_dir, exist_ok=True)
     log_y = sc.log_scale if log_scale is None else log_scale
     t_start = time.perf_counter()
@@ -283,7 +288,7 @@ def run_sweep(sw: SweepSpec, out_dir: str = ".", jobs: int | None = None) -> lis
     os.makedirs(out_dir, exist_ok=True)
     workers = sw.parallelism if jobs is None else jobs
     tasks = [
-        (sc, value, os.path.join(out_dir, f"{sw.axis}={value:g}"))
+        (sc, value, os.path.join(out_dir, sw.point_label(value)))
         for sc, value in zip(sw.scenarios(), sw.values)
     ]
     if workers > 1 and len(tasks) > 1:

@@ -138,20 +138,24 @@ class SweepSpec:
             raise ConfigurationError("sweep needs at least one value")
         if self.parallelism < 1:
             raise ConfigurationError("parallelism must be >= 1")
-        # point names and directories carry the value as {value:g}
         labels: dict[str, float] = {}
         for value in self.values:
-            label = f"{value:g}"
+            label = self.point_label(value)
             if label in labels:
                 raise ConfigurationError(
                     f"sweep values {labels[label]!r} and {value!r} share the point "
-                    f"name {self.axis}={label}"
+                    f"name {label}"
                 )
             labels[label] = value
             try:
                 self._point_params(value)
             except ConfigurationError as exc:
-                raise ConfigurationError(f"sweep point {self.axis}={label}: {exc}") from exc
+                raise ConfigurationError(f"sweep point {label}: {exc}") from exc
+
+    def point_label(self, value: float) -> str:
+        """``{axis}={value:g}``: the suffix of a point's scenario name,
+        its directory and its failure line."""
+        return f"{self.axis}={value:g}"
 
     def _point_params(self, value: float) -> ModelParams:
         params = replace(self.base.params, **{self.axis: value})
@@ -164,7 +168,7 @@ class SweepSpec:
         return [
             replace(
                 self.base,
-                name=f"{self.base.name}_{self.axis}={value:g}",
+                name=f"{self.base.name}_{self.point_label(value)}",
                 params=self._point_params(value),
             )
             for value in self.values

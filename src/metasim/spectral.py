@@ -199,8 +199,9 @@ def characteristic_flow(tau: float, p: ModelParams) -> TumorState:
     return TumorState(V=V, K=K)
 
 
-def _emission_threshold_time(flow: _Flow, Vm: float) -> float | None:
-    """First time the flow volume reaches Vm, or None if it never does.
+def _emission_threshold_time(flow: _Flow, Vm: float) -> tuple[float | None, float]:
+    """First time the flow volume reaches Vm, or None if it never does,
+    with the search horizon it stopped at.
 
     V is strictly increasing along the flow for V0 < K0, so the
     crossing is unique. The search horizon doubles from 50 until it
@@ -208,20 +209,21 @@ def _emission_threshold_time(flow: _Flow, Vm: float) -> float | None:
     cap; the crossing is bracketed on the grid and solved on the flow's
     in-cell step.
     """
-    if flow.Va[0] >= Vm:
-        return 0.0
     horizon = flow.horizon_where(lambda last: bool((flow.Va[: last + 1] >= Vm).any()))
     hits = flow.Va[: flow.node(horizon) + 1] >= Vm
     if not hits.any():
-        return None
+        return None, horizon
     i = int(np.argmax(hits))
-    return brentq(
+    if i == 0:
+        return 0.0, horizon
+    tau_star = brentq(
         lambda tau: flow.at(tau)[0] - Vm,
         (i - 1) * flow.dtau,
         i * flow.dtau,
         xtol=1e-15,
         rtol=4.0 * np.finfo(float).eps,
     )
+    return tau_star, horizon
 
 
 def malthus_exponent(p: ModelParams) -> SpectralResult:
@@ -238,14 +240,14 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
         raise NoRootError("no positive growth exponent exists for m = 0")
 
     flow = _flow_for(p)
-    tau_star = _emission_threshold_time(flow, p.Vm)
+    tau_star, horizon = _emission_threshold_time(flow, p.Vm)
     if tau_star is None:
         raise NoRootError(
             f"the flow never reaches the emission threshold Vm={p.Vm:g}; no births occur"
         )
 
-    # The horizon starts at the first doubled one that holds the crossing
-    # (where the threshold search stopped) and grows until the flow has
+    # The horizon starts where the threshold search stopped, the first
+    # doubled one that holds the crossing, and grows until the flow has
     # settled there, the cap is reached, or the tail can no longer move
     # the root: beta <= C = max(m, max beta on the grid) along the whole
     # flow, so the cells past tau add at most (C / lam) exp(-lam tau) to
@@ -254,7 +256,6 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     # is taken there; short of it, the horizon grows to the bound, at
     # most doubling. A longer horizon only raises lam_lo and lowers the
     # bound, so a horizon that reached the bound needs no second solve.
-    horizon = flow.horizon_where(lambda last: last * flow.dtau >= tau_star)
     tau_bound = math.inf
     while True:
         flow.extend_to(horizon)

@@ -1,6 +1,7 @@
 import pytest
 
 from metasim import simulate
+from metasim.engine import _Engine
 from metasim.scenarios import catalog
 
 
@@ -18,3 +19,14 @@ def catalog_runs():
         )
         runs[sc.name] = (sc, traj, final)
     return runs
+
+
+@pytest.fixture()
+def no_steps(monkeypatch):
+    """Make every engine step fail, so a check shows it ran before the
+    first one."""
+
+    def no_step(self, dt):
+        raise AssertionError("stepped before the configuration was checked")
+
+    monkeypatch.setattr(_Engine, "step", no_step)

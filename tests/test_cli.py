@@ -90,6 +90,22 @@ class TestRun:
         assert main(["run", sc]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"name": "late", "settings": {"t_end": 5.0}, "transient": 10.0}, "fewer than 3"),
+            ({"name": "big", "params": {"V0": 1.5, "K0": 2.0}}, "V0 < 1"),
+        ],
+    )
+    def test_configuration_error_exits_2_before_the_run(
+        self, tmp_path, no_steps, capsys, doc, message
+    ):
+        sc = _write(tmp_path / "sc.json", doc)
+        out = tmp_path / "out"
+        assert main(["run", sc, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_file_exits_4(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 4
 
@@ -159,6 +175,15 @@ class TestSweep:
         assert len(lines) == 3
         assert "IntegrationBlowupError" in lines[2]
         assert "failed" in capsys.readouterr().err
+
+    def test_point_label_names_directory_scenario_and_failure_line(self, tmp_path, capsys):
+        sw = self._sweep_file(tmp_path, [1e8], axis="b")
+        out = tmp_path / "out"
+        assert main(["sweep", sw, "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("b=1e+08 failed: IntegrationBlowupError: ")
+        assert (out / "b=1e+08" / "s_b=1e+08_error.json").exists()
 
     def test_all_failed_exits_3(self, tmp_path, capsys):
         sw = self._sweep_file(tmp_path, [1e8, 1e9], axis="b")

@@ -345,6 +345,58 @@ class TestSimulate:
         with pytest.raises(IntegrationBlowupError):
             simulate(p, SolverSettings(dt=1e-2, t_end=1.0, sample_every=0.1))
 
+    @pytest.mark.parametrize(
+        "params, weight_floor",
+        [
+            (dict(), 4e-3),  # newborns below the floor
+            (dict(e=0.0, Vm=0.0), 0.0),
+            (dict(alpha=0.5, Vm=0.15, m=2.0), 1e-3),
+        ],
+    )
+    def test_samples_match_a_loop_of_public_steps(self, params, weight_floor):
+        p = ModelParams(**params)
+        dt = 1e-2
+        traj, final = simulate(
+            p, SolverSettings(dt=dt, t_end=10.0, sample_every=0.1, weight_floor=weight_floor)
+        )
+        states = [initial_state(p)]
+        for _ in range(1000):
+            states.append(step(states[-1], p, dt, weight_floor=weight_floor))
+        sampled = states[::10]
+        assert len(sampled) == traj.times.size
+        expected = {
+            "M": [total_burden(s) for s in sampled],
+            "N": [s.w.sum() for s in sampled],
+            "I": [s.I for s in sampled],
+            "Vp": [s.primary.V for s in sampled],
+            "largest_V": [s.V.max() if s.V.size else math.nan for s in sampled],
+        }
+        for name, values in expected.items():
+            assert np.array_equal(getattr(traj, name), values, equal_nan=True), name
+        # step() restarts the compensated sums on every call
+        born = [s.born_count for s in sampled]
+        exited = [s.exited_count for s in sampled]
+        np.testing.assert_allclose(traj.born, born, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(traj.exited, exited, rtol=1e-14, atol=0)
+        # the removal pass leaves no cohort, newborn included, below the
+        # floor or the domain edge
+        for s in states:
+            assert not (s.w < weight_floor).any()
+            assert not (s.V < p.V0).any()
+        for name in ("V", "K", "w"):
+            assert np.array_equal(getattr(final, name), getattr(states[-1], name)), name
+        assert traj.diagnostics["final_live"] == states[-1].w.size
+        if weight_floor:
+            assert traj.diagnostics["pruned_weight"] > 0.0
+
+    @pytest.mark.parametrize(
+        "params, n_bins, message",
+        [(dict(V0=1.5, K0=2.0), 40, "V0 < 1"), (dict(), 0, "n_bins must be >= 1")],
+    )
+    def test_bin_layout_rejected_before_the_first_step(self, no_steps, params, n_bins, message):
+        with pytest.raises(ConfigurationError, match=message):
+            simulate(ModelParams(**params), SolverSettings(t_end=1.0), n_bins=n_bins)
+
     def test_settings_validation(self):
         with pytest.raises(ConfigurationError):
             SolverSettings(dt=0.0)

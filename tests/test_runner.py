@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from metasim import (
     Cohort,
+    ConfigurationError,
     IntegrationBlowupError,
     ModelParams,
     SolverSettings,
@@ -51,6 +53,29 @@ class TestRunScenario:
     def test_coupled_run_has_no_exponent_key(self, tmp_path):
         result = run_scenario(_scenario(), out_dir=str(tmp_path))
         assert "lambda0" not in result.metrics
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (
+                {"name": "late", "settings": {"t_end": 5.0}, "transient": 10.0},
+                "window beyond transient=10 holds fewer than 3 samples",
+            ),
+            ({"name": "big", "params": {"V0": 1.5, "K0": 2.0}}, "histogram bins require V0 < 1"),
+        ],
+    )
+    def test_configuration_errors_raise_before_the_run(self, tmp_path, no_steps, raw, message):
+        with pytest.raises(ConfigurationError, match=message):
+            run_scenario(scenario_from_dict(raw), out_dir=str(tmp_path / "out"))
+        assert not list(tmp_path.rglob("*.*"))
+
+    def test_window_check_counts_the_simulated_grid(self, tmp_path):
+        sc = _scenario(outputs=["metrics"])
+        times = run_scenario(sc, out_dir=str(tmp_path)).trajectory.times
+        run_scenario(replace(sc, transient=float(times[-3])), out_dir=str(tmp_path))
+        late = replace(sc, transient=float(np.nextafter(times[-3], np.inf)))
+        with pytest.raises(ConfigurationError, match="fewer than 3 samples"):
+            run_scenario(late, out_dir=str(tmp_path))
 
     def test_blowup_writes_diagnostic_and_reraises(self, tmp_path):
         with pytest.raises(IntegrationBlowupError):

@@ -138,7 +138,7 @@ class TestMalthusExponent:
         res = malthus_exponent(p)
         oracle = brute_lambda0(p.b, p.m, p.alpha, p.V0, p.K0, p.Vm)
         assert res.lambda0 == pytest.approx(oracle, rel=1e-4)
-        tau_star = spectral._emission_threshold_time(spectral._flow_for(p), Vm)
+        tau_star, _ = spectral._emission_threshold_time(spectral._flow_for(p), Vm)
         assert characteristic_flow(tau_star, p).V == pytest.approx(Vm, rel=0, abs=1e-13)
 
     def test_emission_threshold_shrinks_exponent(self):
@@ -272,7 +272,7 @@ class TestHorizon:
         # the threshold search extends a cold flow until it finds the crossing
         p = ModelParams(e=0.0, **params)
         spectral._flow_cache.clear()
-        found = spectral._emission_threshold_time(spectral._flow_for(p), p.Vm)
+        found, _ = spectral._emission_threshold_time(spectral._flow_for(p), p.Vm)
         assert found == pytest.approx(tau_star, rel=1e-12)
         assert found > spectral._TAU_MAX_INITIAL
 
