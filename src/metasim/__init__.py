@@ -5,6 +5,7 @@ from .engine import (
     Cohort,
     SolverSettings,
     SystemState,
+    Trajectory,
     birth_rate,
     inhibitor_rate,
     initial_state,
@@ -32,7 +33,6 @@ from .model import (
 )
 from .observables import (
     OscillationMetrics,
-    Trajectory,
     VolumeHistogram,
     histogram,
     oscillation_metrics,

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .errors import (
     ConfigurationError,
@@ -78,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
-    result = run_scenario(sc, out_dir=args.out, log_scale=args.log_scale or None)
+    sc = replace(sc, log_scale=sc.log_scale or args.log_scale)
+    result = run_scenario(sc, out_dir=args.out)
     for path in result.files:
         print(path)
     return EXIT_OK

@@ -33,7 +33,7 @@ the newborn keeps ``**``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "Cohort",
     "SystemState",
     "SolverSettings",
+    "Trajectory",
     "total_burden",
     "inhibitor_rate",
     "birth_rate",
@@ -518,30 +519,58 @@ def _steps_per_sample(settings: SolverSettings) -> int:
     return max(1, round(settings.sample_every / settings.dt))
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """Sampled macroscopic series of one simulation.
+
+    Beyond the core series (M, N, I, Vp), carries the cumulative birth
+    and exit counters and the largest live volume per sample, which the
+    output files and the homeostasis diagnostics need; ``largest_V`` is
+    NaN at samples with no live cohort. ``diagnostics`` holds the run's
+    scalar health figures, which ``simulate`` fills in (see README,
+    "Run artifacts").
+    """
+
+    times: np.ndarray
+    M: np.ndarray
+    N: np.ndarray
+    I: np.ndarray
+    Vp: np.ndarray
+    born: np.ndarray
+    exited: np.ndarray
+    largest_V: np.ndarray
+    diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        n = np.size(self.times)
+        for name in ("times", "M", "N", "I", "Vp", "born", "exited", "largest_V"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.size != n:
+                raise ConfigurationError(f"series {name} length differs from times")
+            object.__setattr__(self, name, arr)
+        if n > 1 and not np.all(np.diff(self.times) > 0):
+            raise ConfigurationError("times must be strictly increasing")
+        if np.any(self.M < 0) or np.any(self.N < 0):
+            raise ConfigurationError("M and N must be nonnegative")
+
+
 def simulate(
     p: ModelParams,
     settings: SolverSettings,
     initial_cohorts: tuple[Cohort, ...] = (),
-    n_bins: int = 40,
-):
-    """Run from t = 0 to t_end, sampling observables along the way.
+) -> tuple[Trajectory, SystemState]:
+    """Run from t = 0 to t_end, sampling the macroscopic series on the way.
 
-    Returns (trajectory, final_state). The trajectory rows are sampled
-    every ``settings.sample_every`` (rounded to whole steps), starting
-    with t = 0, as rows of one buffer whose columns become the series;
-    its final histogram is taken from the end state with ``n_bins``
-    log-spaced bins, and its ``diagnostics`` hold the peak and final
-    live counts, the smallest birth denominator, the largest
-    conservation gap over the samples and the pruned weight.
+    Returns (trajectory, final_state). Samples are taken every
+    ``settings.sample_every`` (in whole steps) from t = 0, as rows of one
+    buffer whose columns become the series; ``diagnostics`` holds the
+    peak and final live counts, the smallest birth denominator, the
+    largest conservation gap over the samples and the pruned weight.
 
-    A bin layout ``histogram`` cannot build is rejected before the
-    first step. Raises IntegrationBlowupError if the state leaves the
-    finite domain, carrying the time of the failed step, the check that
-    tripped and the last recorded sample.
+    Raises IntegrationBlowupError if the state leaves the finite domain,
+    carrying the time of the failed step, the check that tripped and the
+    last recorded sample.
     """
-    from .observables import Trajectory, _check_bins, histogram
-
-    _check_bins(p.V0, n_bins)
     n_steps = settings.n_steps
     every = _steps_per_sample(settings)
 
@@ -568,7 +597,6 @@ def simulate(
     times, M, N, I, Vp, born, exited, largest, _ = samples[:row].T.copy()
     traj = Trajectory(
         times, M, N, I, Vp, born, exited, largest,
-        final_histogram=histogram(final, n_bins),
         diagnostics={
             "peak_live": eng.peak_n - 1,
             "final_live": eng.n - 1,

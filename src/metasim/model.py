@@ -37,11 +37,6 @@ __all__ = [
 ]
 
 
-def _pow23(x: float) -> float:
-    """x**(2/3) for x > 0; exact at x = 1."""
-    return math.pow(x, 2.0 / 3.0)
-
-
 def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise InvalidStateError(f"{name} must be finite, got {value!r}")
@@ -273,7 +268,7 @@ def local_inhibition_coefficient(e: float, Vd: float, p: float, D: float) -> flo
     for name, value in (("e", e), ("Vd", Vd), ("p", p), ("D", D)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
-    return e * Vd * (p / (15.0 * D * D)) * _pow23(3.0 / (4.0 * math.pi))
+    return e * Vd * (p / (15.0 * D * D)) * math.pow(3.0 / (4.0 * math.pi), 2.0 / 3.0)
 
 
 def nondimensionalize(dp: DimensionalParams) -> ModelParams:

@@ -1,17 +1,17 @@
-"""Macroscopic time series, volume histograms, and oscillation metrics.
+"""Volume histograms and oscillation metrics read from a simulation.
 
-Everything here is a pure read of simulation output; nothing feeds back
-into the dynamics.
+Everything here is a pure read of ``simulate``'s output (re-exported
+``Trajectory`` and the final state); nothing feeds back into the dynamics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import find_peaks
 
-from .engine import SystemState
+from .engine import SystemState, Trajectory
 from .errors import ConfigurationError
 
 __all__ = [
@@ -44,42 +44,6 @@ class VolumeHistogram:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Sampled macroscopic series of one simulation.
-
-    Beyond the core series (M, N, I, Vp), carries the cumulative birth
-    and exit counters and the largest live volume per sample, which the
-    output files and the homeostasis diagnostics need; ``largest_V`` is
-    NaN at samples with no live cohort. ``diagnostics`` holds the run's
-    scalar health figures, which ``simulate`` fills in (see README,
-    "Run artifacts").
-    """
-
-    times: np.ndarray
-    M: np.ndarray
-    N: np.ndarray
-    I: np.ndarray
-    Vp: np.ndarray
-    born: np.ndarray
-    exited: np.ndarray
-    largest_V: np.ndarray
-    final_histogram: VolumeHistogram
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("times", "M", "N", "I", "Vp", "born", "exited", "largest_V"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = self.times.size
-        for name in ("M", "N", "I", "Vp", "born", "exited", "largest_V"):
-            if getattr(self, name).size != n:
-                raise ConfigurationError(f"series {name} length differs from times")
-        if n > 1 and not np.all(np.diff(self.times) > 0):
-            raise ConfigurationError("times must be strictly increasing")
-        if np.any(self.M < 0) or np.any(self.N < 0):
-            raise ConfigurationError("M and N must be nonnegative")
-
-
-@dataclass(frozen=True)
 class OscillationMetrics:
     """Peak-based summary of a burden series on a window.
 
@@ -104,8 +68,8 @@ class OscillationMetrics:
 
 
 def _check_bins(V0: float, n_bins: int):
-    """Reject a bin layout ``histogram`` cannot build; ``simulate``
-    calls this before its first step."""
+    """Reject a bin layout ``histogram`` cannot build; the runner calls
+    this before a run that asks for the histogram."""
     if n_bins < 1:
         raise ConfigurationError(f"n_bins must be >= 1, got {n_bins}")
     if not V0 < 1.0:

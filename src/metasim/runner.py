@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SystemState, _steps_per_sample, simulate
-from .errors import IntegrationBlowupError, NoRootError
-from .observables import OscillationMetrics, Trajectory, _window, oscillation_metrics
+from .engine import SystemState, Trajectory, _steps_per_sample, simulate
+from .errors import ConfigurationError, IntegrationBlowupError, NoRootError
+from .observables import _check_bins, _window, histogram, oscillation_metrics
 from .scenarios import Scenario, SweepSpec, scenario_to_dict
 from .spectral import malthus_exponent
 from .svgplot import line_chart
@@ -59,12 +59,12 @@ SUMMARY_COLUMNS = (
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one scenario run, with its in-memory observables."""
+    """Outcome of one scenario run; ``metrics`` is None unless requested."""
 
     scenario: Scenario
     trajectory: Trajectory
     final_state: SystemState
-    metrics: dict
+    metrics: dict | None
     files: tuple[str, ...]
 
 
@@ -109,7 +109,7 @@ def _window_largest_volume(traj: Trajectory, transient: float) -> float | None:
 
 def compute_metrics(sc: Scenario, traj: Trajectory) -> dict:
     """Metrics document for one finished trajectory."""
-    om: OscillationMetrics = oscillation_metrics(traj, sc.resolved_transient)
+    om = oscillation_metrics(traj, sc.resolved_transient)
     doc = {
         "peaks": [
             {"t": float(t), "M": float(v)}
@@ -128,27 +128,28 @@ def compute_metrics(sc: Scenario, traj: Trajectory) -> dict:
     return doc
 
 
-def run_scenario(
-    sc: Scenario, out_dir: str = ".", log_scale: bool | None = None
-) -> RunResult:
-    """Execute one scenario and write its artifacts to ``out_dir``.
+def _check_outputs(sc: Scenario, outputs) -> None:
+    """Reject a requested output the run could not build: metrics need 3
+    samples past the transient on ``simulate``'s grid, the histogram bins."""
+    if "metrics" in outputs:
+        settings = sc.settings
+        grid = np.arange(0, settings.n_steps + 1, _steps_per_sample(settings)) * settings.dt
+        _window(grid, sc.resolved_transient)
+    if "histogram" in outputs:
+        _check_bins(sc.params.V0, sc.n_bins)
 
-    ``log_scale`` overrides the scenario's own plotting flag when given.
-    A metrics window too short to analyse is rejected before the run, on
-    the sample grid ``simulate`` records. On integration blowup a
-    diagnostic ``{name}_error.json`` is written and the blowup is
-    re-raised for the caller to handle.
+
+def run_scenario(sc: Scenario, out_dir: str = ".") -> RunResult:
+    """Execute one scenario and write to ``out_dir`` the artifacts its
+    outputs request, whose preconditions alone are checked before the
+    run. On integration blowup a diagnostic ``{name}_error.json`` is
+    written and the blowup is re-raised for the caller to handle.
     """
-    settings = sc.settings
-    grid = np.arange(0, settings.n_steps + 1, _steps_per_sample(settings)) * settings.dt
-    _window(grid, sc.resolved_transient)
+    _check_outputs(sc, sc.outputs)
     os.makedirs(out_dir, exist_ok=True)
-    log_y = sc.log_scale if log_scale is None else log_scale
     t_start = time.perf_counter()
     try:
-        traj, final = simulate(
-            sc.params, sc.settings, sc.initial_cohorts, n_bins=sc.n_bins
-        )
+        traj, final = simulate(sc.params, sc.settings, sc.initial_cohorts)
     except IntegrationBlowupError as exc:
         _write_atomic(
             os.path.join(out_dir, f"{sc.name}_error.json"),
@@ -165,7 +166,7 @@ def run_scenario(
         raise
     elapsed = time.perf_counter() - t_start
 
-    metrics = compute_metrics(sc, traj)
+    metrics = compute_metrics(sc, traj) if "metrics" in sc.outputs else None
     files = []
 
     def path_of(suffix: str) -> str:
@@ -178,7 +179,7 @@ def run_scenario(
         files.append(p)
     if "histogram" in sc.outputs:
         p = path_of("histogram.csv")
-        h = traj.final_histogram
+        h = histogram(final, sc.n_bins)
         columns = (h.bin_edges[:-1], h.bin_edges[1:], h.mass)
         _write_atomic(p, _csv_text("bin_lo,bin_hi,mass", columns))
         files.append(p)
@@ -188,8 +189,8 @@ def run_scenario(
         files.append(p)
     if "plots" in sc.outputs:
         series = (
-            ("M", traj.M, log_y),
-            ("N", traj.N, log_y),
+            ("M", traj.M, sc.log_scale),
+            ("N", traj.N, sc.log_scale),
             ("I", traj.I, False),
             ("Vp", traj.Vp, False),
         )
@@ -269,6 +270,8 @@ def _sweep_point(args) -> dict:
     sc, value, out_dir = args
     try:
         result = run_scenario(sc, out_dir=out_dir)
+        # the summary row needs the metrics even when the point's outputs omit them
+        metrics = result.metrics or compute_metrics(sc, result.trajectory)
     except Exception as exc:  # any failure stays in its own row
         if not isinstance(exc, IntegrationBlowupError):
             _write_point_error(sc, out_dir, exc)
@@ -276,21 +279,29 @@ def _sweep_point(args) -> dict:
             "value": value,
             "error": f"{type(exc).__name__}: {exc}",
         }
-    return _summary_row(value, result.metrics, result.trajectory)
+    return _summary_row(value, metrics, result.trajectory)
 
 
 def run_sweep(sw: SweepSpec, out_dir: str = ".", jobs: int | None = None) -> list[dict]:
     """Execute every sweep point and write ``summary.csv``.
 
-    Returns the summary rows in axis order. Individual failures are
-    recorded in-row; the caller decides what an all-failed sweep means.
+    Returns the summary rows in axis order. Every point's outputs, and
+    the metrics its summary row needs, are checked before any directory
+    is made; a failure raises ConfigurationError naming the point.
+    Failures during a run are recorded in-row; the caller decides what
+    an all-failed sweep means.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    workers = sw.parallelism if jobs is None else jobs
     tasks = [
         (sc, value, os.path.join(out_dir, sw.point_label(value)))
         for sc, value in zip(sw.scenarios(), sw.values)
     ]
+    for sc, value, _ in tasks:
+        try:
+            _check_outputs(sc, {"metrics", *sc.outputs})
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"sweep point {sw.point_label(value)}: {exc}") from exc
+    os.makedirs(out_dir, exist_ok=True)
+    workers = sw.parallelism if jobs is None else jobs
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             rows = list(pool.map(_sweep_point, tasks))

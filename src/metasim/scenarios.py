@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 import jsonschema
+import numpy as np
 
 from .engine import Cohort, SolverSettings
 from .errors import ConfigurationError
@@ -272,8 +273,6 @@ def load_sweep(path: str) -> SweepSpec:
 
     values_raw = raw["values"]
     if isinstance(values_raw, dict):
-        import numpy as np
-
         values = tuple(
             float(v)
             for v in np.geomspace(values_raw["from"], values_raw["to"], values_raw["count"])

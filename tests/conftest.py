@@ -14,9 +14,7 @@ def catalog_runs():
     """
     runs = {}
     for sc in catalog():
-        traj, final = simulate(
-            sc.params, sc.settings, sc.initial_cohorts, n_bins=sc.n_bins
-        )
+        traj, final = simulate(sc.params, sc.settings, sc.initial_cohorts)
         runs[sc.name] = (sc, traj, final)
     return runs
 

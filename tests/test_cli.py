@@ -84,6 +84,16 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", quick_scenario, "--out", str(out), "--log-scale"]) == 0
         assert (out / "quick_M.svg").exists()
+        meta = json.loads((out / "quick_run.json").read_text())
+        assert meta["scenario"]["log_scale"] is True
+        own = _write(
+            tmp_path / "own.json",
+            {"name": "quick", "settings": {"t_end": 10.0}, "transient": 2.0, "log_scale": True},
+        )
+        assert main(["run", own, "--out", str(tmp_path / "own")]) == 0
+        for label in ("M", "N", "I", "Vp"):
+            svg = f"quick_{label}.svg"
+            assert (out / svg).read_bytes() == (tmp_path / "own" / svg).read_bytes()
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         sc = _write(tmp_path / "bad.json", {"name": "bad", "params": {"b": -1.0}})
@@ -152,6 +162,17 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", sw, "--out", str(out)]) == 2
         assert "alpha=1.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_configuration_error_exits_2_before_any_output(self, tmp_path, no_steps, capsys):
+        base = {"name": "late", "settings": {"t_end": 5.0}, "transient": 10.0}
+        sw = _write(tmp_path / "sw.json", {"base": base, "axis": "e", "values": [0.5, 2]})
+        out = tmp_path / "out"
+        assert main(["sweep", sw, "--out", str(out)]) == 2
+        assert (
+            "sweep point e=0.5: window beyond transient=10 holds fewer than 3 samples"
+            in capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_summary_has_one_row_per_value(self, tmp_path, capsys):

@@ -39,9 +39,6 @@ def _traj(times, M):
     times = np.asarray(times, dtype=float)
     M = np.asarray(M, dtype=float)
     z = np.zeros_like(times)
-    hist = VolumeHistogram(
-        bin_edges=np.array([0.1, 1.0]), mass=np.array([0.0]), largest_volume=None
-    )
     return Trajectory(
         times=times,
         M=M,
@@ -51,7 +48,6 @@ def _traj(times, M):
         born=z,
         exited=z,
         largest_V=np.full_like(times, np.nan),
-        final_histogram=hist,
     )
 
 

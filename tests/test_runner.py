@@ -62,12 +62,29 @@ class TestRunScenario:
                 "window beyond transient=10 holds fewer than 3 samples",
             ),
             ({"name": "big", "params": {"V0": 1.5, "K0": 2.0}}, "histogram bins require V0 < 1"),
+            # the schema already rejects n_bins = 0 in a scenario file
+            (Scenario(name="bins", n_bins=0), "n_bins must be >= 1"),
         ],
     )
     def test_configuration_errors_raise_before_the_run(self, tmp_path, no_steps, raw, message):
+        sc = raw if isinstance(raw, Scenario) else scenario_from_dict(raw)
         with pytest.raises(ConfigurationError, match=message):
-            run_scenario(scenario_from_dict(raw), out_dir=str(tmp_path / "out"))
+            run_scenario(sc, out_dir=str(tmp_path / "out"))
         assert not list(tmp_path.rglob("*.*"))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"name": "late", "settings": {"t_end": 5.0}, "transient": 10.0},
+            {"name": "big", "params": {"V0": 1.5, "K0": 2.0}, "settings": {"t_end": 5.0}},
+        ],
+    )
+    def test_only_requested_outputs_are_checked(self, tmp_path, raw):
+        sc = scenario_from_dict(raw | {"outputs": ["timeseries"]})
+        result = run_scenario(sc, out_dir=str(tmp_path))
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [f"{sc.name}_run.json", f"{sc.name}_timeseries.csv"]
+        assert result.metrics is None
 
     def test_window_check_counts_the_simulated_grid(self, tmp_path):
         sc = _scenario(outputs=["metrics"])
@@ -162,6 +179,15 @@ class TestRunSweep:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("2.0,")
+
+    def test_summary_row_has_metrics_the_outputs_omit(self, tmp_path):
+        sw = SweepSpec(base=_scenario(outputs=["timeseries"]), axis="e", values=(0.5,))
+        (row,) = run_sweep(sw, out_dir=str(tmp_path))
+        assert row["error"] is None and row["min_after_transient"] >= 0.0
+        assert sorted(p.name for p in (tmp_path / "e=0.5").iterdir()) == [
+            "r_e=0.5_run.json",
+            "r_e=0.5_timeseries.csv",
+        ]
 
     def test_failed_point_recorded_in_row(self, tmp_path):
         sw = SweepSpec(base=_scenario(), axis="b", values=(1.0, 1e9), parallelism=1)
