@@ -33,7 +33,7 @@ the newborn keeps ``**``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -152,9 +152,9 @@ class SolverSettings:
     weight_floor: float = 0.0
 
     def __post_init__(self):
-        for name in ("dt", "t_end", "sample_every", "weight_floor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be finite")
         if self.dt <= 0:
             raise ConfigurationError(f"dt must be > 0, got {self.dt}")
         if self.t_end <= 0:

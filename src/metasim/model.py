@@ -21,7 +21,7 @@ below which a tumor sheds nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError, InvalidStateError
 
@@ -93,11 +93,11 @@ class ModelParams:
     def __post_init__(self):
         if self.Vm is None:
             object.__setattr__(self, "Vm", float(self.V0))
-        for name in ("b", "e", "k", "m", "alpha", "V0", "K0", "Vm"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not math.isfinite(value):
-                raise ConfigurationError(f"parameter {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+                raise ConfigurationError(f"parameter {f.name} must be finite, got {value!r}")
+            object.__setattr__(self, f.name, float(value))
         if self.b <= 0:
             raise ConfigurationError(f"b must be > 0, got {self.b}")
         if self.e < 0:

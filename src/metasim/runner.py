@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SystemState, Trajectory, _steps_per_sample, simulate
-from .errors import ConfigurationError, IntegrationBlowupError, NoRootError
+from .engine import SystemState, Trajectory, _steps_per_sample, initial_state, simulate
+from .errors import ConfigurationError, IntegrationBlowupError, InvalidStateError, NoRootError
 from .observables import _check_bins, _window, histogram, oscillation_metrics
 from .scenarios import Scenario, SweepSpec, scenario_to_dict
 from .spectral import malthus_exponent
@@ -128,9 +128,14 @@ def compute_metrics(sc: Scenario, traj: Trajectory) -> dict:
     return doc
 
 
-def _check_outputs(sc: Scenario, outputs) -> None:
-    """Reject a requested output the run could not build: metrics need 3
+def _check_run(sc: Scenario, outputs) -> None:
+    """Reject a run that could not start, or a requested output it could
+    not build: the initial cohorts must lie in the domain, metrics need 3
     samples past the transient on ``simulate``'s grid, the histogram bins."""
+    try:
+        initial_state(sc.params, sc.initial_cohorts)
+    except InvalidStateError as exc:
+        raise ConfigurationError(f"initial_cohorts: {exc}") from exc
     if "metrics" in outputs:
         settings = sc.settings
         grid = np.arange(0, settings.n_steps + 1, _steps_per_sample(settings)) * settings.dt
@@ -141,11 +146,11 @@ def _check_outputs(sc: Scenario, outputs) -> None:
 
 def run_scenario(sc: Scenario, out_dir: str = ".") -> RunResult:
     """Execute one scenario and write to ``out_dir`` the artifacts its
-    outputs request, whose preconditions alone are checked before the
-    run. On integration blowup a diagnostic ``{name}_error.json`` is
+    outputs request. The initial cohorts, and the preconditions of those
+    outputs alone, are checked before the run. On integration blowup a diagnostic ``{name}_error.json`` is
     written and the blowup is re-raised for the caller to handle.
     """
-    _check_outputs(sc, sc.outputs)
+    _check_run(sc, sc.outputs)
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
     try:
@@ -297,7 +302,7 @@ def run_sweep(sw: SweepSpec, out_dir: str = ".", jobs: int | None = None) -> lis
     ]
     for sc, value, _ in tasks:
         try:
-            _check_outputs(sc, {"metrics", *sc.outputs})
+            _check_run(sc, {"metrics", *sc.outputs})
         except ConfigurationError as exc:
             raise ConfigurationError(f"sweep point {sw.point_label(value)}: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)

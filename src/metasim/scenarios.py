@@ -8,7 +8,7 @@ any numerics run; validation failures carry the offending path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import jsonschema
 import numpy as np
@@ -26,8 +26,8 @@ __all__ = [
     "scenario_to_dict",
 ]
 
-_PARAM_NAMES = ("b", "e", "k", "m", "alpha", "V0", "K0", "Vm")
-_SETTING_NAMES = ("dt", "t_end", "sample_every", "weight_floor")
+_PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
+_SETTING_NAMES = tuple(f.name for f in fields(SolverSettings))
 _OUTPUT_KINDS = ("timeseries", "histogram", "metrics", "plots")
 
 SCENARIO_SCHEMA = {
@@ -186,10 +186,12 @@ def _validate(instance: dict, schema: dict, what: str):
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a Scenario from validated JSON data."""
     _validate(raw, SCENARIO_SCHEMA, "scenario")
+    # the schema admits only Scenario's fields; an absent one keeps its default
+    kwargs = dict(raw)
     try:
-        params = ModelParams(**raw.get("params", {}))
-        settings = SolverSettings(**raw.get("settings", {}))
-        cohorts = tuple(
+        kwargs["params"] = ModelParams(**raw.get("params", {}))
+        kwargs["settings"] = SolverSettings(**raw.get("settings", {}))
+        kwargs["initial_cohorts"] = tuple(
             Cohort(
                 birth_time=c.get("birth_time", 0.0),
                 weight=c["weight"],
@@ -201,26 +203,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise
     except Exception as exc:
         raise ConfigurationError(f"invalid scenario content: {exc}") from exc
-    return Scenario(
-        name=raw["name"],
-        params=params,
-        settings=settings,
-        initial_cohorts=cohorts,
-        outputs=tuple(raw.get("outputs", _OUTPUT_KINDS)),
-        transient=raw.get("transient"),
-        log_scale=raw.get("log_scale", False),
-        n_bins=raw.get("n_bins", 40),
-    )
+    if "outputs" in raw:
+        kwargs["outputs"] = tuple(raw["outputs"])
+    return Scenario(**kwargs)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
     """Serialize a Scenario to its JSON file form (round-trips)."""
-    p = sc.params
-    s = sc.settings
     out = {
         "name": sc.name,
-        "params": {name: getattr(p, name) for name in _PARAM_NAMES},
-        "settings": {name: getattr(s, name) for name in _SETTING_NAMES},
+        "params": asdict(sc.params),
+        "settings": asdict(sc.settings),
         "outputs": list(sc.outputs),
         "transient": sc.transient,
         "log_scale": sc.log_scale,

@@ -21,22 +21,25 @@ to rounding and the smooth case at grid-squared accuracy. Every cell
 but the first (from the emission onset to the next node) is a grid cell
 of width dtau, so their exact weights are two scalars, and the sum over
 them is one exponential and two dot products with arrays fixed before
-the solve. The horizon doubles from 50 until the flow has settled at
-the fixed point (1, 1) or the part of the integral past it can no
-longer move the root, whichever comes first, up to a cap of 900;
-beyond it the tail integral (m / lambda) * exp(-lambda * tau_max) is
-added in closed form. A flow query extends the cached flow as far as
-it needs, up to the cap; past the cap it returns the state at the
-first doubled horizon where the flow has settled, and a flow that
-never settled is an error.
+the solve. One walk sets the horizon: it starts at 50 and extends the
+flow one horizon at a time, up to a cap of 900. Until the emission
+onset lies among the nodes built so far it doubles the horizon, and a
+flow that settles at the fixed point (1, 1), or reaches the cap, before
+the onset has no root. From the onset on, it stops once the flow has
+settled, the cap is reached, or the part of the integral past the
+horizon can no longer move the root; beyond the horizon the tail
+integral (m / lambda) * exp(-lambda * tau_max) is added in closed form.
+A flow query extends the cached flow as far as it needs, up to the cap;
+past the cap it returns the state at the first doubled horizon where
+the flow has settled, and a flow that never settled is an error.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -101,18 +104,6 @@ class _Flow:
     def settled_at(self, i: int) -> bool:
         return abs(self.Va[i] - 1.0) + abs(self.Ka[i] - 1.0) < _SETTLE_TOL
 
-    def horizon_where(self, done) -> float:
-        """First horizon of 50, 100, 200, ... at which ``done(last)``
-        holds for its last node, the flow has settled there, or the cap
-        is reached; the flow is built at least that far."""
-        horizon = _TAU_MAX_INITIAL
-        while True:
-            self.extend_to(horizon)
-            last = self.node(horizon)
-            if done(last) or horizon >= _TAU_MAX_CAP or self.settled_at(last):
-                return horizon
-            horizon = min(2.0 * horizon, _TAU_MAX_CAP)
-
     def extend_to(self, tau_target: float):
         # model._rk4_step(V, K, b, 0.0, h) with its stages written out, in
         # the same operations and order, so the grid is bit-identical to
@@ -157,7 +148,10 @@ class _Flow:
         itself. Extends the flow as far as tau needs, up to the cap; past
         the cap, the node at the first horizon where the flow settled."""
         if tau >= _TAU_MAX_CAP:
-            horizon = self.horizon_where(lambda last: False)
+            horizon = _TAU_MAX_INITIAL
+            while horizon < _TAU_MAX_CAP and not self.settled_at(self.node(horizon)):
+                horizon = min(2.0 * horizon, _TAU_MAX_CAP)
+                self.extend_to(horizon)
             last = self.node(horizon)
             if tau > horizon and not self.settled_at(last):
                 raise ConfigurationError(
@@ -174,20 +168,12 @@ class _Flow:
         )
 
 
-# least recently used first; a slow-regime flow holds up to 900k nodes
-_flow_cache: OrderedDict[tuple[float, float, float], _Flow] = OrderedDict()
+# a slow-regime flow holds up to 900k nodes; the key is (b, V0, K0)
+_flow = lru_cache(maxsize=_FLOW_CACHE_SIZE)(_Flow)
 
 
 def _flow_for(p: ModelParams) -> _Flow:
-    key = (p.b, p.V0, p.K0)
-    flow = _flow_cache.get(key)
-    if flow is None:
-        flow = _flow_cache[key] = _Flow(p.b, p.V0, p.K0)
-        if len(_flow_cache) > _FLOW_CACHE_SIZE:
-            _flow_cache.popitem(last=False)
-    else:
-        _flow_cache.move_to_end(key)
-    return flow
+    return _flow(p.b, p.V0, p.K0)
 
 
 def characteristic_flow(tau: float, p: ModelParams) -> TumorState:
@@ -199,31 +185,27 @@ def characteristic_flow(tau: float, p: ModelParams) -> TumorState:
     return TumorState(V=V, K=K)
 
 
-def _emission_threshold_time(flow: _Flow, Vm: float) -> tuple[float | None, float]:
-    """First time the flow volume reaches Vm, or None if it never does,
-    with the search horizon it stopped at.
+def _emission_threshold_time(flow: _Flow, Vm: float, last: int) -> float | None:
+    """First time the flow volume reaches Vm within nodes 0 to ``last``,
+    or None if it does not.
 
     V is strictly increasing along the flow for V0 < K0, so the
-    crossing is unique. The search horizon doubles from 50 until it
-    holds the crossing, or the flow has settled there or reached the
-    cap; the crossing is bracketed on the grid and solved on the flow's
-    in-cell step.
+    crossing is unique. It is bracketed on the grid and solved on the
+    flow's in-cell step.
     """
-    horizon = flow.horizon_where(lambda last: bool((flow.Va[: last + 1] >= Vm).any()))
-    hits = flow.Va[: flow.node(horizon) + 1] >= Vm
+    hits = flow.Va[: last + 1] >= Vm
     if not hits.any():
-        return None, horizon
+        return None
     i = int(np.argmax(hits))
     if i == 0:
-        return 0.0, horizon
-    tau_star = brentq(
+        return 0.0
+    return brentq(
         lambda tau: flow.at(tau)[0] - Vm,
         (i - 1) * flow.dtau,
         i * flow.dtau,
         xtol=1e-15,
         rtol=4.0 * np.finfo(float).eps,
     )
-    return tau_star, horizon
 
 
 def malthus_exponent(p: ModelParams) -> SpectralResult:
@@ -239,42 +221,48 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     if p.m <= 0.0:
         raise NoRootError("no positive growth exponent exists for m = 0")
 
+    # The horizon starts at 50 and doubles until the emission onset
+    # tau_star lies among the nodes built so far; a flow that settles or
+    # reaches the cap first never switches emission on. From the onset
+    # on, the horizon grows until the flow has settled there, the cap is
+    # reached, or the tail can no longer move the root: beta <= C =
+    # max(m, max beta on the grid) along the whole flow, so the cells
+    # past tau add at most (C / lam) exp(-lam tau) to the integral. The
+    # root of the integral truncated at the horizon, with no tail, is a
+    # lower estimate lam_lo of lambda0, and the bound is taken there;
+    # short of it, the horizon grows to the bound, at most doubling. A
+    # longer horizon only raises lam_lo and lowers the bound, so a
+    # horizon that reached the bound needs no second solve.
     flow = _flow_for(p)
-    tau_star, horizon = _emission_threshold_time(flow, p.Vm)
-    if tau_star is None:
-        raise NoRootError(
-            f"the flow never reaches the emission threshold Vm={p.Vm:g}; no births occur"
-        )
-
-    # The horizon starts where the threshold search stopped, the first
-    # doubled one that holds the crossing, and grows until the flow has
-    # settled there, the cap is reached, or the tail can no longer move
-    # the root: beta <= C = max(m, max beta on the grid) along the whole
-    # flow, so the cells past tau add at most (C / lam) exp(-lam tau) to
-    # the integral. The root of the integral truncated at the horizon,
-    # with no tail, is a lower estimate lam_lo of lambda0, and the bound
-    # is taken there; short of it, the horizon grows to the bound, at
-    # most doubling. A longer horizon only raises lam_lo and lowers the
-    # bound, so a horizon that reached the bound needs no second solve.
-    tau_bound = math.inf
+    horizon, tau_star, tau_bound = _TAU_MAX_INITIAL, None, math.inf
     while True:
         flow.extend_to(horizon)
         last = flow.node(horizon)
-        integral, Vs = _truncated_integral(flow, p, tau_star, last)
-        # F -> +inf as lam -> 0+ and F < 0 once lam exceeds the
-        # emission-rate ceiling along the flow, m * max(Vs)^alpha
-        peak = float(np.max(Vs)) ** p.alpha
-        hi = 1.5 * p.m * peak + 1e-6
-        if horizon >= min(tau_bound, _TAU_MAX_CAP) or flow.settled_at(last):
-            break
-        # a truncated integral that stays <= 1 as lam -> 0 has no root to
-        # bound the horizon with, so the horizon just doubles
-        if integral(_LAM_FLOOR) > 1.0:
-            lam_lo = _root(lambda lam: integral(lam) - 1.0, hi)
-            C = p.m * max(1.0, peak)
-            tau_bound = float(math.ceil(math.log(C / (lam_lo * _TAIL_TOL)) / lam_lo))
-        if horizon >= tau_bound:
-            break
+        at_end = horizon >= _TAU_MAX_CAP or flow.settled_at(last)
+        if tau_star is None:
+            tau_star = _emission_threshold_time(flow, p.Vm, last)
+        if tau_star is None:
+            if at_end:
+                raise NoRootError(
+                    f"the flow never reaches the emission threshold Vm={p.Vm:g}; "
+                    "no births occur"
+                )
+        else:
+            integral, Vs = _truncated_integral(flow, p, tau_star, last)
+            # F -> +inf as lam -> 0+ and F < 0 once lam exceeds the
+            # emission-rate ceiling along the flow, m * max(Vs)^alpha
+            peak = float(np.max(Vs)) ** p.alpha
+            hi = 1.5 * p.m * peak + 1e-6
+            if at_end or horizon >= tau_bound:
+                break
+            # a truncated integral that stays <= 1 as lam -> 0 has no
+            # root to bound the horizon with, so the horizon just doubles
+            if integral(_LAM_FLOOR) > 1.0:
+                lam_lo = _root(lambda lam: integral(lam) - 1.0, hi)
+                C = p.m * max(1.0, peak)
+                tau_bound = float(math.ceil(math.log(C / (lam_lo * _TAIL_TOL)) / lam_lo))
+            if horizon >= tau_bound:
+                break
         horizon = min(2.0 * horizon, tau_bound, _TAU_MAX_CAP)
 
     # the tail past the horizon as if the flow sat at (1, 1), where

@@ -7,6 +7,13 @@ import pytest
 from metasim.cli import main
 
 TIMESERIES_HEADER = "t,M,N,I,Vp,born_cum,exited_cum"
+# an initial cohort below the domain edge V0 = 0.1
+LOW = {
+    "name": "low",
+    "settings": {"t_end": 2.0},
+    "initial_cohorts": [{"weight": 1.0, "V": 0.05, "K": 0.2}],
+    "outputs": ["timeseries"],
+}
 METRIC_KEYS = ["peaks", "mean_period", "amplitude", "min_after_transient", "largest_volume"]
 
 
@@ -105,6 +112,7 @@ class TestRun:
         [
             ({"name": "late", "settings": {"t_end": 5.0}, "transient": 10.0}, "fewer than 3"),
             ({"name": "big", "params": {"V0": 1.5, "K0": 2.0}}, "V0 < 1"),
+            (LOW, "initial_cohorts: cohort at V=0.05 lies below the domain edge V0=0.1"),
         ],
     )
     def test_configuration_error_exits_2_before_the_run(
@@ -114,7 +122,7 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", sc, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 4
@@ -173,6 +181,36 @@ class TestSweep:
             "sweep point e=0.5: window beyond transient=10 holds fewer than 3 samples"
             in capsys.readouterr().err
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            (
+                {"base": LOW, "axis": "e", "values": [0.5, 2]},
+                "sweep point e=0.5: initial_cohorts: cohort at V=0.05",
+            ),
+            (
+                {
+                    "base": {
+                        "name": "v",
+                        "params": {"K0": 0.5},
+                        "initial_cohorts": [{"weight": 1.0, "V": 0.15, "K": 0.3}],
+                    },
+                    "axis": "V0",
+                    "values": [0.1, 0.2],
+                },
+                "sweep point V0=0.2: initial_cohorts: cohort at V=0.15",
+            ),
+        ],
+    )
+    def test_cohort_outside_the_domain_exits_2_before_any_output(
+        self, tmp_path, no_steps, capsys, sweep, message
+    ):
+        sw = _write(tmp_path / "sw.json", sweep)
+        out = tmp_path / "out"
+        assert main(["sweep", sw, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_summary_has_one_row_per_value(self, tmp_path, capsys):

@@ -68,7 +68,7 @@ class TestCharacteristicFlow:
         # b = 0.01 reaches the horizon cap before settling at (1, 1); the
         # last node is 6.4e-3 from the state at tau = 1200
         p = ModelParams(e=0.0, b=0.01)
-        spectral._flow_cache.clear()
+        spectral._flow.cache_clear()
         with pytest.raises(ConfigurationError, match="tau=1200 .* tau_max=900"):
             characteristic_flow(1200.0, p)
         flow = spectral._flow_for(p)
@@ -80,7 +80,7 @@ class TestCharacteristicFlow:
         # the anchor flow settles at tau = 50, so a query past the cap
         # neither builds to the cap nor depends on how far it was built
         p = ModelParams(e=0.0)
-        spectral._flow_cache.clear()
+        spectral._flow.cache_clear()
         far = characteristic_flow(1000.0, p)
         flow = spectral._flow_for(p)
         assert flow.tau_max == spectral._TAU_MAX_INITIAL
@@ -135,10 +135,12 @@ class TestMalthusExponent:
         # the oracle's trapezoid is first order at the switch-on, so its
         # gap to the product rule reaches about 5e-5 here
         p = ModelParams(e=0.0, Vm=Vm)
+        spectral._flow.cache_clear()
         res = malthus_exponent(p)
         oracle = brute_lambda0(p.b, p.m, p.alpha, p.V0, p.K0, p.Vm)
         assert res.lambda0 == pytest.approx(oracle, rel=1e-4)
-        tau_star, _ = spectral._emission_threshold_time(spectral._flow_for(p), Vm)
+        flow = spectral._flow_for(p)
+        tau_star = spectral._emission_threshold_time(flow, Vm, flow.Va.size - 1)
         assert characteristic_flow(tau_star, p).V == pytest.approx(Vm, rel=0, abs=1e-13)
 
     def test_emission_threshold_shrinks_exponent(self):
@@ -156,9 +158,12 @@ class TestMalthusExponent:
 
     def test_unreachable_threshold_no_root(self):
         # the flow saturates at V = 1, so a threshold above it never
-        # switches emission on
-        with pytest.raises(NoRootError):
-            malthus_exponent(ModelParams(e=0.0, Vm=5.0))
+        # switches emission on; the walk stops where the flow settled
+        p = ModelParams(e=0.0, Vm=5.0)
+        spectral._flow.cache_clear()
+        with pytest.raises(NoRootError, match="never reaches the emission threshold Vm=5"):
+            malthus_exponent(p)
+        assert spectral._flow_for(p).tau_max == spectral._TAU_MAX_INITIAL
 
 
 # the anchor and the deep-seed regime, whose flows settle first and keep
@@ -176,7 +181,7 @@ class TestQuadratureGrid:
     @pytest.fixture(autouse=True)
     def cold_solve(self, params):
         # the flow a cold solve leaves: exactly the nodes up to its horizon
-        spectral._flow_cache.clear()
+        spectral._flow.cache_clear()
         malthus_exponent(ModelParams(e=0.0, **params))
 
     def test_flow_grid_is_the_oracle_bit_for_bit(self, params, tau_max, nodes):
@@ -269,26 +274,28 @@ class TestHorizon:
         [(dict(b=0.01, Vm=0.9), 495.5592281661308), (dict(b=0.1, Vm=0.95), 64.94905844896935)],
     )
     def test_crossing_past_the_first_horizon(self, params, tau_star):
-        # the threshold search extends a cold flow until it finds the crossing
+        # a cold solve extends the flow until it finds the crossing
         p = ModelParams(e=0.0, **params)
-        spectral._flow_cache.clear()
-        found, _ = spectral._emission_threshold_time(spectral._flow_for(p), p.Vm)
+        spectral._flow.cache_clear()
+        malthus_exponent(p)
+        flow = spectral._flow_for(p)
+        found = spectral._emission_threshold_time(flow, p.Vm, flow.Va.size - 1)
         assert found == pytest.approx(tau_star, rel=1e-12)
         assert found > spectral._TAU_MAX_INITIAL
 
     @pytest.mark.parametrize("params", [dict(b=0.134), dict(b=0.1, Vm=0.95)])
     def test_result_does_not_depend_on_earlier_queries(self, params):
         p = ModelParams(e=0.0, **params)
-        spectral._flow_cache.clear()
+        spectral._flow.cache_clear()
         cold = malthus_exponent(p)
-        spectral._flow_cache.clear()
+        spectral._flow.cache_clear()
         characteristic_flow(800.0, p)
         assert spectral._flow_for(p).tau_max > cold.tau_max
         assert malthus_exponent(p) == cold
 
     def test_queries_past_the_decay_horizon_extend_the_flow(self):
         p = ModelParams(e=0.0, b=0.134)
-        spectral._flow_cache.clear()
+        spectral._flow.cache_clear()
         res = malthus_exponent(p)
         assert res.tau_max < 150.0
         ks = (150_000, 300_000, 899_000)
@@ -302,8 +309,8 @@ class TestFlowCache:
         size = spectral._FLOW_CACHE_SIZE
         for k in range(size + 2):
             characteristic_flow(1.0, ModelParams(e=0.0, b=2.0 + k))
-            assert len(spectral._flow_cache) <= size
-        assert len(spectral._flow_cache) == size
+            assert spectral._flow.cache_info().currsize <= size
+        assert spectral._flow.cache_info().currsize == size
 
     def test_recently_used_flow_is_kept(self):
         p = ModelParams(e=0.0)
@@ -319,11 +326,16 @@ class TestFlowCache:
         first = spectral._flow_for(p)
         for k in range(spectral._FLOW_CACHE_SIZE):
             spectral._flow_for(ModelParams(e=0.0, b=2.0 + k))
-        assert (p.b, p.V0, p.K0) not in spectral._flow_cache
         again = spectral._flow_for(p)
         assert again is not first
         assert np.array_equal(again.Va, first.Va)
         assert np.array_equal(again.Ka, first.Ka)
+
+    def test_sets_that_differ_off_the_flow_share_it(self):
+        # the flow depends on b, V0 and K0 only, so the key holds no more
+        flow = spectral._flow_for(ModelParams(e=0.0, b=0.7))
+        for other in (dict(m=2.0), dict(alpha=0.0), dict(Vm=0.5), dict(e=1.0)):
+            assert spectral._flow_for(ModelParams(**(dict(e=0.0, b=0.7) | other))) is flow
 
 
 class TestFitGrowthRate:
