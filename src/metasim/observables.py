@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .engine import SystemState, Trajectory
 from .errors import ConfigurationError
@@ -104,12 +103,42 @@ def _window(times: np.ndarray, transient: float) -> np.ndarray:
     return mask
 
 
+def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the peaks of the finite 1-D float array ``x`` whose
+    prominence is at least ``prominence``: ``scipy.signal.find_peaks(x,
+    prominence=prominence)[0]``, without importing scipy.signal.
+
+    A peak is a run of equal samples with a lower sample on each side,
+    counted at its middle sample ``(first + last) // 2``; a run that
+    holds an end sample of ``x`` is no peak. On each side, a peak's base
+    is the minimum of ``x`` from the peak up to the first sample higher
+    than the peak, or up to the end of ``x``; its prominence is its
+    height above the higher of its two bases.
+    """
+    if x.size < 3:
+        return np.zeros(0, dtype=np.intp)
+    starts = np.r_[0, np.flatnonzero(x[1:] != x[:-1]) + 1]
+    v = x[starts]
+    j = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = (starts[j] + starts[j + 1] - 1) // 2
+    keep = np.zeros(peaks.size, dtype=bool)
+    for i, pk in enumerate(peaks):
+        h = x[pk]
+        left = np.flatnonzero(x[:pk] > h)
+        right = np.flatnonzero(x[pk:] > h)
+        lo = left[-1] + 1 if left.size else 0
+        hi = pk + right[0] if right.size else x.size
+        keep[i] = h - max(x[lo : pk + 1].min(), x[pk:hi].min()) >= prominence
+    return peaks[keep]
+
+
 def oscillation_metrics(traj: Trajectory, transient: float) -> OscillationMetrics:
     """Peaks, mean period, mean amplitude, and minimum of M past a
     transient.
 
-    A peak is a strict local maximum whose topographic prominence
-    exceeds 1% of the window maximum; this suppresses floating-point
+    A peak is a local maximum (a plateau counts at its middle sample)
+    whose prominence is at least 1% of the window maximum, as
+    ``_find_peaks`` defines them; this suppresses floating-point
     micro-ripples without hiding genuine low-amplitude regimes. The
     amplitude is the mean drop from a peak to the following trough,
     taken over consecutive peak pairs.
@@ -118,11 +147,7 @@ def oscillation_metrics(traj: Trajectory, transient: float) -> OscillationMetric
     tw = traj.times[mask]
     Mw = traj.M[mask]
 
-    prominence = 0.01 * float(Mw.max())
-    if prominence > 0:
-        peaks, _ = find_peaks(Mw, prominence=prominence)
-    else:
-        peaks = np.array([], dtype=int)
+    peaks = _find_peaks(Mw, 0.01 * float(Mw.max()))
 
     peak_times = tw[peaks]
     peak_values = Mw[peaks]

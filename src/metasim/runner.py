@@ -147,8 +147,9 @@ def _check_run(sc: Scenario, outputs) -> None:
 def run_scenario(sc: Scenario, out_dir: str = ".") -> RunResult:
     """Execute one scenario and write to ``out_dir`` the artifacts its
     outputs request. The initial cohorts, and the preconditions of those
-    outputs alone, are checked before the run. On integration blowup a diagnostic ``{name}_error.json`` is
-    written and the blowup is re-raised for the caller to handle.
+    outputs alone, are checked before the run. On integration blowup a
+    diagnostic ``{name}_error.json`` is written and the blowup is
+    re-raised for the caller to handle.
     """
     _check_run(sc, sc.outputs)
     os.makedirs(out_dir, exist_ok=True)

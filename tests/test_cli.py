@@ -277,3 +277,14 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert "base" in proc.stdout.split()
+
+    def test_import_leaves_scipy_signal_out(self):
+        code = (
+            "import sys, metasim.cli; "
+            "print(*(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate')"
+            " if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.split() == []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metasim import (
     ConfigurationError,
@@ -12,9 +14,12 @@ from metasim import (
 from metasim.observables import (
     Trajectory,
     VolumeHistogram,
+    _find_peaks,
+    _window,
     histogram,
     oscillation_metrics,
 )
+from metasim.runner import _json_text, compute_metrics
 
 
 def _state(cohorts=(), primary=(1.0, 3.0), I=0.3, t=2.5, V0=0.1):
@@ -151,3 +156,65 @@ class TestOscillationMetrics:
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ConfigurationError):
             oscillation_metrics(_traj(t, np.ones_like(t)), transient=0.95)
+
+
+def _scipy_peaks(x, prominence):
+    from scipy.signal import find_peaks
+
+    return find_peaks(x, prominence=prominence)[0]
+
+
+@st.composite
+def _peak_cases(draw):
+    """(x, p) for the scipy oracle. Integer-valued samples make plateaus,
+    at the ends too; p is 0, inside the range of x or above it."""
+    x = np.array(
+        draw(
+            st.one_of(
+                st.lists(st.integers(-3, 3), max_size=40),
+                st.lists(st.floats(-1e6, 1e6), max_size=40),
+                st.tuples(st.floats(-1e6, 1e6), st.integers(0, 20)).map(
+                    lambda vn: [vn[0]] * vn[1]
+                ),
+            )
+        ),
+        dtype=float,
+    )
+    span = float(np.ptp(x)) if x.size else 0.0
+    p = draw(
+        st.one_of(
+            st.just(0.0),
+            st.integers(0, 6).map(float),
+            st.floats(0.0, span),
+            st.just(span + 1.0),
+        )
+    )
+    return x, p
+
+
+class TestFindPeaks:
+    @settings(max_examples=500, deadline=None)
+    @given(_peak_cases())
+    @example(([], 0.0))
+    @example(([2.0], 0.0))
+    @example(([1.0, 2.0], 0.0))
+    @example(([1.0, 2.0, 1.0], 0.0))
+    @example(([1.0, 2.0, 1.0], 2.0))
+    @example(([3.0, 3.0, 3.0], 0.0))
+    @example(([2.0, 2.0, 1.0, 3.0, 3.0], 0.0))
+    def test_equals_scipy(self, case):
+        x, p = np.asarray(case[0], dtype=float), case[1]
+        got, want = _find_peaks(x, p), _scipy_peaks(x, p)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_catalog_peaks_and_metrics_match_scipy(self, catalog_runs, monkeypatch):
+        texts = {}
+        for name, (sc, traj, _) in catalog_runs.items():
+            Mw = traj.M[_window(traj.times, sc.resolved_transient)]
+            p = 0.01 * float(Mw.max())
+            np.testing.assert_array_equal(_find_peaks(Mw, p), _scipy_peaks(Mw, p), err_msg=name)
+            texts[name] = _json_text(compute_metrics(sc, traj))
+        monkeypatch.setattr("metasim.observables._find_peaks", _scipy_peaks)
+        for name, (sc, traj, _) in catalog_runs.items():
+            assert _json_text(compute_metrics(sc, traj)) == texts[name], name
