@@ -77,8 +77,6 @@ class Cohort:
 
 
 _COHORT_ARRAYS = ("V", "K", "w", "birth_t")
-# the engine's rows also carry P = V^(2/3)
-_ROW_ARRAYS = _COHORT_ARRAYS + ("P",)
 _TWO_THIRDS = 2.0 / 3.0
 
 
@@ -114,6 +112,8 @@ class SystemState:
     def __post_init__(self):
         if not (math.isfinite(self.I) and self.I >= 0):
             raise InvalidStateError(f"inhibitor amount must be >= 0, got {self.I!r}")
+        if not (math.isfinite(self.born_count) and math.isfinite(self.exited_count)):
+            raise InvalidStateError("born_count and exited_count must be finite")
         if not math.isfinite(self.t):
             raise InvalidStateError(f"time must be finite, got {self.t!r}")
         if not (math.isfinite(self.V0) and self.V0 > 0):
@@ -211,11 +211,13 @@ class _Engine:
     rows exit, get pruned, or count toward M, N and the exported
     state. A step appends its newborn, then drops in one removal pass
     every cohort row, the newborn included, that left the domain or
-    lies below the weight floor. Beside ``V``, ``K``, ``w`` and
-    ``birth_t`` each row keeps ``P`` = V^(2/3), set wherever V is.
-    Arrays have a capacity that doubles on demand; scratch buffers for
-    the four stages are kept at the same capacity so the hot loop
-    allocates nothing.
+    lies below the weight floor. The state is two blocks of one
+    capacity that doubles on demand: ``rows`` (5 x capacity) holds V, K,
+    w, birth_t and ``P`` = V^(2/3), set wherever V is, and the
+    attributes of those names are views of its rows; ``_scratch`` (11 x
+    capacity) holds the stage buffers, so the hot loop allocates
+    nothing. ``_resize`` alone allocates both. The stages and compaction
+    run on 1-D rows, which measured faster than 2-D views.
 
     The run diagnostics are scalars updated on the way: the peak row
     count, the smallest birth denominator and the weight pruned by the
@@ -223,6 +225,8 @@ class _Engine:
     a diverging stage state leaves inf or nan in its rows, which the
     check after the update reports as a blowup.
     """
+
+    rows = np.empty((5, 0))  # no rows until the first _resize
 
     def __init__(self, p: ModelParams, state: SystemState, weight_floor: float = 0.0):
         self.p = p
@@ -232,30 +236,24 @@ class _Engine:
         self.born = _Accumulator(state.born_count)
         self.exited = _Accumulator(state.exited_count)
         n = state.w.size + 1
-        cap = max(4096, 1 << n.bit_length())
-        self.n = n
-        row0 = {"V": state.primary.V, "K": state.primary.K, "w": 1.0, "birth_t": 0.0}
-        for name, first in row0.items():
-            arr = np.empty(cap)
-            arr[0] = first
-            arr[1:n] = getattr(state, name)
-            setattr(self, name, arr)
-        self.P = np.empty(cap)
+        self._resize(max(4096, 1 << n.bit_length()))
+        self.rows[:4, 0] = state.primary.V, state.primary.K, 1.0, 0.0
+        self.rows[:4, 1:n] = state.V, state.K, state.w, state.birth_t
         _pow23(self.V[:n], self.P[:n])
-        self._scratch = [np.empty(cap) for _ in range(11)]
-        self.peak_n = n
+        self.n = self.peak_n = n
         self.min_denom = math.inf
         self.pruned = 0.0
 
     # -- storage -----------------------------------------------------
 
-    def _grow(self):
-        cap = 2 * self.V.size
-        for name in _ROW_ARRAYS:
-            arr = np.empty(cap)
-            arr[: self.n] = getattr(self, name)[: self.n]
-            setattr(self, name, arr)
-        self._scratch = [np.empty(cap) for _ in range(11)]
+    def _resize(self, cap: int):
+        """Allocate both blocks at capacity ``cap``, copy the present rows
+        over and rebind the row views."""
+        rows = np.empty((5, cap))
+        rows[:, : self.rows.shape[1]] = self.rows
+        self.rows = rows
+        self.V, self.K, self.w, self.birth_t, self.P = rows
+        self._scratch = np.empty((11, cap))
 
     # -- one step ----------------------------------------------------
 
@@ -263,13 +261,8 @@ class _Engine:
         p = self.p
         n = self.n
         b, e, k = p.b, p.e, p.k
-        V = self.V[:n]
-        K = self.K[:n]
-        w = self.w[:n]
-        P = self.P[:n]
-        (kV1, kK1, kV2, kK2, kV3, kK3, kV4, kK4, Vs, Ks, tmp) = (
-            a[:n] for a in self._scratch
-        )
+        V, K, w, _, P = self.rows[:, :n]
+        kV1, kK1, kV2, kK2, kV3, kK3, kV4, kK4, Vs, Ks, tmp = self._scratch[:, :n]
         I = self.I
 
         def stage(Vc, Kc, Pc, Ic, outV, outK):
@@ -356,7 +349,7 @@ class _Engine:
             I_new += h2 * w_new * p.V0
             self.I = I_new
             if n == self.V.size:
-                self._grow()
+                self._resize(2 * n)
             self.V[n] = Vn
             _pow23(self.V[n : n + 1], self.P[n : n + 1])
             self.K[n] = Kn
@@ -378,9 +371,8 @@ class _Engine:
                     self.pruned += x
             keep = ~drop
             m_keep = int(keep.sum())
-            for name in _ROW_ARRAYS:
-                arr = getattr(self, name)
-                arr[:m_keep] = arr[:n][keep]
+            for row in self.rows:
+                row[:m_keep] = row[:n][keep]
             n = m_keep
         self.n = n
         if n > self.peak_n:
@@ -452,6 +444,10 @@ def initial_state(p: ModelParams, initial_cohorts: tuple[Cohort, ...] = ()) -> S
     ``born_count`` starts at the total initial weight so the
     conservation identity holds from the first sample.
     """
+    try:
+        born = math.fsum(c.weight for c in initial_cohorts)
+    except OverflowError as exc:
+        raise InvalidStateError("the total initial cohort weight overflows") from exc
     return SystemState(
         t=0.0,
         primary=TumorState(V=p.V0, K=p.K0),
@@ -460,7 +456,7 @@ def initial_state(p: ModelParams, initial_cohorts: tuple[Cohort, ...] = ()) -> S
         K=[c.state.K for c in initial_cohorts],
         w=[c.weight for c in initial_cohorts],
         birth_t=[c.birth_time for c in initial_cohorts],
-        born_count=math.fsum(c.weight for c in initial_cohorts),
+        born_count=born,
         exited_count=0.0,
         V0=p.V0,
     )
@@ -543,7 +539,7 @@ class Trajectory:
 
     def __post_init__(self):
         n = np.size(self.times)
-        for name in ("times", "M", "N", "I", "Vp", "born", "exited", "largest_V"):
+        for name in (f.name for f in fields(self) if f.name != "diagnostics"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.size != n:
                 raise ConfigurationError(f"series {name} length differs from times")

@@ -238,7 +238,7 @@ def _read_object(path: str, what: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: {what} file must hold a JSON object")

@@ -14,6 +14,11 @@ LOW = {
     "initial_cohorts": [{"weight": 1.0, "V": 0.05, "K": 0.2}],
     "outputs": ["timeseries"],
 }
+# two finite initial weights whose sum overflows
+HEAVY = {
+    "name": "heavy",
+    "initial_cohorts": [{"weight": 1e308, "V": 0.5, "K": 1.0}] * 2,
+}
 METRIC_KEYS = ["peaks", "mean_period", "amplitude", "min_after_transient", "largest_volume"]
 
 
@@ -113,6 +118,7 @@ class TestRun:
             ({"name": "late", "settings": {"t_end": 5.0}, "transient": 10.0}, "fewer than 3"),
             ({"name": "big", "params": {"V0": 1.5, "K0": 2.0}}, "V0 < 1"),
             (LOW, "initial_cohorts: cohort at V=0.05 lies below the domain edge V0=0.1"),
+            (HEAVY, "initial_cohorts: the total initial cohort weight overflows"),
         ],
     )
     def test_configuration_error_exits_2_before_the_run(
@@ -288,3 +294,15 @@ class TestParser:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout.split() == []
+
+
+class TestInputFile:
+    @pytest.mark.parametrize("command", ["run", "sweep", "lambda0"])
+    def test_non_utf8_file_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        out = ["--out", "out"] if command != "lambda0" else []
+        assert main([command, str(bad), *out]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [bad]

@@ -78,6 +78,12 @@ class TestInitialState:
         with pytest.raises(InvalidStateError):
             Cohort(birth_time=0.0, weight=-1.0, state=TumorState(0.5, 1.0))
 
+    def test_overflowing_total_weight_rejected(self):
+        # each weight is finite, their sum is not
+        heavy = Cohort(birth_time=0.0, weight=1e308, state=TumorState(0.5, 1.0))
+        with pytest.raises(InvalidStateError, match="overflows"):
+            initial_state(ModelParams(), (heavy, heavy))
+
 
 class TestRates:
     def test_burden_weights_volumes(self):
@@ -274,6 +280,17 @@ class TestSystemStateArrays:
         with pytest.raises(InvalidStateError):
             self._build(p, **(self._GOOD | {name: bad}))
 
+    @pytest.mark.parametrize(
+        "born, exited", [(math.inf, 0.0), (5.0, math.nan), (math.inf, math.nan)]
+    )
+    def test_non_finite_counts_rejected(self, born, exited):
+        p = ModelParams()
+        with pytest.raises(InvalidStateError, match="must be finite"):
+            SystemState(
+                t=0.0, primary=TumorState(p.V0, p.K0), I=0.0, born_count=born,
+                exited_count=exited, V0=p.V0, **self._GOOD,
+            )
+
     def test_arrays_are_read_only_copies(self):
         p = ModelParams()
         given_arrays = {name: np.array(v) for name, v in self._GOOD.items()}
@@ -345,24 +362,20 @@ class TestSimulate:
         with pytest.raises(IntegrationBlowupError):
             simulate(p, SolverSettings(dt=1e-2, t_end=1.0, sample_every=0.1))
 
-    @pytest.mark.parametrize(
-        "params, weight_floor",
-        [
-            (dict(), 4e-3),  # newborns below the floor
-            (dict(e=0.0, Vm=0.0), 0.0),
-            (dict(alpha=0.5, Vm=0.15, m=2.0), 1e-3),
-        ],
-    )
-    def test_samples_match_a_loop_of_public_steps(self, params, weight_floor):
-        p = ModelParams(**params)
+    @staticmethod
+    def _match_public_steps(p, weight_floor, cohorts=(), t_end=10.0, every=10):
+        """Run ``simulate`` and a loop of public ``step`` calls side by
+        side and compare them; returns the trajectory, the final state
+        and the loop's last state."""
         dt = 1e-2
-        traj, final = simulate(
-            p, SolverSettings(dt=dt, t_end=10.0, sample_every=0.1, weight_floor=weight_floor)
+        settings = SolverSettings(
+            dt=dt, t_end=t_end, sample_every=every * dt, weight_floor=weight_floor
         )
-        states = [initial_state(p)]
-        for _ in range(1000):
+        traj, final = simulate(p, settings, cohorts)
+        states = [initial_state(p, cohorts)]
+        for _ in range(settings.n_steps):
             states.append(step(states[-1], p, dt, weight_floor=weight_floor))
-        sampled = states[::10]
+        sampled = states[::every]
         assert len(sampled) == traj.times.size
         expected = {
             "M": [total_burden(s) for s in sampled],
@@ -385,9 +398,40 @@ class TestSimulate:
             assert not (s.V < p.V0).any()
         for name in ("V", "K", "w"):
             assert np.array_equal(getattr(final, name), getattr(states[-1], name)), name
+        # simulate pins t to (i + 1) * dt while a loop of step() sums dt,
+        # so birth times agree to rounding
+        np.testing.assert_allclose(final.birth_t, states[-1].birth_t, rtol=1e-13, atol=0)
         assert traj.diagnostics["final_live"] == states[-1].w.size
         if weight_floor:
             assert traj.diagnostics["pruned_weight"] > 0.0
+        return traj, final, states[-1]
+
+    @pytest.mark.parametrize(
+        "params, weight_floor",
+        [
+            (dict(), 4e-3),  # newborns below the floor
+            (dict(e=0.0, Vm=0.0), 0.0),
+            (dict(alpha=0.5, Vm=0.15, m=2.0), 1e-3),
+        ],
+    )
+    def test_samples_match_a_loop_of_public_steps(self, params, weight_floor):
+        self._match_public_steps(ModelParams(**params), weight_floor)
+
+    def test_samples_match_public_steps_across_growth(self):
+        # 4 093 growing cohorts plus the primary: simulate's 4 096-row
+        # capacity doubles at step 3, while every step() call allocates
+        # 8 192 rows afresh; M is compared at every step
+        rng = np.random.default_rng(13)
+        V = rng.uniform(0.3, 0.9, 4093)
+        w = rng.uniform(0.0, 1e-3, 4093)
+        cohorts = tuple(
+            Cohort(0.0, x, TumorState(v, 1.5 * v)) for x, v in zip(w.tolist(), V.tolist())
+        )
+        traj, final, last = self._match_public_steps(
+            ModelParams(), 0.0, cohorts, t_end=0.1, every=1
+        )
+        assert traj.diagnostics["peak_live"] + 1 > 4096
+        assert np.array_equal(final.birth_t, last.birth_t)
 
     def test_runs_with_V0_past_the_histogram_range(self):
         # binning is the runner's reading of the final state, so a birth
