@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
 
 import jsonschema
 import numpy as np
@@ -176,16 +177,25 @@ class SweepSpec:
         ]
 
 
-def _validate(instance: dict, schema: dict, what: str):
-    try:
-        jsonschema.validate(instance, schema)
-    except jsonschema.ValidationError as exc:
+@lru_cache(maxsize=None)
+def _validator(what: str):
+    # jsonschema.validate checks the schema and builds a validator on
+    # every call; this does both once per schema
+    schema = {"scenario": SCENARIO_SCHEMA, "sweep": SWEEP_SCHEMA}[what]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(instance: dict, what: str):
+    exc = jsonschema.exceptions.best_match(_validator(what).iter_errors(instance))
+    if exc is not None:
         raise ConfigurationError(f"invalid {what} at {exc.json_path}: {exc.message}") from exc
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a Scenario from validated JSON data."""
-    _validate(raw, SCENARIO_SCHEMA, "scenario")
+    _validate(raw, "scenario")
     # the schema admits only Scenario's fields; an absent one keeps its default
     kwargs = dict(raw)
     try:
@@ -251,7 +261,7 @@ def load_scenario(path: str) -> Scenario:
 
 def load_sweep(path: str) -> SweepSpec:
     raw = _read_object(path, "sweep")
-    _validate(raw, SWEEP_SCHEMA, "sweep")
+    _validate(raw, "sweep")
 
     base_raw = raw["base"]
     if isinstance(base_raw, str):

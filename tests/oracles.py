@@ -79,6 +79,27 @@ def brute_lambda0(
     return 0.5 * (lo + hi)
 
 
+def richardson_lambda0(
+    b: float,
+    m: float,
+    alpha: float,
+    V0: float,
+    K0: float,
+    Vm: float,
+    tau_max: float = 200.0,
+    h: float = 1e-3,
+) -> float:
+    """``brute_lambda0`` at steps h and h/2, extrapolated as
+    (4 lambda(h/2) - lambda(h)) / 3 to cancel the trapezoid's h^2 term.
+
+    The threshold must lie on or below V0 (or on a node of both grids):
+    a gated beta jumps mid-cell, which leaves a first-order term the
+    extrapolation does not cancel.
+    """
+    args = (b, m, alpha, V0, K0, Vm, tau_max)
+    return (4.0 * brute_lambda0(*args, h / 2) - brute_lambda0(*args, h)) / 3.0
+
+
 def renewal_births(p, T: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Flow volume V at ages 0, h, ..., T and birth rate B at times
     0, h, ..., T of the uncoupled model (e = 0), from its renewal

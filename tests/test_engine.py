@@ -291,6 +291,15 @@ class TestSystemStateArrays:
                 exited_count=exited, V0=p.V0, **self._GOOD,
             )
 
+    @pytest.mark.parametrize("born, exited", [(-7.0, 0.0), (5.0, -3.0), (-7.0, -3.0)])
+    def test_negative_counts_rejected(self, born, exited):
+        p = ModelParams()
+        with pytest.raises(InvalidStateError, match="must be finite and >= 0"):
+            SystemState(
+                t=0.0, primary=TumorState(p.V0, p.K0), I=0.0, born_count=born,
+                exited_count=exited, V0=p.V0, **self._GOOD,
+            )
+
     def test_arrays_are_read_only_copies(self):
         p = ModelParams()
         given_arrays = {name: np.array(v) for name, v in self._GOOD.items()}

@@ -16,7 +16,7 @@ from metasim.spectral import (
     fit_growth_rate,
     malthus_exponent,
 )
-from oracles import brute_lambda0, flow_dense
+from oracles import brute_lambda0, flow_dense, richardson_lambda0
 
 
 class TestCharacteristicFlow:
@@ -43,10 +43,10 @@ class TestCharacteristicFlow:
         p = ModelParams(e=0.0)
         h = 1e-5
         dense = flow_dense(p.b, p.V0, p.K0, 3.0, h)
-        # fine-grid indices off the 1e-3 flow grid, then two times just
+        # fine-grid indices off the flow grid, then two times just
         # below the node at 3
         ks = [17 + 14993 * j for j in range(20)] + [299_999]
-        assert all(k % 100 for k in ks)
+        assert all(k % round(spectral._DTAU / h) for k in ks)
         for k in ks:
             assert characteristic_flow(k * h, p).V == pytest.approx(dense[k], rel=0, abs=1e-12)
         below = math.nextafter(3.0, 0.0)
@@ -130,6 +130,14 @@ class TestMalthusExponent:
         assert lam2 > lam1
         assert lam2 == pytest.approx(0.7028569585168192, rel=1e-9)
 
+    @pytest.mark.parametrize("params", [dict(), dict(b=5.0), dict(m=2.0), dict(b=0.3)])
+    def test_matches_the_extrapolated_brute_force(self, params):
+        # the oracle's trapezoid at h and h/2, extrapolated; both sides
+        # cancel their h^2 term, so they agree far below either grid error
+        p = ModelParams(e=0.0, **params)
+        oracle = richardson_lambda0(p.b, p.m, p.alpha, p.V0, p.K0, p.Vm)
+        assert malthus_exponent(p).lambda0 == pytest.approx(oracle, rel=1e-12)
+
     @pytest.mark.parametrize("Vm", [0.3, 0.5, 0.9])
     def test_gated_threshold_vs_brute_force(self, Vm):
         # the oracle's trapezoid is first order at the switch-on, so its
@@ -167,16 +175,21 @@ class TestMalthusExponent:
 
 
 # the anchor and the deep-seed regime, whose flows settle first and keep
-# the horizon and node count they have always had, and a slow b, whose
-# horizon the decay bound sets (it settled at 200 before the bound)
+# the horizon they have always had, and a slow b, whose horizon the
+# decay bound sets (it settled at 200 before the bound)
 FROZEN_FOOTPRINTS = [
-    (dict(), 50.0, 50001),
-    (dict(b=0.2), 114.0, 114001),
-    (dict(V0=1e-4, K0=1e-3), 100.0, 100001),
+    (dict(), 50.0, 25001),
+    (dict(b=0.2), 114.0, 57001),
+    (dict(V0=1e-4, K0=1e-3), 100.0, 50001),
 ]
 
 
-@pytest.mark.parametrize("params, tau_max, nodes", FROZEN_FOOTPRINTS)
+# the ids keep the names the rows had on the 1e-3 grid, with twice the cells
+@pytest.mark.parametrize(
+    "params, tau_max, nodes",
+    FROZEN_FOOTPRINTS,
+    ids=["params0-50.0-50001", "params1-114.0-114001", "params2-100.0-100001"],
+)
 class TestQuadratureGrid:
     @pytest.fixture(autouse=True)
     def cold_solve(self, params):
@@ -187,7 +200,7 @@ class TestQuadratureGrid:
     def test_flow_grid_is_the_oracle_bit_for_bit(self, params, tau_max, nodes):
         p = ModelParams(e=0.0, **params)
         flow = spectral._flow_for(p)
-        dense = flow_dense(p.b, p.V0, p.K0, tau_max, 1e-3)
+        dense = flow_dense(p.b, p.V0, p.K0, tau_max, spectral._DTAU)
         assert np.array_equal(flow.Va, dense)
 
     def test_inlined_loop_is_the_rk4_step_bit_for_bit(self, params, tau_max, nodes):
@@ -197,11 +210,22 @@ class TestQuadratureGrid:
         # the first ten thousand nodes
         V, K = [p.V0], [p.K0]
         for _ in range(nodes - 1):
-            v, k = _rk4_step(V[-1], K[-1], p.b, 0.0, 1e-3)
+            v, k = _rk4_step(V[-1], K[-1], p.b, 0.0, spectral._DTAU)
             V.append(v)
             K.append(k)
         assert np.array_equal(flow.Va, V)
         assert np.array_equal(flow.Ka, K)
+
+    def test_coarse_grid_ends_at_the_horizon(self, params, tau_max, nodes):
+        # the extrapolation needs the solve on every second node to cover
+        # the same [tau_star, tau_max] as the solve on every node
+        p = ModelParams(e=0.0, **params)
+        flow = spectral._flow_for(p)
+        last = flow.node(tau_max)
+        _, fine = spectral._truncated_integral(flow, p, 0.0, last)
+        _, coarse = spectral._truncated_integral(flow, p, 0.0, last, 2)
+        assert fine.size == nodes
+        assert (coarse.size, coarse[-1]) == ((nodes + 1) // 2, fine[-1])
 
     def test_footprint_frozen_and_residual_tight(self, params, tau_max, nodes):
         res = malthus_exponent(ModelParams(e=0.0, **params))
@@ -209,65 +233,81 @@ class TestQuadratureGrid:
         assert res.residual < 1e-13
 
 
-# lambda0 as the solver gave it when every flow ran until it settled or
-# reached the cap: the anchor and the frozen footprints, slow b, other m,
-# Vm and alpha, the benchmark's first batch of b for seeds 1-3, two
-# gated slow sets whose crossing lies past the first horizon of 50, and
-# slow sets with a small m, whose integral truncated at 50 stays below 1
+# lambda0 of the anchor and the frozen footprints, slow b, other m, Vm
+# and alpha, the benchmark's first batch of b for seeds 1-3, two gated
+# slow sets whose crossing lies past the first horizon of 50, and slow
+# sets with a small m, whose integral truncated at 50 stays below 1.
+# Each row holds the single-grid product rule's value at dtau = 1e-3,
+# which names the test, then the extrapolated value at dtau = 2e-3,
+# within 1.1e-13 relative of the single-grid rule's extrapolation from
+# 1e-3 and 5e-4; the single-grid value was up to 5.3e-9 from it.
 FROZEN_LAMBDA0 = [
-    (dict(), 0.42928146616383706),
-    (dict(b=0.2), 0.3542599066564831),
-    (dict(V0=0.0001, K0=0.001), 0.15377797754573885),
-    (dict(b=0.1), 0.3344544743047505),
-    (dict(b=0.05), 0.3225633226953571),
-    (dict(b=0.01), 0.31191701804661287),
-    (dict(m=2.0), 0.7028569585463132),
-    (dict(Vm=0.5), 0.26649122038193906),
-    (dict(alpha=0.0), 0.9999999999999992),
-    (dict(b=0.13377827870871892), 0.34168654579596935),
-    (dict(b=0.2501480146657758), 0.3625859532111909),
-    (dict(b=0.26569742918010036), 0.3649879592193192),
-    (dict(b=0.623528060608783), 0.4047465668835961),
-    (dict(b=0.705089629226061), 0.4110762440801883),
-    (dict(b=1.258826309551153), 0.4411775692046234),
-    (dict(b=1.6308656851560326), 0.4541885098968872),
-    (dict(b=2.6448660862927884), 0.4766873542713131),
-    (dict(b=4.323041096130361), 0.49629059149914734),
-    (dict(b=6.758640533344163), 0.5108561625593918),
-    (dict(b=0.1541420619830465), 0.3457658796620098),
-    (dict(b=0.18179893845911338), 0.3509972549189624),
-    (dict(b=0.2784342134592024), 0.36689754193986057),
-    (dict(b=0.41002577954227787), 0.3840455618046811),
-    (dict(b=0.889007765782287), 0.4231450063449156),
-    (dict(b=1.1086513575379868), 0.43463792532922624),
-    (dict(b=1.6316410376067534), 0.4542118908091495),
-    (dict(b=3.570789421807664), 0.4890972900590895),
-    (dict(b=5.6201446365814896), 0.505226361742785),
-    (dict(b=8.196029016113725), 0.5161764066551836),
-    (dict(b=0.1486119117369139), 0.34467785882929186),
-    (dict(b=0.21700228420527476), 0.35718747927451033),
-    (dict(b=0.28519373160062783), 0.3678905922623109),
-    (dict(b=0.5663829949817726), 0.3998595857133727),
-    (dict(b=0.7436844494954645), 0.4138405184329096),
-    (dict(b=1.442005161376431), 0.44806774046514963),
-    (dict(b=1.8766584288578447), 0.4609976002353166),
-    (dict(b=3.0517841062485926), 0.48276856428686604),
-    (dict(b=4.106998463921434), 0.4944175401694936),
-    (dict(b=6.502225641609164), 0.5097199792116635),
-    (dict(b=0.01, Vm=0.9), 0.00934611960819758),
-    (dict(b=0.1, Vm=0.95), 0.046890330890380784),
-    (dict(b=0.1, m=0.01), 0.0086634767486672),
-    (dict(b=0.01, m=0.01), 0.005778893224218418),
-    (dict(b=0.3, m=0.02), 0.017687165670610856),
+    (dict(), 0.42928146616383706, 0.429281466358133),
+    (dict(b=0.2), 0.3542599066564831, 0.35425990782795086),
+    (dict(V0=0.0001, K0=0.001), 0.15377797754573885, 0.15377797744774693),
+    (dict(b=0.1), 0.3344544743047505, 0.33445447569962283),
+    (dict(b=0.05), 0.3225633226953571, 0.3225633242249512),
+    (dict(b=0.01), 0.31191701804661287, 0.31191701969814206),
+    (dict(m=2.0), 0.7028569585463132, 0.7028569588857753),
+    (dict(Vm=0.5), 0.26649122038193906, 0.2664912205130791),
+    (dict(alpha=0.0), 0.9999999999999992, 1.0000000000000038),
+    (dict(b=0.13377827870871892), 0.34168654579596935, 0.3416865471093759),
+    (dict(b=0.2501480146657758), 0.3625859532111909, 0.3625859542875382),
+    (dict(b=0.26569742918010036), 0.3649879592193192, 0.36498796026793495),
+    (dict(b=0.623528060608783), 0.4047465668835961, 0.4047465674373021),
+    (dict(b=0.705089629226061), 0.4110762440801883, 0.4110762445461009),
+    (dict(b=1.258826309551153), 0.4411775692046234, 0.4411775692037845),
+    (dict(b=1.6308656851560326), 0.4541885098968872, 0.4541885096641498),
+    (dict(b=2.6448660862927884), 0.4766873542713131, 0.4766873535850482),
+    (dict(b=4.323041096130361), 0.49629059149914734, 0.4962905903545803),
+    (dict(b=6.758640533344163), 0.5108561625593918, 0.510856161030206),
+    (dict(b=0.1541420619830465), 0.3457658796620098, 0.34576588092947763),
+    (dict(b=0.18179893845911338), 0.3509972549189624, 0.35099725612738925),
+    (dict(b=0.2784342134592024), 0.36689754193986057, 0.36689754296631927),
+    (dict(b=0.41002577954227787), 0.3840455618046811, 0.38404556262620654),
+    (dict(b=0.889007765782287), 0.4231450063449156, 0.4231450066341765),
+    (dict(b=1.1086513575379868), 0.43463792532922624, 0.434637925437533),
+    (dict(b=1.6316410376067534), 0.4542118908091495, 0.45421189057597733),
+    (dict(b=3.570789421807664), 0.4890972900590895, 0.48909728909016476),
+    (dict(b=5.6201446365814896), 0.505226361742785, 0.5052263603670505),
+    (dict(b=8.196029016113725), 0.5161764066551836, 0.5161764049751437),
+    (dict(b=0.1486119117369139), 0.34467785882929186, 0.344677860109017),
+    (dict(b=0.21700228420527476), 0.35718747927451033, 0.3571874804126833),
+    (dict(b=0.28519373160062783), 0.3678905922623109, 0.36789059327720164),
+    (dict(b=0.5663829949817726), 0.3998595857133727, 0.3998595863328093),
+    (dict(b=0.7436844494954645), 0.4138405184329096, 0.4138405188594742),
+    (dict(b=1.442005161376431), 0.44806774046514963, 0.44806774034405183),
+    (dict(b=1.8766584288578447), 0.4609976002353166, 0.46099759987274497),
+    (dict(b=3.0517841062485926), 0.48276856428686604, 0.4827685634651975),
+    (dict(b=4.106998463921434), 0.4944175401694936, 0.4944175390715327),
+    (dict(b=6.502225641609164), 0.5097199792116635, 0.5097199777139501),
+    (dict(b=0.01, Vm=0.9), 0.00934611960819758, 0.009346119608197576),
+    (dict(b=0.1, Vm=0.95), 0.046890330890380784, 0.04689033089043426),
+    (dict(b=0.1, m=0.01), 0.0086634767486672, 0.008663476749267242),
+    (dict(b=0.01, m=0.01), 0.005778893224218418, 0.005778893224578159),
+    (dict(b=0.3, m=0.02), 0.017687165670610856, 0.01768716567293159),
 ]
 
 
 class TestHorizon:
-    @pytest.mark.parametrize("params, lambda0", FROZEN_LAMBDA0)
-    def test_lambda0_frozen(self, params, lambda0):
+    @pytest.mark.parametrize(
+        "params, single_grid, lambda0",
+        FROZEN_LAMBDA0,
+        ids=[f"params{i}-{row[1]}" for i, row in enumerate(FROZEN_LAMBDA0)],
+    )
+    def test_lambda0_frozen(self, params, single_grid, lambda0):
         res = malthus_exponent(ModelParams(e=0.0, **params))
         assert res.lambda0 == pytest.approx(lambda0, rel=1e-12)
         assert res.residual < 1e-13
+        assert res.lambda0 == pytest.approx(single_grid, rel=6e-9)
+
+    def test_every_horizon_is_an_even_node(self):
+        # the walk's horizons are 50 * 2^k, an integer decay bound, or the cap
+        flow = spectral._flow_for(ModelParams(e=0.0))
+        doubled = [spectral._TAU_MAX_INITIAL * 2**k for k in range(5)]
+        bounds = range(int(spectral._TAU_MAX_INITIAL), int(spectral._TAU_MAX_CAP) + 1)
+        for horizon in [*doubled, *bounds]:
+            assert flow.node(horizon) % 2 == 0, horizon
 
     @pytest.mark.parametrize(
         "params, tau_star",
@@ -298,10 +338,11 @@ class TestHorizon:
         spectral._flow.cache_clear()
         res = malthus_exponent(p)
         assert res.tau_max < 150.0
-        ks = (150_000, 300_000, 899_000)
-        dense = flow_dense(p.b, p.V0, p.K0, ks[-1] * 1e-3, 1e-3)
+        h = spectral._DTAU
+        ks = (75_000, 150_000, 449_500)
+        dense = flow_dense(p.b, p.V0, p.K0, ks[-1] * h, h)
         for k in ks:
-            assert characteristic_flow(k * 1e-3, p).V == dense[k]
+            assert characteristic_flow(k * h, p).V == dense[k]
 
 
 class TestFlowCache:
