@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .errors import (
     ConfigurationError,
@@ -117,18 +117,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_lambda0(args) -> int:
     sc = load_scenario(args.scenario)
     result = malthus_exponent(sc.params)
-    print(
-        json.dumps(
-            {
-                "name": sc.name,
-                "lambda0": result.lambda0,
-                "tau_max": result.tau_max,
-                "quadrature_nodes": result.quadrature_nodes,
-                "residual": result.residual,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps({"name": sc.name, **asdict(result)}, indent=2))
     return EXIT_OK
 
 

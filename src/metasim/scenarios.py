@@ -215,6 +215,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ConfigurationError(f"invalid scenario content: {exc}") from exc
     if "outputs" in raw:
         kwargs["outputs"] = tuple(raw["outputs"])
+    if "n_bins" in raw:
+        # the schema's integer admits 40.0, as JSON has no integer type
+        kwargs["n_bins"] = int(raw["n_bins"])
     return Scenario(**kwargs)
 
 
@@ -278,7 +281,7 @@ def load_sweep(path: str) -> SweepSpec:
     if isinstance(values_raw, dict):
         values = tuple(
             float(v)
-            for v in np.geomspace(values_raw["from"], values_raw["to"], values_raw["count"])
+            for v in np.geomspace(values_raw["from"], values_raw["to"], int(values_raw["count"]))
         )
     else:
         values = tuple(float(v) for v in values_raw)
@@ -287,7 +290,7 @@ def load_sweep(path: str) -> SweepSpec:
         base=base,
         axis=raw["axis"],
         values=values,
-        parallelism=raw.get("parallelism", 1),
+        parallelism=int(raw.get("parallelism", 1)),
     )
 
 

@@ -21,11 +21,12 @@ case exact to rounding and the smooth case at grid-squared accuracy.
 Every cell but the first (from the emission onset to the next node) is
 a grid cell of width dtau, so their exact weights are two scalars, and
 the sum over them is one exponential and two dot products with arrays
-fixed before the solve. The equation is solved twice on the one flow,
-on every node and on every second node, and the two roots are
-extrapolated (Richardson) as (4 lambda_h - lambda_2h) / 3, which
-cancels the grid-squared term. One walk sets the horizon: it starts at
-50 and extends the flow one horizon at a time, up to a cap of 900.
+fixed before the solve. The rule is linear in beta, so the rules on
+every node (I_h) and on every second node (I_2h) of the one flow
+extrapolate (Richardson) to the fourth-order rule (4 I_h - I_2h) / 3,
+which cancels the grid-squared term; the equation is solved once with
+it. One walk sets the horizon: it starts at 50 and extends the flow one
+horizon at a time, up to a cap of 900.
 Until the emission onset lies among the nodes built so far it doubles
 the horizon, and a flow that settles at the fixed point (1, 1), or
 reaches the cap, before the onset has no root. From the onset on, it
@@ -75,10 +76,8 @@ _FLOW_CACHE_SIZE = 4
 class SpectralResult:
     """Root of the spectral equation plus the quadrature's footprint.
 
-    ``quadrature_nodes`` counts the nodes of the solve on every grid
-    node; ``residual`` is the larger of the two solves' |F| at their own
-    roots, not |F| at the extrapolated ``lambda0``, which holds the
-    grid-squared term the extrapolation removed.
+    ``quadrature_nodes`` counts the nodes of the rule on every grid
+    node; ``residual`` is |F| at ``lambda0`` of the equation solved.
     """
 
     lambda0: float
@@ -277,27 +276,24 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
 
     # the tail past the horizon as if the flow sat at (1, 1), where
     # beta = m: exact for a settled flow, below _TAIL_TOL near the root
-    # at the decay bound, and an estimate for a flow capped unsettled
+    # at the decay bound, and an estimate for a flow capped unsettled.
+    # The product rule's error is c * h^2 + O(h^4) and linear in beta, so
+    # the rules on every node and on every second node combine into a
+    # fourth-order one (Richardson); every horizon is a whole number, an
+    # even node, so both end at tau_max.
     tau_max = last * flow.dtau
+    coarse = _truncated_integral(flow, p, tau_star, last, 2)[0]
 
-    def solve(integral) -> tuple[float, float]:
-        def F(lam: float) -> float:
-            return integral(lam) + (p.m / lam) * math.exp(-lam * tau_max) - 1.0
+    def F(lam: float) -> float:
+        quadrature = (4.0 * integral(lam) - coarse(lam)) / 3.0
+        return quadrature + (p.m / lam) * math.exp(-lam * tau_max) - 1.0
 
-        root = _root(F, hi)
-        return root, abs(F(root))
-
-    # the product rule's error is c * h^2 + O(h^4), so the roots on every
-    # node and on every second node extrapolate to fourth order; every
-    # horizon is a whole number, an even node, so both end at tau_max
-    fine, fine_residual = solve(integral)
-    coarse, coarse_residual = solve(_truncated_integral(flow, p, tau_star, last, 2)[0])
-
+    root = _root(F, hi)
     return SpectralResult(
-        lambda0=(4.0 * fine - coarse) / 3.0,
+        lambda0=root,
         tau_max=tau_max,
         quadrature_nodes=int(Vs.size),
-        residual=float(max(fine_residual, coarse_residual)),
+        residual=float(abs(F(root))),
     )
 
 

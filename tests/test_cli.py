@@ -92,6 +92,18 @@ class TestRun:
         assert list(doc.keys()) == METRIC_KEYS + ["lambda0"]
         assert doc["lambda0"] == pytest.approx(0.4292814661422716, rel=1e-9)
 
+    def test_integer_valued_float_n_bins(self, tmp_path, capsys):
+        # JSON has no integer type: the schema's integer admits 40.0
+        sc = _write(
+            tmp_path / "bins.json",
+            {"name": "bins", "settings": {"t_end": 5.0}, "n_bins": 40.0, "outputs": ["histogram"]},
+        )
+        out = tmp_path / "out"
+        assert main(["run", sc, "--out", str(out)]) == 0
+        assert len((out / "bins_histogram.csv").read_text().splitlines()) == 41
+        n_bins = json.loads((out / "bins_run.json").read_text())["scenario"]["n_bins"]
+        assert (type(n_bins), n_bins) == (int, 40)
+
     def test_log_scale_flag(self, tmp_path, quick_scenario, capsys):
         out = tmp_path / "out"
         assert main(["run", quick_scenario, "--out", str(out), "--log-scale"]) == 0
@@ -157,6 +169,7 @@ class TestLambda0:
         doc = json.loads(capsys.readouterr().out)
         assert doc["lambda0"] == pytest.approx(0.4292814661422716, rel=1e-9)
         assert doc["quadrature_nodes"] > 1000
+        assert list(doc) == ["name", "lambda0", "tau_max", "quadrature_nodes", "residual"]
 
     def test_coupled_model_exits_2(self, tmp_path, capsys):
         sc = _write(tmp_path / "cpl.json", {"name": "cpl"})
@@ -231,6 +244,19 @@ class TestSweep:
         assert len(lines) == 4
         for value in ("e=0.5", "e=1", "e=2"):
             assert (out / value / f"s_{value}_timeseries.csv").exists()
+
+    @pytest.mark.parametrize(
+        "values, parallelism",
+        [({"from": 0.5, "to": 2, "count": 3.0}, 1), ([0.5, 1.0, 2.0], 2.0)],
+        ids=["count", "parallelism"],
+    )
+    def test_integer_valued_floats(self, tmp_path, capsys, values, parallelism):
+        sw = self._sweep_file(tmp_path, values, parallelism)
+        out = tmp_path / "out"
+        assert main(["sweep", sw, "--out", str(out)]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == pytest.approx([0.5, 1.0, 2.0])
+        assert all(row.endswith(",") for row in rows)  # no point failed
 
     def test_failed_value_kept_in_row(self, tmp_path, capsys):
         sw = self._sweep_file(tmp_path, [1.0, 1e8], axis="b")

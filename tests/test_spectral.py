@@ -217,8 +217,8 @@ class TestQuadratureGrid:
         assert np.array_equal(flow.Ka, K)
 
     def test_coarse_grid_ends_at_the_horizon(self, params, tau_max, nodes):
-        # the extrapolation needs the solve on every second node to cover
-        # the same [tau_star, tau_max] as the solve on every node
+        # the extrapolated rule needs the quadrature on every second node
+        # to cover the same [tau_star, tau_max] as the one on every node
         p = ModelParams(e=0.0, **params)
         flow = spectral._flow_for(p)
         last = flow.node(tau_max)
@@ -300,6 +300,24 @@ class TestHorizon:
         assert res.lambda0 == pytest.approx(lambda0, rel=1e-12)
         assert res.residual < 1e-13
         assert res.lambda0 == pytest.approx(single_grid, rel=6e-9)
+
+    @pytest.mark.parametrize("params", [dict(), dict(b=0.1), dict(Vm=0.5)])
+    def test_lambda0_is_the_root_it_reports(self, params):
+        # F rebuilt from the two quadratures at the result's horizon
+        p = ModelParams(e=0.0, **params)
+        res = malthus_exponent(p)
+        flow = spectral._flow_for(p)
+        last = flow.node(res.tau_max)
+        tau_star = spectral._emission_threshold_time(flow, p.Vm, last)
+        fine = spectral._truncated_integral(flow, p, tau_star, last)[0]
+        coarse = spectral._truncated_integral(flow, p, tau_star, last, 2)[0]
+
+        def F(lam):
+            quadrature = (4.0 * fine(lam) - coarse(lam)) / 3.0
+            return quadrature + (p.m / lam) * math.exp(-lam * res.tau_max) - 1.0
+
+        assert F(res.lambda0 * (1 - 1e-12)) > 0 > F(res.lambda0 * (1 + 1e-12))
+        assert res.residual == pytest.approx(abs(F(res.lambda0)), rel=0, abs=1e-16)
 
     def test_every_horizon_is_an_even_node(self):
         # the walk's horizons are 50 * 2^k, an integer decay bound, or the cap
