@@ -10,6 +10,7 @@ from .engine import (
     inhibitor_rate,
     initial_state,
     simulate,
+    simulate_ensemble,
     step,
     total_burden,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "inhibitor_rate",
     "initial_state",
     "simulate",
+    "simulate_ensemble",
     "step",
     "total_burden",
     "OscillationMetrics",

@@ -28,11 +28,16 @@ The array kernel carries V^(2/3) of every row from one step to the next
 and computes it as cbrt(V)², which costs about half a ``pow`` and stays
 within 1e-15 relative of it. The scalar ``model._rk4_step`` that moves
 the newborn keeps ``**``.
+
+One engine integrates S >= 1 parameter sets at once (``simulate_ensemble``;
+``simulate`` is S = 1): a step's NumPy calls run once over the rows of
+every member, and each member's numbers are those of its solo run.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -50,6 +55,7 @@ __all__ = [
     "birth_rate",
     "step",
     "simulate",
+    "simulate_ensemble",
 ]
 
 _MAX_STEPS = 20_000_000
@@ -205,135 +211,47 @@ class _Accumulator:
         return self.total + self._comp
 
 
-class _Engine:
-    """Mutable struct-of-arrays working state of one simulation.
+class _Member:
+    """One parameter set of an engine and the scalars of its run: the
+    inhibitor ``I``, the compensated born and exited weights, its row
+    count ``n`` (primary included), and the diagnostics ``simulate``
+    reports: the peak row count, the smallest birth denominator and the
+    weight pruned by the floor. ``b`` is ``p.b`` as a 0-d array, the
+    cheaper ufunc operand."""
 
-    Row 0 holds the primary tumor with weight 1; rows 1 to ``n - 1``
-    hold the live cohorts in birth order. Every row enters the field,
-    the emission sum and the inhibitor production alike; only cohort
-    rows exit, get pruned, or count toward M, N and the exported
-    state. A step appends its newborn, then drops in one removal pass
-    every cohort row, the newborn included, that left the domain or
-    lies below the weight floor. The state is two blocks of one
-    capacity that doubles on demand: ``rows`` (5 x capacity) holds V, K,
-    w, birth_t and ``P`` = V^(2/3), set wherever V is, and the
-    attributes of those names are views of its rows; ``_scratch`` (11 x
-    capacity) holds the stage buffers, so the hot loop allocates
-    nothing. ``_resize`` alone allocates both. The stages and compaction
-    run on 1-D rows, which measured faster than 2-D views.
+    __slots__ = ("p", "b", "I", "born", "exited", "n", "peak_n", "min_denom", "pruned")
 
-    The run diagnostics are scalars updated on the way: the peak row
-    count, the smallest birth denominator and the weight pruned by the
-    floor. Callers enter ``np.errstate(all="ignore")`` around ``step``:
-    a diverging stage state leaves inf or nan in its rows, which the
-    check after the update reports as a blowup.
-    """
-
-    rows = np.empty((5, 0))  # no rows until the first _resize
-
-    def __init__(self, p: ModelParams, state: SystemState, weight_floor: float = 0.0):
+    def __init__(self, p: ModelParams, state: SystemState):
         self.p = p
-        self.weight_floor = weight_floor
-        self.t = state.t
+        self.b = np.array(p.b)
         self.I = state.I
         self.born = _Accumulator(state.born_count)
         self.exited = _Accumulator(state.exited_count)
-        n = state.w.size + 1
-        self._resize(max(4096, 1 << n.bit_length()))
-        self.rows[:4, 0] = state.primary.V, state.primary.K, 1.0, 0.0
-        self.rows[:4, 1:n] = state.V, state.K, state.w, state.birth_t
-        _pow23(self.V[:n], self.P[:n])
-        self.n = self.peak_n = n
+        self.n = self.peak_n = state.w.size + 1
         self.min_denom = math.inf
         self.pruned = 0.0
 
-    # -- storage -----------------------------------------------------
+    def give_birth(self, t: float, dt: float, I0: float, B: float) -> tuple | None:
+        """The newborn of the step from ``t`` to ``t + dt``: its column of
+        ``_Engine.rows``, or None for a zero weight. ``I0`` is the
+        inhibitor at the step's start and ``self.I`` at its end, ``B``
+        the population emission rates at both ends added.
 
-    def _resize(self, cap: int):
-        """Allocate both blocks at capacity ``cap``, copy the present rows
-        over and rebind the row views."""
-        rows = np.empty((5, cap))
-        rows[:, : self.rows.shape[1]] = self.rows
-        self.rows = rows
-        self.V, self.K, self.w, self.birth_t, self.P = rows
-        self._scratch = np.empty((11, cap))
-
-    # -- one step ----------------------------------------------------
-
-    def step(self, dt: float):
+        Birth is the trapezoid of the emission rate over the step. Three
+        first-order leaks are closed to keep the global order at two: the
+        newborn enters advanced to mid-step age (no dt/2 age lag); the
+        trapezoid's right endpoint includes the newborn's own emission
+        (implicit in w, solved in closed form); and the inhibitor records
+        the newborn's in-step production, which the stages cannot see.
+        The newborn's half step freezes the inhibitor at its step
+        midpoint; the O(h^2) error this leaves in its state is weighted
+        by an O(h) cohort mass, so the order is unaffected.
+        """
         p = self.p
-        n = self.n
-        b, e, k = p.b, p.e, p.k
-        V, K, w, _, P = self.rows[:, :n]
-        kV1, kK1, kV2, kK2, kV3, kK3, kV4, kK4, Vs, Ks, tmp = self._scratch[:, :n]
-        I = self.I
-
-        def stage(Vc, Kc, Pc, Ic, outV, outK):
-            """Field of every row at one stage state, with Pc = Vc^(2/3)
-            (may be outK itself); returns dI."""
-            np.divide(Kc, Vc, out=outV)
-            np.log(outV, out=outV)
-            outV *= Vc
-            np.multiply(Pc, Kc, out=outK)
-            np.subtract(Vc, outK, out=outK)
-            outK *= b
-            np.multiply(Kc, e * Ic, out=tmp)
-            outK -= tmp
-            return _volume_sum(w, Vc) - k * Ic
-
         h2 = 0.5 * dt
-        s6 = dt / 6.0
-        t_new = self.t + dt
-        B0 = _emission_sum(p, V, w, P, tmp)
-        dI1 = stage(V, K, P, I, kV1, kK1)
-        np.multiply(kV1, h2, out=Vs)
-        Vs += V
-        np.multiply(kK1, h2, out=Ks)
-        Ks += K
-        dI2 = stage(Vs, Ks, _pow23(Vs, kK2), I + h2 * dI1, kV2, kK2)
-        np.multiply(kV2, h2, out=Vs)
-        Vs += V
-        np.multiply(kK2, h2, out=Ks)
-        Ks += K
-        dI3 = stage(Vs, Ks, _pow23(Vs, kK3), I + h2 * dI2, kV3, kK3)
-        np.multiply(kV3, dt, out=Vs)
-        Vs += V
-        np.multiply(kK3, dt, out=Ks)
-        Ks += K
-        dI4 = stage(Vs, Ks, _pow23(Vs, kK4), I + dt * dI3, kV4, kK4)
-
-        kV2 += kV3
-        kV2 *= 2.0
-        kV2 += kV1
-        kV2 += kV4
-        kV2 *= s6
-        V += kV2
-        kK2 += kK3
-        kK2 *= 2.0
-        kK2 += kK1
-        kK2 += kK4
-        kK2 *= s6
-        K += kK2
-        I_new = I + s6 * (dI1 + 2.0 * (dI2 + dI3) + dI4)
-        self.I = I_new
-
-        if not (math.isfinite(I_new) and V[0] > 0 and K[0] > 0
-                and np.isfinite(V).all() and np.isfinite(K).all()):
-            raise IntegrationBlowupError(t_new, reason="non-finite-state")
-        _pow23(V, P)
-        B1 = _emission_sum(p, V, w, P, tmp)
-
-        # birth: trapezoid of the emission rate over the step. Three
-        # first-order leaks are closed to keep the global order at two:
-        # the newborn enters advanced to mid-step age (no dt/2 age lag);
-        # the trapezoid's right endpoint includes the newborn's own
-        # emission (implicit in w, solved in closed form); and the
-        # inhibitor records the newborn's in-step production, which the
-        # stages cannot see. The newborn's half step freezes the inhibitor
-        # at its step midpoint; the O(h^2) error this leaves in its state
-        # is weighted by an O(h) cohort mass, so the order is unaffected.
+        t_new = t + dt
         try:
-            Vn, Kn = _rk4_step(p.V0, p.K0, p.b, p.e * (0.5 * (I + I_new)), h2)
+            Vn, Kn = _rk4_step(p.V0, p.K0, p.b, p.e * (0.5 * (I0 + self.I)), h2)
             beta_n = emission_rate(Vn, p)
         except (ValueError, OverflowError, ZeroDivisionError, InvalidStateError) as exc:
             raise IntegrationBlowupError(t_new, reason="newborn-step") from exc
@@ -346,99 +264,353 @@ class _Engine:
                 f"dt too large for the birth term at t={t_new:g}",
                 reason="birth-term-limit",
             )
-        w_new = h2 * (B0 + B1) / denom
-        if w_new > 0.0:
-            self.born.add(w_new)
-            I_new += h2 * w_new * p.V0
-            self.I = I_new
-            if n == self.V.size:
-                self._resize(2 * n)
-            self.V[n] = Vn
-            _pow23(self.V[n : n + 1], self.P[n : n + 1])
-            self.K[n] = Kn
-            self.w[n] = w_new
-            self.birth_t[n] = self.t + h2
-            n += 1
+        w_new = h2 * B / denom
+        if w_new <= 0.0:
+            return None
+        self.born.add(w_new)
+        self.I += h2 * w_new * p.V0
+        return _column(p, Vn, Kn, w_new, t + h2)
 
-        # one removal pass, newborn included: exits through the V = V0
-        # edge, then pruning; both spare the primary in row 0
-        V = self.V[:n]
-        drop = V < p.V0
-        if self.weight_floor > 0.0:
-            drop |= self.w[:n] < self.weight_floor
-        drop[0] = False
-        if drop.any():
-            for x, v in zip(self.w[:n][drop].tolist(), V[drop].tolist()):
-                self.exited.add(x)
-                if v >= p.V0:
-                    self.pruned += x
-            keep = ~drop
-            m_keep = int(keep.sum())
-            for row in self.rows:
-                row[:m_keep] = row[:n][keep]
-            n = m_keep
+    def book_exits(self, ws: list, Vs: list):
+        """Book removed rows, in row order, as exited, and those still
+        inside the domain (below the weight floor) as pruned."""
+        for x, v in zip(ws, Vs):
+            self.exited.add(x)
+            if v >= self.p.V0:
+                self.pruned += x
+
+
+class _Engine:
+    """Mutable struct-of-arrays working state of S >= 1 simulations.
+
+    The members share the time grid, the weight floor, the domain edge
+    V0 and the emission law (Vm, alpha), and may differ in b, e, k and
+    m. Each member's rows form one segment of the state, the segments
+    back to back in ``members`` order: its primary tumor with weight 1,
+    then its live cohorts in birth order. Every row enters its member's
+    field, emission sum and inhibitor production alike; only cohort rows
+    exit, get pruned, or count toward M, N and the exported state.
+
+    The elementwise work of a step runs once over all rows, with b and
+    e·I as per-row arrays when S > 1. Every weighted sum is one
+    ``np.dot`` over one member's segment, the call a one-member engine
+    makes on the same values, so each member's numbers are those of its
+    solo run bit for bit. A step adds each member's newborn at the end
+    of its segment, and one removal pass drops every cohort row (the
+    newborns included) that left the domain or lies below the weight
+    floor (see ``_remove``). A member fails a step when its rows or
+    inhibitor go non-finite, it reaches the birth-term limit or its
+    newborn's step fails; it then leaves the engine with its
+    ``IntegrationBlowupError`` in ``failures``, and the others go on.
+
+    ``rows`` (6 x capacity) holds V, K, w, birth_t, ``P`` = V^(2/3)
+    and ``beta``, the emission rate per unit m (see
+    ``_emission_weights``); P and beta are set wherever V is, so a step
+    computes each once, and the attributes of those names are views of
+    the rows. ``_scratch`` (11 x capacity) holds the stage buffers,
+    ``_finite`` a boolean one and, at S > 1, ``_spare`` the block the
+    removal pass copies into, so the hot loop allocates little; the
+    capacity doubles on demand, and ``_resize`` alone allocates them.
+    The stages run on 1-D rows, which measured faster than 2-D views.
+
+    Callers enter ``np.errstate(all="ignore")`` around ``step``: a
+    diverging stage state leaves inf or nan in its rows, which the check
+    after the update reports as a blowup.
+    """
+
+    rows = np.empty((6, 0))  # no rows until the first _resize
+
+    def __init__(self, params, state: SystemState, weight_floor: float = 0.0):
+        """``params`` is one ``ModelParams`` or a sequence of them; every
+        member starts from ``state``."""
+        if isinstance(params, ModelParams):
+            params = (params,)
+        self.members = [_Member(p, state) for p in params]
+        self.failures: list[tuple[_Member, IntegrationBlowupError]] = []
+        self.weight_floor = weight_floor
+        self.t = state.t
+        n0 = state.w.size + 1
+        n = n0 * len(self.members)
+        self._resize(max(4096, 1 << n.bit_length()))
+        for a in range(0, n, n0):
+            self.rows[:4, a] = state.primary.V, state.primary.K, 1.0, 0.0
+            self.rows[:4, a + 1 : a + n0] = state.V, state.K, state.w, state.birth_t
+        _pow23(self.V[:n], self.P[:n])
+        _emission_weights(params[0], self.V[:n], self.P[:n], self.beta[:n])
         self.n = n
-        if n > self.peak_n:
-            self.peak_n = n
+        self._eI = np.empty(())
+        self._dt = None
 
+    # the sole member's counters, for a one-member engine
+    exited = property(lambda self: self.members[0].exited)
+    pruned = property(lambda self: self.members[0].pruned)
+
+    # -- storage -----------------------------------------------------
+
+    def _resize(self, cap: int):
+        """Allocate the blocks at capacity ``cap``, copy the present rows
+        over and rebind the row views."""
+        rows = np.empty((6, cap))
+        rows[:, : self.rows.shape[1]] = self.rows
+        self._bind(rows)
+        self._spare = np.empty((6, cap)) if len(self.members) > 1 else None
+        self._scratch = np.empty((11, cap))
+        self._finite = np.empty(cap, dtype=bool)
+
+    def _bind(self, rows: np.ndarray):
+        self.rows = rows
+        self.V, self.K, self.w, self.birth_t, self.P, self.beta = rows
+
+    def spans(self) -> list[tuple[int, int]]:
+        """Row range ``(start, end)`` of each member, in member order."""
+        out, a = [], 0
+        for m in self.members:
+            out.append((a, a + m.n))
+            a += m.n
+        return out
+
+    # -- one step ----------------------------------------------------
+
+    def step(self, dt: float):
+        ms = self.members
+        n = self.n
+        spans = self.spans()
+        if dt != self._dt:
+            self._dt = dt
+            self._consts = tuple(map(np.array, (0.5 * dt, dt, dt / 6.0, 2.0)))
+        h2, dt_, s6, two = self._consts
+        h2f, s6f = 0.5 * dt, dt / 6.0
+        V, K, w, _, P, beta = self.rows[:, :n]
+        kV1, kK1, kV2, kK2, kV3, kK3, kV4, kK4, Vs, Ks, tmp = self._scratch[:, :n]
+
+        # A member's scalars (I, dI, B, and e, k, m) are floats at S = 1
+        # and arrays over the members at S > 1, so one set of formulas
+        # serves both; only these helpers differ.
+        if len(ms) == 1:
+            (m,) = ms
+            b, e, k, mm, I0 = m.b, m.p.e, m.p.k, m.p.m, m.I
+            eI = self._eI
+
+            def per_row(x):
+                eI[()] = x
+                return eI
+
+            def sums(x, y):
+                return float(np.dot(x, y))
+
+            def each(x):
+                return (x,)
+        else:
+            counts = np.array([m.n for m in ms])
+            b, e, k, mm = (np.array([getattr(m.p, f) for m in ms]) for f in "bekm")
+            b = b.repeat(counts)
+            I0 = np.array([m.I for m in ms])
+
+            def per_row(x):
+                return x.repeat(counts)
+
+            def sums(x, y):
+                return np.array([np.dot(x[a:z], y[a:z]) for a, z in spans])
+
+            def each(x):
+                return x.tolist()
+
+        def stage(Vc, Kc, Pc, Ic, outV, outK):
+            """Field of every row at one stage state, with Pc = Vc^(2/3)
+            (may be outK itself); returns dI."""
+            np.divide(Kc, Vc, outV)
+            np.log(outV, outV)
+            np.multiply(outV, Vc, outV)
+            np.multiply(Pc, Kc, outK)
+            np.subtract(Vc, outK, outK)
+            np.multiply(outK, b, outK)
+            np.multiply(Kc, per_row(e * Ic), tmp)
+            np.subtract(outK, tmp, outK)
+            return sums(w, Vc) - k * Ic
+
+        t_new = self.t + dt
+        B0 = mm * sums(w, beta)
+        dI1 = stage(V, K, P, I0, kV1, kK1)
+        np.multiply(kV1, h2, Vs)
+        np.add(Vs, V, Vs)
+        np.multiply(kK1, h2, Ks)
+        np.add(Ks, K, Ks)
+        dI2 = stage(Vs, Ks, _pow23(Vs, kK2), I0 + h2f * dI1, kV2, kK2)
+        np.multiply(kV2, h2, Vs)
+        np.add(Vs, V, Vs)
+        np.multiply(kK2, h2, Ks)
+        np.add(Ks, K, Ks)
+        dI3 = stage(Vs, Ks, _pow23(Vs, kK3), I0 + h2f * dI2, kV3, kK3)
+        np.multiply(kV3, dt_, Vs)
+        np.add(Vs, V, Vs)
+        np.multiply(kK3, dt_, Ks)
+        np.add(Ks, K, Ks)
+        dI4 = stage(Vs, Ks, _pow23(Vs, kK4), I0 + dt * dI3, kV4, kK4)
+
+        for kX1, kX2, kX3, kX4, X in ((kV1, kV2, kV3, kV4, V), (kK1, kK2, kK3, kK4, K)):
+            np.add(kX2, kX3, kX2)
+            np.multiply(kX2, two, kX2)
+            np.add(kX2, kX1, kX2)
+            np.add(kX2, kX4, kX2)
+            np.multiply(kX2, s6, kX2)
+            np.add(X, kX2, X)
+        I_new = I0 + s6f * (dI1 + 2.0 * (dI2 + dI3) + dI4)
+
+        finite = self._finite[:n]
+        all_finite = (np.logical_and.reduce(np.isfinite(V, finite))
+                      and np.logical_and.reduce(np.isfinite(K, finite)))
+        _pow23(V, P)
+        _emission_weights(ms[0].p, V, P, beta)  # V0, Vm and alpha are shared
+        B = B0 + mm * sums(w, beta)
+
+        live, newborns = [], {}  # newborns: member index -> its column of rows
+        for j, (m, (a, z), I, I1, Bj) in enumerate(zip(ms, spans, each(I0), each(I_new), each(B))):
+            m.I = I1
+            try:
+                if not (math.isfinite(I1) and V[a] > 0 and K[a] > 0
+                        and (all_finite or _all_finite(V[a:z], K[a:z]))):
+                    raise IntegrationBlowupError(t_new, reason="non-finite-state")
+                column = m.give_birth(self.t, dt, I, Bj)
+            except IntegrationBlowupError as exc:
+                self.failures.append((m, exc))
+                live.append(False)
+                continue
+            live.append(True)
+            if column is not None:
+                newborns[j] = column
+
+        self._remove(spans, live, newborns)
         self.t = t_new
+
+    def _remove(self, spans: list, live: list, newborns: dict):
+        """The removal pass: each live member's kept rows, then its
+        newborn if kept, copied block by block into the new layout.
+        Dropped rows are booked by their member in row order, newborn
+        last; a failed member's rows are dropped unbooked, and the member
+        leaves. At S = 1 the rows only move down, so they move in place;
+        at S > 1 a newborn pushes the next member's rows up, so the rows
+        go to the spare block, which then becomes ``rows``."""
+        ms = self.members
+        V0, floor = ms[0].p.V0, self.weight_floor
+        if self.n + len(newborns) > self.V.size:
+            self._resize(2 * (self.n + len(newborns)))
+        n = self.n
+        drop = self.V[:n] < V0
+        if floor > 0.0:
+            drop |= self.w[:n] < floor
+        for a, _ in spans:
+            drop[a] = False  # the primaries stay
+        gone = np.flatnonzero(drop).tolist() if np.logical_or.reduce(drop) else []
+        ws, Vs = (self.w[gone].tolist(), self.V[gone].tolist()) if gone else ([], [])
+        src = self.rows
+        dst = src if len(ms) == 1 else self._spare
+        at = g = 0
+        for j, (m, (a, z)) in enumerate(zip(ms, spans)):
+            h = bisect_left(gone, z, g)  # gone[g:h] lie in this segment
+            if live[j]:
+                start, cut = at, a
+                for x in gone[g:h] + [z]:
+                    if dst is not src or at != cut:
+                        dst[:, at : at + x - cut] = src[:, cut:x]
+                    at += x - cut
+                    cut = x + 1
+                out_w, out_V = ws[g:h], Vs[g:h]
+                if j in newborns:
+                    Vn, _, w_new, *_ = newborns[j]
+                    if Vn < V0 or w_new < floor:
+                        out_w.append(w_new)
+                        out_V.append(Vn)
+                    else:
+                        dst[:, at] = newborns[j]
+                        at += 1
+                if out_w:
+                    m.book_exits(out_w, out_V)
+                m.n = at - start
+                m.peak_n = max(m.peak_n, m.n)
+            g = h
+        if dst is not src:
+            self._bind(dst)
+            self._spare = src
+        self.n = at
+        if not all(live):
+            self.members = [m for m, ok in zip(ms, live) if ok]
 
     # -- observation: cohort rows only -------------------------------
 
-    def sample_row(self) -> tuple:
-        """One row of ``simulate``'s sample buffer: t, M, N, I, Vp, born,
-        exited, largest_V (NaN with no cohort) and n_live. N is NumPy's
-        pairwise sum, within a few ulps of the exactly rounded one."""
-        V, w = self.V[1 : self.n], self.w[1 : self.n]
+    def sample_row(self, j: int = 0) -> tuple:
+        """One row of ``simulate``'s sample buffer for member ``j``: t,
+        M, N, I, Vp, born, exited, largest_V (NaN with no cohort) and
+        n_live. N is NumPy's pairwise sum, within a few ulps of the
+        exactly rounded one."""
+        m = self.members[j]
+        a, z = self.spans()[j]
+        V, w = self.V[a + 1 : z], self.w[a + 1 : z]
         largest = float(V.max()) if V.size else math.nan
-        return (self.t, _volume_sum(w, V), float(w.sum()), self.I, self.V[0],
-                self.born.value, self.exited.value, largest, self.n - 1)
+        return (self.t, _volume_sum(w, V), float(w.sum()), m.I, self.V[a],
+                m.born.value, m.exited.value, largest, m.n - 1)
 
-    def to_state(self) -> SystemState:
-        n = self.n
+    def to_state(self, j: int = 0) -> SystemState:
+        """The state of member ``j``."""
+        m = self.members[j]
+        a, z = self.spans()[j]
         return SystemState(
             t=self.t,
-            primary=TumorState(V=float(self.V[0]), K=float(self.K[0])),
-            I=self.I,
-            V=self.V[1:n],
-            K=self.K[1:n],
-            w=self.w[1:n],
-            birth_t=self.birth_t[1:n],
-            born_count=self.born.value,
-            exited_count=self.exited.value,
-            V0=self.p.V0,
+            primary=TumorState(V=float(self.V[a]), K=float(self.K[a])),
+            I=m.I,
+            V=self.V[a + 1 : z],
+            K=self.K[a + 1 : z],
+            w=self.w[a + 1 : z],
+            birth_t=self.birth_t[a + 1 : z],
+            born_count=m.born.value,
+            exited_count=m.exited.value,
+            V0=m.p.V0,
         )
 
 
 def _pow23(V: np.ndarray, out: np.ndarray) -> np.ndarray:
     """V^(2/3) into ``out`` as cbrt(V)²: about half the cost of
     ``np.power`` and within 1e-15 relative of it, exact at 0 and 1."""
-    np.cbrt(V, out=out)
-    out *= out
+    np.cbrt(V, out)
+    np.multiply(out, out, out)
     return out
 
 
-def _emission_sum(
-    p: ModelParams, V: np.ndarray, w: np.ndarray, P: np.ndarray, out: np.ndarray
-) -> float:
-    """Population emission rate m * sum(w * beta(V)) over the given rows.
+def _emission_weights(p: ModelParams, V: np.ndarray, P: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-tumor emission rate beta(V) / m of every row, into ``out``.
 
-    beta is built in the scratch buffer ``out`` and zeroed below the
-    threshold Vm: a copy of ``P`` = V^(2/3) for the default alpha, a
-    ``np.power`` for any other.
+    ``P`` = V^(2/3) for the default alpha, a ``np.power`` for any other,
+    zeroed below the threshold Vm. The population emission rate of a set
+    of rows is m * sum(w * beta), one ``np.dot``.
     """
     if p.alpha == _TWO_THIRDS:
         np.copyto(out, P)
     else:
-        np.power(V, p.alpha, out=out)
+        np.power(V, p.alpha, out)
     out[V < p.Vm] = 0.0
-    return p.m * float(np.dot(w, out))
+    return out
+
+
+def _column(p: ModelParams, V: float, K: float, w: float, birth_t: float) -> tuple:
+    """One tumor's column of ``_Engine.rows``: its P and beta are the
+    values ``_pow23`` and ``_emission_weights`` give for it in an array,
+    from the same NumPy functions."""
+    c = np.cbrt(V)
+    P = c * c
+    if V < p.Vm:
+        beta = 0.0
+    else:
+        beta = P if p.alpha == _TWO_THIRDS else np.power(V, p.alpha)
+    return V, K, w, birth_t, P, beta
 
 
 def _volume_sum(w: np.ndarray, V: np.ndarray) -> float:
     """Weighted volume sum(w * V): the burden M over cohort rows, the
     inhibitor production over all rows."""
     return float(np.dot(w, V))
+
+
+def _all_finite(V: np.ndarray, K: np.ndarray) -> bool:
+    return bool(np.isfinite(V).all() and np.isfinite(K).all())
 
 
 def initial_state(p: ModelParams, initial_cohorts: tuple[Cohort, ...] = ()) -> SystemState:
@@ -489,7 +661,7 @@ def birth_rate(s: SystemState, p: ModelParams) -> float:
     """Population emission rate: new metastases shed per unit time by
     the primary and every live cohort together."""
     V, w = _all_rows(s)
-    return _emission_sum(p, V, w, _pow23(V, np.empty_like(V)), np.empty_like(V))
+    return p.m * float(np.dot(w, _emission_weights(p, V, _pow23(V, np.empty_like(V)), np.empty_like(V))))
 
 
 def step(s: SystemState, p: ModelParams, dt: float, weight_floor: float = 0.0) -> SystemState:
@@ -515,6 +687,8 @@ def step(s: SystemState, p: ModelParams, dt: float, weight_floor: float = 0.0) -
     eng = _Engine(p, s, weight_floor=weight_floor)
     with np.errstate(all="ignore"):
         eng.step(dt)
+    if eng.failures:
+        raise eng.failures[0][1]
     return eng.to_state()
 
 
@@ -570,43 +744,81 @@ def simulate(
     buffer whose columns become the series; ``diagnostics`` holds the
     peak and final live counts, the smallest birth denominator, the
     largest conservation gap over the samples and the pruned weight.
+    This is the one-member ``simulate_ensemble``.
 
     Raises IntegrationBlowupError if the state leaves the finite domain,
     carrying the time of the failed step, the check that tripped and the
     last recorded sample.
     """
+    (out,) = simulate_ensemble((p,), settings, initial_cohorts)
+    if isinstance(out, IntegrationBlowupError):
+        raise out
+    return out
+
+
+def simulate_ensemble(
+    params,
+    settings: SolverSettings,
+    initial_cohorts: tuple[Cohort, ...] = (),
+) -> list:
+    """``simulate`` of several parameter sets at once, as one engine.
+
+    ``params`` is a sequence of ``ModelParams`` that share V0, K0, Vm and
+    alpha; they may differ in b, e, k and m. Every member starts from
+    ``initial_cohorts`` and runs on ``settings``. Returns, in ``params``
+    order, each member's ``(trajectory, final_state)`` or the
+    ``IntegrationBlowupError`` (with ``last_sample``) that ended it; a
+    member that fails leaves the ensemble and the others go on. Each
+    member's numbers are those of its own ``simulate`` bit for bit.
+    Raises ConfigurationError if the members do not share the birth
+    state and emission law; any other error belongs to no one member
+    and propagates.
+    """
+    params = tuple(params)
+    if len({(p.V0, p.K0, p.Vm, p.alpha) for p in params}) != 1:
+        raise ConfigurationError("an ensemble needs members that share V0, K0, Vm and alpha")
     n_steps = settings.n_steps
     every = _steps_per_sample(settings)
 
-    eng = _Engine(p, initial_state(p, initial_cohorts), weight_floor=settings.weight_floor)
+    eng = _Engine(params, initial_state(params[0], initial_cohorts), settings.weight_floor)
+    slot = {m: j for j, m in enumerate(eng.members)}
+    out: list = [None] * len(params)
 
-    samples = np.empty((n_steps // every + 1, 9))
-    samples[0] = eng.sample_row()
+    samples = np.empty((len(params), n_steps // every + 1, 9))
+    for j in range(len(params)):
+        samples[j, 0] = eng.sample_row(j)
     row = 1
     dt = settings.dt
-    try:
-        with np.errstate(all="ignore"):
-            for i in range(n_steps):
-                eng.step(dt)
-                eng.t = (i + 1) * dt  # pin to the exact grid against drift
-                if (i + 1) % every == 0:
-                    samples[row] = eng.sample_row()
-                    row += 1
-    except IntegrationBlowupError as exc:
-        t, M, N, I, Vp, *_, n_live = samples[row - 1].tolist()
-        exc.last_sample = {"t": t, "M": M, "N": N, "I": I, "Vp": Vp, "n_live": int(n_live)}
-        raise
+    with np.errstate(all="ignore"):
+        for i in range(n_steps):
+            eng.step(dt)
+            eng.t = (i + 1) * dt  # pin to the exact grid against drift
+            if eng.failures:
+                for m, exc in eng.failures:
+                    t, M, N, I, Vp, *_, n_live = samples[slot[m], row - 1].tolist()
+                    exc.last_sample = {
+                        "t": t, "M": M, "N": N, "I": I, "Vp": Vp, "n_live": int(n_live)
+                    }
+                    out[slot[m]] = exc
+                eng.failures.clear()
+                if not eng.members:
+                    break
+            if (i + 1) % every == 0:
+                for j, m in enumerate(eng.members):
+                    samples[slot[m], row] = eng.sample_row(j)
+                row += 1
 
-    final = eng.to_state()
-    times, M, N, I, Vp, born, exited, largest, _ = samples[:row].T.copy()
-    traj = Trajectory(
-        times, M, N, I, Vp, born, exited, largest,
-        diagnostics={
-            "peak_live": eng.peak_n - 1,
-            "final_live": eng.n - 1,
-            "min_birth_denominator": eng.min_denom,
-            "max_conservation_gap": float(np.abs(born - exited - N).max()),
-            "pruned_weight": eng.pruned,
-        },
-    )
-    return traj, final
+    for j, m in enumerate(eng.members):
+        times, M, N, I, Vp, born, exited, largest, _ = samples[slot[m], :row].T.copy()
+        traj = Trajectory(
+            times, M, N, I, Vp, born, exited, largest,
+            diagnostics={
+                "peak_live": m.peak_n - 1,
+                "final_live": m.n - 1,
+                "min_birth_denominator": m.min_denom,
+                "max_conservation_gap": float(np.abs(born - exited - N).max()),
+                "pruned_weight": m.pruned,
+            },
+        )
+        out[slot[m]] = (traj, eng.to_state(j))
+    return out

@@ -15,11 +15,13 @@ byte-identical files. Every file is built in memory, written to a
 temporary file in its directory and renamed into place, so an artifact
 is either complete or absent.
 
-A sweep executes one run per axis value (in parallel up to the
-requested worker count), writes each run's artifacts to its own
-subdirectory, and assembles ``summary.csv`` with one row per value;
-failed runs carry their error in-row and never abort the sweep. A point
-that fails with anything but an integration blowup (which writes its own
+A sweep executes one run per axis value, writes each run's artifacts to
+its own subdirectory, and assembles ``summary.csv`` with one row per
+value; failed runs carry their error in-row and never abort the sweep.
+Points that differ only in b, e, k or m integrate together as one
+``simulate_ensemble``, split into at most one chunk per worker, and each
+point's numbers are those of its solo run. A point that fails with
+anything but an integration blowup (which writes its own
 ``{name}_error.json``) leaves ``{name}_error.json`` with the traceback.
 """
 
@@ -36,7 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SystemState, Trajectory, _steps_per_sample, initial_state, simulate
+from .engine import (
+    SystemState,
+    Trajectory,
+    _steps_per_sample,
+    initial_state,
+    simulate,
+    simulate_ensemble,
+)
 from .errors import ConfigurationError, IntegrationBlowupError, InvalidStateError, NoRootError
 from .observables import _check_bins, _window, histogram, oscillation_metrics
 from .scenarios import Scenario, SweepSpec, scenario_to_dict
@@ -157,21 +166,37 @@ def run_scenario(sc: Scenario, out_dir: str = ".") -> RunResult:
     try:
         traj, final = simulate(sc.params, sc.settings, sc.initial_cohorts)
     except IntegrationBlowupError as exc:
-        _write_atomic(
-            os.path.join(out_dir, f"{sc.name}_error.json"),
-            _json_text(
-                {
-                    "name": sc.name,
-                    "error": "integration-blowup",
-                    "t": exc.t,
-                    "reason": exc.reason,
-                    "last_sample": exc.last_sample,
-                }
-            ),
-        )
+        _write_blowup(sc, out_dir, exc)
         raise
-    elapsed = time.perf_counter() - t_start
+    return _write_run(sc, traj, final, out_dir, time.perf_counter() - t_start, 1)
 
+
+def _write_blowup(sc: Scenario, out_dir: str, exc: IntegrationBlowupError):
+    _write_atomic(
+        os.path.join(out_dir, f"{sc.name}_error.json"),
+        _json_text(
+            {
+                "name": sc.name,
+                "error": "integration-blowup",
+                "t": exc.t,
+                "reason": exc.reason,
+                "last_sample": exc.last_sample,
+            }
+        ),
+    )
+
+
+def _write_run(
+    sc: Scenario,
+    traj: Trajectory,
+    final: SystemState,
+    out_dir: str,
+    runtime_s: float,
+    ensemble_size: int,
+) -> RunResult:
+    """Write the artifacts ``sc.outputs`` request and ``{name}_run.json``
+    for one finished integration: ``runtime_s`` is the wall time of the
+    integration that produced it, shared by ``ensemble_size`` members."""
     metrics = compute_metrics(sc, traj) if "metrics" in sc.outputs else None
     files = []
 
@@ -214,7 +239,8 @@ def run_scenario(sc: Scenario, out_dir: str = ".") -> RunResult:
     run_meta = {
         "name": sc.name,
         "scenario": scenario_to_dict(sc),
-        "runtime_s": elapsed,
+        "runtime_s": runtime_s,
+        "ensemble_size": ensemble_size,
         "n_steps": sc.settings.n_steps,
         "final": {
             "t": final.t,
@@ -272,10 +298,18 @@ def _write_point_error(sc: Scenario, out_dir: str, exc: Exception):
         pass
 
 
-def _sweep_point(args) -> dict:
-    sc, value, out_dir = args
+def _point_row(task, outcome, runtime_s: float, ensemble_size: int) -> dict:
+    """Write one point's artifacts from its integration outcome, a
+    ``(trajectory, final_state)`` or the exception that ended it, and
+    return its summary row. Any failure stays in the point's own row."""
+    sc, value, out_dir = task
     try:
-        result = run_scenario(sc, out_dir=out_dir)
+        os.makedirs(out_dir, exist_ok=True)
+        if isinstance(outcome, Exception):
+            if isinstance(outcome, IntegrationBlowupError):
+                _write_blowup(sc, out_dir, outcome)
+            raise outcome
+        result = _write_run(sc, *outcome, out_dir, runtime_s, ensemble_size)
         # the summary row needs the metrics even when the point's outputs omit them
         metrics = result.metrics or compute_metrics(sc, result.trajectory)
     except Exception as exc:  # any failure stays in its own row
@@ -288,31 +322,84 @@ def _sweep_point(args) -> dict:
     return _summary_row(value, metrics, result.trajectory)
 
 
+def _sweep_chunk(chunk: list) -> list[dict]:
+    """Summary rows of sweep points that share ``_group_key``, integrated
+    as one ensemble. An error the ensemble cannot attribute to one member
+    reruns each point solo, so one point never aborts another."""
+    scs = [sc for sc, _, _ in chunk]
+    t_start = time.perf_counter()
+    try:
+        outcomes = simulate_ensemble(
+            [sc.params for sc in scs], scs[0].settings, scs[0].initial_cohorts
+        )
+    except Exception as exc:
+        if len(chunk) > 1:
+            return [row for task in chunk for row in _sweep_chunk([task])]
+        outcomes = [exc]
+    runtime_s = time.perf_counter() - t_start
+    return [_point_row(task, out, runtime_s, len(chunk)) for task, out in zip(chunk, outcomes)]
+
+
+def _group_key(sc: Scenario) -> tuple:
+    """What sweep points must share to integrate as one ensemble: all but
+    b, e, k and m."""
+    p = sc.params
+    return (sc.settings, sc.initial_cohorts, p.V0, p.K0, p.Vm, p.alpha)
+
+
+def _chunks(tasks: list, jobs: int) -> list[list[int]]:
+    """Task indices grouped by ``_group_key``, each group dealt by stride
+    into at most ``jobs`` chunks of near-equal size (7 points on 2 jobs
+    give chunks of 4 and 3: the 1st, 3rd, 5th and 7th, and the rest). A
+    point's cost may rise or fall along the axis; striding spreads it
+    over the chunks, where contiguous chunks would put the dearest
+    points together."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (sc, _, _) in enumerate(tasks):
+        groups.setdefault(_group_key(sc), []).append(i)
+    chunks = []
+    for idx in groups.values():
+        k = min(jobs, len(idx))
+        chunks += [idx[c::k] for c in range(k)]
+    return chunks
+
+
 def run_sweep(sw: SweepSpec, out_dir: str = ".", jobs: int | None = None) -> list[dict]:
     """Execute every sweep point and write ``summary.csv``.
 
     Returns the summary rows in axis order. Every point's outputs, and
     the metrics its summary row needs, are checked before any directory
-    is made; a failure raises ConfigurationError naming the point.
-    Failures during a run are recorded in-row; the caller decides what
-    an all-failed sweep means.
+    is made; a failure raises ConfigurationError naming the point, and
+    ``jobs`` (default ``sw.parallelism``) below 1 raises it too.
+    Points that share ``_group_key`` integrate as one ensemble per chunk
+    (see ``_chunks``), one chunk per pool task. Failures during a run
+    are recorded in-row; the caller decides what an all-failed sweep
+    means.
     """
     tasks = [
         (sc, value, os.path.join(out_dir, sw.point_label(value)))
         for sc, value in zip(sw.scenarios(), sw.values)
     ]
+    workers = sw.parallelism if jobs is None else jobs
+    if workers < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {workers}")
     for sc, value, _ in tasks:
         try:
             _check_run(sc, {"metrics", *sc.outputs})
         except ConfigurationError as exc:
             raise ConfigurationError(f"sweep point {sw.point_label(value)}: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
-    workers = sw.parallelism if jobs is None else jobs
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
+    chunks = _chunks(tasks, workers)
+    work = [[tasks[i] for i in idx] for idx in chunks]
+    if workers > 1 and len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            done = list(pool.map(_sweep_chunk, work))
     else:
-        rows = [_sweep_point(task) for task in tasks]
+        done = [_sweep_chunk(chunk) for chunk in work]
+    rows = [None] * len(tasks)
+    for idx, chunk_rows in zip(chunks, done):
+        for i, row in zip(idx, chunk_rows):
+            rows[i] = row
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -1,7 +1,7 @@
 import pytest
 
-from metasim import simulate
-from metasim.engine import _Engine
+from metasim.engine import _Engine, simulate_ensemble
+from metasim.runner import _group_key
 from metasim.scenarios import catalog
 
 
@@ -9,13 +9,22 @@ from metasim.scenarios import catalog
 def catalog_runs():
     """Every built-in scenario simulated once, keyed by name.
 
-    Building all of them takes around a minute; the acceptance tests
+    Building all of them takes most of a minute; the acceptance tests
     share this single pass instead of re-running scenarios per test.
+    Scenarios that share everything but b, e, k and m integrate as one
+    ``simulate_ensemble``, as a sweep's points do; every member is its
+    solo ``simulate`` bit for bit (``test_engine.py::TestEnsemble``).
     """
-    runs = {}
+    groups = {}
     for sc in catalog():
-        traj, final = simulate(sc.params, sc.settings, sc.initial_cohorts)
-        runs[sc.name] = (sc, traj, final)
+        groups.setdefault(_group_key(sc), []).append(sc)
+    runs = {}
+    for scs in groups.values():
+        out = simulate_ensemble([sc.params for sc in scs], scs[0].settings, scs[0].initial_cohorts)
+        for sc, result in zip(scs, out):
+            if isinstance(result, Exception):
+                raise result
+            runs[sc.name] = (sc, *result)
     return runs
 
 

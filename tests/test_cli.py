@@ -281,14 +281,32 @@ class TestSweep:
         assert main(["sweep", sw, "--out", str(tmp_path / "out")]) == 3
 
     def test_parallel_matches_serial(self, tmp_path, capsys):
-        serial = self._sweep_file(tmp_path, [0.5, 1.0, 2.0])
-        out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-        assert main(["sweep", serial, "--out", str(out1)]) == 0
-        assert main(["sweep", serial, "--out", str(out2), "--jobs", "3"]) == 0
-        assert (out1 / "summary.csv").read_text() == (out2 / "summary.csv").read_text()
-        assert (out1 / "e=0.5" / "s_e=0.5_timeseries.csv").read_text() == (
-            out2 / "e=0.5" / "s_e=0.5_timeseries.csv"
-        ).read_text()
+        # --jobs 1 integrates the three points as one ensemble, --jobs 2
+        # as the chunks {0.5, 2} and {1}, --jobs 3 one by one: every file
+        # is the same, run.json apart from the timing and the ensemble size
+        sw = self._sweep_file(tmp_path, [0.5, 1.0, 2.0])
+        outs = {}
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", sw, "--out", str(out), "--jobs", str(jobs)]) == 0
+            outs[jobs] = out
+        files = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+        assert len(files) == 1 + 3 * 8  # summary.csv, and 7 artifacts and run.json per point
+        sizes = {}
+        for jobs, out in outs.items():
+            assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
+            sizes[jobs] = []
+            for rel in files:
+                if rel.name.endswith("_run.json"):
+                    meta, ref = (json.loads((d / rel).read_text()) for d in (out, outs[1]))
+                    sizes[jobs].append(meta.pop("ensemble_size"))
+                    for doc in (meta, ref):
+                        doc.pop("runtime_s")
+                        doc.pop("ensemble_size", None)
+                    assert meta == ref, rel
+                else:
+                    assert (out / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+        assert sizes == {1: [3, 3, 3], 2: [2, 1, 2], 3: [1, 1, 1]}
 
     def test_bad_jobs_exits_2(self, tmp_path, capsys):
         sw = self._sweep_file(tmp_path, [1.0])

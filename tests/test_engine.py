@@ -16,15 +16,19 @@ from metasim import (
     TumorState,
 )
 from metasim.engine import (
+    _emission_weights,
     _Engine,
     _pow23,
     birth_rate,
     inhibitor_rate,
     initial_state,
     simulate,
+    simulate_ensemble,
     step,
     total_burden,
 )
+from metasim.runner import _group_key
+from metasim.scenarios import catalog
 
 
 def _state(p, cohorts=(), primary=None, I=0.0, t=0.0, born=None, exited=0.0):
@@ -534,6 +538,28 @@ def _pow23_of(V):
     return _pow23(V, np.empty_like(V))
 
 
+def _beta_of(p, V):
+    return _emission_weights(p, V, _pow23_of(V), np.empty_like(V))
+
+
+def _random_state(p, seed, n0, n_edge, n_light, weight_floor):
+    """n0 cohorts with V in [V0, 3], n_edge of them with K < V just above
+    V0 (they exit through it) and n_light below the weight floor."""
+    rng = np.random.default_rng(seed)
+    V = np.exp(rng.uniform(math.log(p.V0), math.log(3.0), n0))
+    K = np.exp(rng.uniform(math.log(0.5), math.log(3.0), n0))
+    w = rng.uniform(1e-3, 1e-2, n0)
+    edge = rng.choice(n0, size=min(n_edge + n_light, n0), replace=False)
+    edge, light = edge[:n_edge], edge[n_edge:]
+    V[edge] = p.V0 * rng.uniform(1.0, 1.002, edge.size)
+    K[edge] = 0.9 * V[edge]
+    w[light] = rng.uniform(0.0, weight_floor, light.size)
+    return SystemState(
+        t=0.0, primary=TumorState(p.V0, p.K0), I=0.0, V=V, K=K, w=w,
+        birth_t=np.zeros(n0), born_count=math.fsum(w), exited_count=0.0, V0=p.V0,
+    )
+
+
 class TestCarriedPower:
     """The engine carries P = V^(2/3) per row across steps; it must
     equal the helper applied to V after every step, whatever moved."""
@@ -547,24 +573,12 @@ class TestCarriedPower:
         assert np.array_equal(_pow23_of(edges), edges)
 
     @staticmethod
-    def _run(seed, n0, n_edge, n_light, weight_floor, dts):
+    def _run(seed, n0, n_edge, n_light, weight_floor, dts, p=None):
         """Step an engine of n0 cohorts, n_edge of them with K < V just
         above V0 (they exit through it) and n_light below the floor,
-        checking P after every step."""
-        p = ModelParams()
-        rng = np.random.default_rng(seed)
-        V = np.exp(rng.uniform(math.log(p.V0), math.log(3.0), n0))
-        K = np.exp(rng.uniform(math.log(0.5), math.log(3.0), n0))
-        w = rng.uniform(1e-3, 1e-2, n0)
-        edge = rng.choice(n0, size=min(n_edge + n_light, n0), replace=False)
-        edge, light = edge[:n_edge], edge[n_edge:]
-        V[edge] = p.V0 * rng.uniform(1.0, 1.002, edge.size)
-        K[edge] = 0.9 * V[edge]
-        w[light] = rng.uniform(0.0, weight_floor, light.size)
-        s = SystemState(
-            t=0.0, primary=TumorState(p.V0, p.K0), I=0.0, V=V, K=K, w=w,
-            birth_t=np.zeros(n0), born_count=math.fsum(w), exited_count=0.0, V0=p.V0,
-        )
+        checking P and beta after every step."""
+        p = p or ModelParams()
+        s = _random_state(p, seed, n0, n_edge, n_light, weight_floor)
         eng = _Engine(p, s, weight_floor=weight_floor)
         assert np.array_equal(eng.P[: eng.n], _pow23_of(eng.V[: eng.n]))
         for i, dt in enumerate(dts):
@@ -572,6 +586,9 @@ class TestCarriedPower:
                 eng.step(dt)
             n = eng.n
             assert np.array_equal(eng.P[:n], _pow23_of(eng.V[:n])), f"stale P after step {i + 1}"
+            assert np.array_equal(eng.beta[:n], _beta_of(p, eng.V[:n])), (
+                f"stale beta after step {i + 1}"
+            )
         return eng
 
     @hsettings(max_examples=25, deadline=None)
@@ -594,3 +611,142 @@ class TestCarriedPower:
         assert eng.pruned > 0.0
         assert eng.exited.value > eng.pruned  # exits through V0 as well
         assert eng.n == 1 + 4094 + 10 - 4  # ten births kept, four rows dropped
+
+    @pytest.mark.parametrize("n0", [0, 300, 4094])
+    def test_carried_beta_with_a_gated_power_law(self, n0):
+        # alpha != 2/3 takes np.power, and Vm > V0 gates rows and
+        # newborns below it to zero
+        p = ModelParams(alpha=0.5, Vm=0.15)
+        eng = self._run(2, n0, 2, 2, 1e-3, [1e-2] * 10, p=p)
+        gated = eng.V[: eng.n] < p.Vm
+        assert gated.any() and not eng.beta[: eng.n][gated].any()
+
+
+_SERIES = ("times", "M", "N", "I", "Vp", "born", "exited", "largest_V")
+_GROUPABLE = (
+    "base", "b-x10", "m-x10", "e-x10", "b-x0.1", "m-x0.1", "e-x0.1", "bursts", "complex-periodic"
+)
+
+
+def _assert_same_run(a, b):
+    """Two ``simulate`` results agree bit for bit: every series, the
+    final state and the diagnostics."""
+    (ta, fa), (tb, fb) = a, b
+    for name in _SERIES:
+        assert np.array_equal(getattr(ta, name), getattr(tb, name), equal_nan=True), name
+    _assert_same_state(fa, fb)
+    assert ta.diagnostics == tb.diagnostics
+
+
+class TestEnsemble:
+    """``simulate_ensemble`` runs several parameter sets in one engine;
+    every member must be its solo ``simulate`` bit for bit, whatever it
+    is grouped with and in whatever order."""
+
+    @pytest.fixture(scope="class")
+    def groupable(self):
+        scs = {sc.name: sc for sc in catalog()}
+        group = [scs[name] for name in _GROUPABLE]
+        # the catalog scenarios that share everything but b, e, k and m
+        assert [sc.name for sc in catalog() if _group_key(sc) == _group_key(group[0])] == list(
+            _GROUPABLE
+        )
+        settings = SolverSettings(t_end=20.0)
+        solo = [simulate(sc.params, settings, sc.initial_cohorts) for sc in group]
+        return group, settings, solo
+
+    @pytest.mark.parametrize(
+        "chunks",
+        [
+            [[i] for i in range(9)],
+            [[0, 1], [2, 3], [4, 5], [6, 7], [8]],
+            [list(range(9))],
+            [list(range(8, -1, -1))],
+        ],
+        ids=["ones", "pairs", "all-nine", "reversed"],
+    )
+    def test_members_equal_their_solo_runs(self, groupable, chunks):
+        group, settings, solo = groupable
+        for chunk in chunks:
+            out = simulate_ensemble([group[i].params for i in chunk], settings)
+            for i, member in zip(chunk, out):
+                _assert_same_run(member, solo[i])
+
+    @pytest.mark.parametrize(
+        "params, weight_floor",
+        [
+            (dict(alpha=0.5, Vm=0.15), 1e-3),  # np.power emission, pruning
+            (dict(), 4e-3),  # newborns below the floor
+        ],
+    )
+    def test_members_equal_solo_with_pruning_and_initial_cohorts(self, params, weight_floor):
+        cohorts = (
+            Cohort(0.0, 0.05, TumorState(0.5, 0.6)),
+            Cohort(0.0, 5e-4, TumorState(1.0, 1.2)),
+            Cohort(0.0, 0.05, TumorState(0.1002, 0.09)),  # exits through V0
+        )
+        settings = SolverSettings(t_end=15.0, weight_floor=weight_floor)
+        members = [ModelParams(e=e, m=m, **params) for e, m in ((0.3, 1.0), (2.0, 3.0), (8.0, 0.5))]
+        out = simulate_ensemble(members, settings, cohorts)
+        for p, member in zip(members, out):
+            _assert_same_run(member, simulate(p, settings, cohorts))
+        assert any(member[0].diagnostics["pruned_weight"] > 0 for member in out)
+
+    def test_a_failing_member_leaves_and_the_others_go_on(self):
+        settings = SolverSettings(t_end=10.0)
+        members = [
+            ModelParams(),
+            ModelParams(b=1e9),  # fails in the first step
+            ModelParams(e=3.0),
+            ModelParams(b=1000.0),  # fails at t = 0.51
+            ModelParams(m=200.0),  # fails at t = 0.26
+            ModelParams(b=2.0, k=0.5),
+        ]
+        out = simulate_ensemble(members, settings)
+        for p, member in zip(members, out):
+            try:
+                solo = simulate(p, settings)
+            except IntegrationBlowupError as exc:
+                assert isinstance(member, IntegrationBlowupError)
+                assert (member.t, member.reason, member.last_sample) == (
+                    exc.t, exc.reason, exc.last_sample
+                )
+                assert member.last_sample is not None
+            else:
+                _assert_same_run(member, solo)
+        assert [isinstance(m, IntegrationBlowupError) for m in out] == [
+            False, True, False, True, True, False
+        ]
+        assert out[1].t == pytest.approx(1e-2) and out[1].last_sample["t"] == 0.0
+
+    def test_members_equal_solo_across_a_capacity_doubling(self):
+        # three members of 1364 cohorts fill 4095 of 4096 rows, so the
+        # first step's newborns make the engine grow while it holds
+        # three segments
+        p = ModelParams()
+        s = _random_state(p, 3, 1364, 2, 2, 1e-3)
+        members = [ModelParams(e=e, m=m) for e, m in ((0.3, 1.0), (1.0, 3.0), (4.0, 0.5))]
+        eng = _Engine(members, s, weight_floor=1e-3)
+        solos = [_Engine(q, s, weight_floor=1e-3) for q in members]
+        assert (eng.n, eng.V.size) == (4095, 4096)
+        for i in range(10):
+            with np.errstate(all="ignore"):
+                for e in (eng, *solos):
+                    e.step(1e-2)
+            n = eng.n
+            assert np.array_equal(eng.beta[:n], _beta_of(p, eng.V[:n])), f"step {i + 1}"
+            for j, (m, solo, (a, z)) in enumerate(zip(eng.members, solos, eng.spans())):
+                assert np.array_equal(eng.rows[:, a:z], solo.rows[:, : solo.n]), (i, j)
+                assert eng.sample_row(j) == solo.sample_row(), (i, j)
+                sm = solo.members[0]
+                assert (m.peak_n, m.min_denom, m.pruned) == (sm.peak_n, sm.min_denom, sm.pruned)
+        assert eng.V.size > 4096
+        assert all(m.pruned > 0.0 and m.exited.value > m.pruned for m in eng.members)
+
+    @pytest.mark.parametrize("field", ["V0", "K0", "Vm", "alpha"])
+    def test_members_must_share_the_birth_state_and_emission_law(self, field):
+        other = ModelParams(**{field: {"V0": 0.05, "K0": 0.3, "Vm": 0.2, "alpha": 0.5}[field]})
+        with pytest.raises(ConfigurationError):
+            simulate_ensemble([ModelParams(), other], SolverSettings(t_end=1.0))
+        with pytest.raises(ConfigurationError):
+            simulate_ensemble([], SolverSettings(t_end=1.0))

@@ -197,14 +197,15 @@ class TestRunSweep:
         assert (tmp_path / "b=1e+09" / "r_b=1e+09_error.json").exists()
 
     def test_unexpected_exception_stays_in_row(self, tmp_path, monkeypatch):
-        real_run = runner.run_scenario
+        # the sweep writes each point through the writer run_scenario uses
+        real_write = runner._write_run
 
-        def failing_at_half(sc, out_dir="."):
+        def failing_at_half(sc, *args):
             if sc.params.e == 0.5:
                 raise OSError("disk full")
-            return real_run(sc, out_dir=out_dir)
+            return real_write(sc, *args)
 
-        monkeypatch.setattr(runner, "run_scenario", failing_at_half)
+        monkeypatch.setattr(runner, "_write_run", failing_at_half)
         sw = SweepSpec(base=_scenario(), axis="e", values=(2.0, 0.5, 1.0), parallelism=1)
         rows = run_sweep(sw, out_dir=str(tmp_path), jobs=1)
         assert [r["value"] for r in rows] == [2.0, 0.5, 1.0]
@@ -218,6 +219,57 @@ class TestRunSweep:
         assert (doc["type"], doc["message"]) == ("OSError", "disk full")
         assert "failing_at_half" in doc["traceback"]
         assert not (tmp_path / "e=2" / "r_e=2_error.json").exists()
+
+    def test_an_error_no_member_owns_reruns_each_point_solo(self, tmp_path, monkeypatch):
+        real_ensemble = runner.simulate_ensemble
+        calls = []
+
+        def failing_when_shared(params, *args):
+            calls.append(len(params))
+            if len(params) > 1 or params[0].e == 0.5:
+                raise RuntimeError("ensemble failed")
+            return real_ensemble(params, *args)
+
+        monkeypatch.setattr(runner, "simulate_ensemble", failing_when_shared)
+        sw = SweepSpec(base=_scenario(outputs=["timeseries"]), axis="e", values=(2.0, 0.5, 1.0))
+        rows = run_sweep(sw, out_dir=str(tmp_path), jobs=1)
+        assert calls == [3, 1, 1, 1]
+        assert [r["error"] for r in rows] == [None, "RuntimeError: ensemble failed", None]
+        doc = json.loads((tmp_path / "e=0.5" / "r_e=0.5_error.json").read_text())
+        assert (doc["type"], doc["message"]) == ("RuntimeError", "ensemble failed")
+        for label in ("e=2", "e=1"):
+            meta = json.loads((tmp_path / label / f"r_{label}_run.json").read_text())
+            assert meta["ensemble_size"] == 1
+            solo = run_scenario(
+                replace(sw.base, name=f"r_{label}", params=ModelParams(e=float(label[2:])),
+                        outputs=("timeseries",)),
+                out_dir=str(tmp_path / "solo"),
+            )
+            assert (tmp_path / label / f"r_{label}_timeseries.csv").read_bytes() == (
+                tmp_path / "solo" / f"r_{label}_timeseries.csv"
+            ).read_bytes()
+            assert solo.trajectory.diagnostics == meta["diagnostics"]
+
+    def test_points_group_by_what_they_share_and_split_per_job(self):
+        base = _scenario()
+        tasks = [(replace(base, params=ModelParams(**kw)), 0.0, "") for kw in (
+            dict(e=1.0), dict(b=2.0), dict(V0=0.05), dict(m=3.0), dict(k=2.0),
+            dict(alpha=0.5), dict(e=4.0), dict(e=5.0), dict(K0=0.3),
+        )]
+        # V0, alpha and K0 each start a group of their own
+        assert runner._chunks(tasks, 1) == [[0, 1, 3, 4, 6, 7], [2], [5], [8]]
+        # a group is dealt by stride, so points dear at one end of the
+        # axis spread over the chunks
+        assert runner._chunks(tasks, 2) == [[0, 3, 6], [1, 4, 7], [2], [5], [8]]
+        assert runner._chunks(tasks[:1] * 7, 2) == [[0, 2, 4, 6], [1, 3, 5]]
+        assert runner._chunks(tasks[:1] * 7, 3) == [[0, 3, 6], [1, 4], [2, 5]]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_refused_before_any_directory(self, tmp_path, jobs):
+        sw = SweepSpec(base=_scenario(), axis="e", values=(0.5, 1.0))
+        with pytest.raises(ConfigurationError, match="jobs"):
+            run_sweep(sw, out_dir=str(tmp_path / "out"), jobs=jobs)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "axis,values", [("e", (0.1, 2.0)), ("b", (0.5, 2.0)), ("m", (1e-5, 3.0))]
