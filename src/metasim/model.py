@@ -215,11 +215,7 @@ def _field(V: float, K: float, b: float, eI: float) -> tuple[float, float]:
 
 def _rk4_step(V: float, K: float, b: float, eI: float, h: float) -> tuple[float, float]:
     """One classical RK4 step of length h of the growth field with eI
-    frozen over the step.
-
-    ``spectral._Flow._extend_to`` writes these operations out in the same
-    order for speed, and its grid must stay equal to iterating this step.
-    """
+    frozen over the step."""
     q = 0.5 * h
     dV1, dK1 = _field(V, K, b, eI)
     dV2, dK2 = _field(V + q * dV1, K + q * dK1, b, eI)

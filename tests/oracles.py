@@ -12,12 +12,21 @@ import math
 import numpy as np
 
 
-def flow_dense(b: float, V0: float, K0: float, tau_max: float, dtau: float):
-    """Volume of the free growth ODE from (V0, K0) on a dense tau grid."""
+def flow_dense_state(b: float, V0: float, K0: float, tau_max: float, dtau: float):
+    """Volume and capacity of the free growth ODE from (V0, K0) on a dense
+    tau grid, by classical RK4.
+
+    Each step's increment is added with Kahan's compensated sum. A plain
+    sum loses increments below half an ulp of the state, so near the
+    fixed point (1, 1) the volume stalls short of it: by 8.3e-13 at
+    dtau = 2e-4 and 1.7e-12 at 1e-4 from (1e-4, 1e-3).
+    """
     n = int(round(tau_max / dtau))
     V = np.empty(n + 1)
+    K = np.empty(n + 1)
     v, k = V0, K0
-    V[0] = v
+    cv = ck = 0.0
+    V[0], K[0] = v, k
 
     def f(v, k):
         return v * math.log(k / v), b * (v - v ** (2.0 / 3.0) * k)
@@ -28,10 +37,21 @@ def flow_dense(b: float, V0: float, K0: float, tau_max: float, dtau: float):
         dv2, dk2 = f(v + 0.5 * h * dv1, k + 0.5 * h * dk1)
         dv3, dk3 = f(v + 0.5 * h * dv2, k + 0.5 * h * dk2)
         dv4, dk4 = f(v + h * dv3, k + h * dk3)
-        v += (h / 6.0) * (dv1 + 2.0 * (dv2 + dv3) + dv4)
-        k += (h / 6.0) * (dk1 + 2.0 * (dk2 + dk3) + dk4)
-        V[i + 1] = v
-    return V
+        y = (h / 6.0) * (dv1 + 2.0 * (dv2 + dv3) + dv4) - cv
+        t = v + y
+        cv = (t - v) - y
+        v = t
+        y = (h / 6.0) * (dk1 + 2.0 * (dk2 + dk3) + dk4) - ck
+        t = k + y
+        ck = (t - k) - y
+        k = t
+        V[i + 1], K[i + 1] = v, k
+    return V, K
+
+
+def flow_dense(b: float, V0: float, K0: float, tau_max: float, dtau: float):
+    """Volume of the free growth ODE from (V0, K0) on a dense tau grid."""
+    return flow_dense_state(b, V0, K0, tau_max, dtau)[0]
 
 
 def trapezoid(y: np.ndarray, dx: float) -> float:

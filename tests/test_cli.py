@@ -175,6 +175,18 @@ class TestLambda0:
         sc = _write(tmp_path / "cpl.json", {"name": "cpl"})
         assert main(["lambda0", sc]) == 2
 
+    def test_too_stiff_a_flow_exits_2_without_a_traceback(self, tmp_path):
+        # the fixed-step RK4 flow died here with a bare math domain error
+        sc = _write(tmp_path / "stiff.json", {"name": "stiff", "params": {"e": 0, "b": 2000}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "metasim.cli", "lambda0", sc],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "too stiff for the spectral solver" in proc.stderr
+
 
 class TestSweep:
     def _sweep_file(self, tmp_path, values, parallelism=1, axis="e"):
@@ -331,8 +343,8 @@ class TestParser:
     def test_import_leaves_scipy_signal_out(self):
         code = (
             "import sys, metasim.cli; "
-            "print(*(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate')"
-            " if m in sys.modules))"
+            "print(*(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate',"
+            " 'scipy.integrate') if m in sys.modules))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True

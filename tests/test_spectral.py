@@ -10,13 +10,12 @@ from metasim import (
     NotLinearError,
 )
 from metasim import spectral
-from metasim.model import _rk4_step
 from metasim.spectral import (
     characteristic_flow,
     fit_growth_rate,
     malthus_exponent,
 )
-from oracles import brute_lambda0, flow_dense, richardson_lambda0
+from oracles import brute_lambda0, flow_dense, flow_dense_state, richardson_lambda0
 
 
 class TestCharacteristicFlow:
@@ -175,20 +174,27 @@ class TestMalthusExponent:
 
 
 # the anchor and the deep-seed regime, whose flows settle first and keep
-# the horizon they have always had, and a slow b, whose horizon the
-# decay bound sets (it settled at 200 before the bound)
+# the horizon they have always had, a slow b, whose horizon the decay
+# bound sets (it settled at 200 before the bound), and a faster b = 5
 FROZEN_FOOTPRINTS = [
     (dict(), 50.0, 25001),
     (dict(b=0.2), 114.0, 57001),
     (dict(V0=1e-4, K0=1e-3), 100.0, 50001),
+    (dict(b=5.0), 50.0, 25001),
 ]
 
 
-# the ids keep the names the rows had on the 1e-3 grid, with twice the cells
+# the first three ids keep the names the rows had on the 1e-3 grid, with
+# twice the cells
 @pytest.mark.parametrize(
     "params, tau_max, nodes",
     FROZEN_FOOTPRINTS,
-    ids=["params0-50.0-50001", "params1-114.0-114001", "params2-100.0-100001"],
+    ids=[
+        "params0-50.0-50001",
+        "params1-114.0-114001",
+        "params2-100.0-100001",
+        "params3-50.0-25001",
+    ],
 )
 class TestQuadratureGrid:
     @pytest.fixture(autouse=True)
@@ -197,24 +203,23 @@ class TestQuadratureGrid:
         spectral._flow.cache_clear()
         malthus_exponent(ModelParams(e=0.0, **params))
 
-    def test_flow_grid_is_the_oracle_bit_for_bit(self, params, tau_max, nodes):
+    def test_volume_matches_the_fine_oracle(self, params, tau_max, nodes):
+        # every node against RK4 at a tenth of the step: the grid is within
+        # 1.1e-13 of it, and an integrator tolerance of 1e-14 left 3.2e-12
         p = ModelParams(e=0.0, **params)
         flow = spectral._flow_for(p)
-        dense = flow_dense(p.b, p.V0, p.K0, tau_max, spectral._DTAU)
-        assert np.array_equal(flow.Va, dense)
+        dense, _ = flow_dense_state(p.b, p.V0, p.K0, tau_max, spectral._DTAU / 10)
+        assert flow.Va.size == nodes
+        assert np.max(np.abs(flow.Va - dense[::10])) < 5e-13
 
-    def test_inlined_loop_is_the_rk4_step_bit_for_bit(self, params, tau_max, nodes):
+    def test_capacity_matches_the_fine_oracle(self, params, tau_max, nodes):
+        # the capacity moves faster than the volume: 4.3e-13 at b = 5, and
+        # within 6.2e-14 on the other rows
         p = ModelParams(e=0.0, **params)
         flow = spectral._flow_for(p)
-        # over the whole grid: a regrouped sum can stay bit-identical for
-        # the first ten thousand nodes
-        V, K = [p.V0], [p.K0]
-        for _ in range(nodes - 1):
-            v, k = _rk4_step(V[-1], K[-1], p.b, 0.0, spectral._DTAU)
-            V.append(v)
-            K.append(k)
-        assert np.array_equal(flow.Va, V)
-        assert np.array_equal(flow.Ka, K)
+        _, dense = flow_dense_state(p.b, p.V0, p.K0, tau_max, spectral._DTAU / 10)
+        assert flow.Ka.size == nodes
+        assert np.max(np.abs(flow.Ka - dense[::10])) < 1e-12
 
     def test_coarse_grid_ends_at_the_horizon(self, params, tau_max, nodes):
         # the extrapolated rule needs the quadrature on every second node
@@ -358,9 +363,55 @@ class TestHorizon:
         assert res.tau_max < 150.0
         h = spectral._DTAU
         ks = (75_000, 150_000, 449_500)
-        dense = flow_dense(p.b, p.V0, p.K0, ks[-1] * h, h)
+        dense = flow_dense(p.b, p.V0, p.K0, ks[-1] * h, h / 10)
+        flow = spectral._flow_for(p)
         for k in ks:
-            assert characteristic_flow(k * h, p).V == dense[k]
+            V = characteristic_flow(k * h, p).V
+            assert V == flow.Va[k]
+            assert V == pytest.approx(dense[10 * k], rel=0, abs=1e-12)
+
+
+class TestFlowIntegrator:
+    @pytest.mark.parametrize("b", [0.1, 5.0])
+    def test_nodes_do_not_depend_on_how_the_flow_was_extended(self, b, monkeypatch):
+        # steps are never clipped to a build target, so a node is the same
+        # sample of the same step however far earlier builds went
+        p = ModelParams(e=0.0, b=b)
+        stepwise = spectral._Flow(p.b, p.V0, p.K0)
+        for tau in (100.0, 200.0):
+            stepwise.extend_to(tau)
+        monkeypatch.setattr(spectral, "_TAU_MAX_INITIAL", 200.0)
+        straight = spectral._Flow(p.b, p.V0, p.K0)
+        assert straight.tau_max == stepwise.tau_max == 200.0
+        assert np.array_equal(straight.Va, stepwise.Va)
+        assert np.array_equal(straight.Ka, stepwise.Ka)
+
+    @pytest.mark.parametrize("b", [40.0, 100.0])
+    def test_stiff_lambda0_matches_the_fine_oracle_grid(self, b):
+        # the same quadrature on the oracle's nodes at dtau / 20; the
+        # fixed-step RK4 grid was 1.2e-11 and 2.0e-10 off here
+        p = ModelParams(e=0.0, b=b)
+        spectral._flow.cache_clear()
+        res = malthus_exponent(p)
+        flow = spectral._flow_for(p)
+        V, K = flow_dense_state(p.b, p.V0, p.K0, res.tau_max, spectral._DTAU / 20)
+        flow.Va, flow.Ka = V[::20], K[::20]
+        oracle = malthus_exponent(p)
+        spectral._flow.cache_clear()
+        assert oracle.tau_max == res.tau_max
+        assert res.lambda0 == pytest.approx(oracle.lambda0, rel=1e-12)
+
+    def test_too_stiff_a_flow_is_a_configuration_error(self):
+        # b = 2000 takes about 41 000 steps for the 25 000 cells to tau = 50
+        p = ModelParams(e=0.0, b=2000.0)
+        with pytest.raises(ConfigurationError, match="b=2000 takes more integrator steps"):
+            malthus_exponent(p)
+
+    def test_stiff_flow_within_the_step_budget_solves(self):
+        # b = 1000 takes about 23 000 steps for 25 000 cells
+        res = malthus_exponent(ModelParams(e=0.0, b=1000.0))
+        assert res.residual < 1e-13
+        assert spectral._flow_for(ModelParams(e=0.0, b=1000.0))._ode.steps < 25_000
 
 
 class TestFlowCache:
