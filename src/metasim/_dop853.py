@@ -244,15 +244,16 @@ class Dop853:
         self.f = field(V, K)
         self.h = self._initial_step()
         self._rejected = False
-        # per accepted step: its end, and its start, width, initial state
-        # and the seven dense-output coefficients of each component
-        self._ends: list[float] = []
+        # per accepted step: its start, width, initial state and the seven
+        # dense-output coefficients of each component (a step ends where
+        # the next starts); _table is the transpose, rebuilt once steps moves
         self._dense: list[tuple] = []
+        self._table = np.empty((18, 0))
 
     @property
     def steps(self) -> int:
         """Accepted steps so far."""
-        return len(self._ends)
+        return len(self._dense)
 
     def _initial_step(self) -> float:
         # scipy's select_initial_step (Hairer, Nørsett & Wanner, §II.4)
@@ -315,16 +316,17 @@ class Dop853:
             sV, sK = _weighted(row, kV, kK)
             cV.append(h * sV)
             cK.append(h * sK)
-        self._ends.append(self.t + h)
         self._dense.append((self.t, h, V, K, *cV, *cK))
 
     def sample(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The dense output at times tau, all in (0, t]: each from the
-        first step that ends at or after it."""
+        """The dense output at times tau in [0, t], each from the first step
+        that ends at or after it; tau = 0 gives the start state exactly."""
+        if self._table.shape[1] != self.steps:
+            self._table = np.array(self._dense).T
+        table = self._table
         # one column of the step table at a time, gathered per time, so the
         # temporaries stay a few arrays of the size of tau
-        table = np.array(self._dense).T
-        which = np.searchsorted(self._ends, tau)
+        which = np.searchsorted(np.append(table[0][1:], self.t), tau)
         x = (tau - table[0][which]) / table[1][which]
         y = 1.0 - x
 

@@ -87,8 +87,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.jobs is not None and args.jobs < 1:
-        raise ConfigurationError("--jobs must be a positive integer")
     sw = load_sweep(args.sweep)
     rows = run_sweep(sw, out_dir=args.out, jobs=args.jobs)
     print(os.path.join(args.out, "summary.csv"))

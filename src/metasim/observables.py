@@ -69,8 +69,9 @@ class OscillationMetrics:
 def _check_bins(V0: float, n_bins: int):
     """Reject a bin layout ``histogram`` cannot build; the runner calls
     this before a run that asks for the histogram."""
-    if n_bins < 1:
-        raise ConfigurationError(f"n_bins must be >= 1, got {n_bins}")
+    # a million bins is a 60 MB CSV; 1e12 would need terabytes of edges
+    if not 1 <= n_bins <= 1_000_000:
+        raise ConfigurationError(f"n_bins must be >= 1 and at most 1000000, got {n_bins}")
     if not V0 < 1.0:
         raise ConfigurationError("histogram bins require V0 < 1")
 

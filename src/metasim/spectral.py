@@ -14,10 +14,9 @@ converges superlinearly and keeps the bracket.
 The flow is integrated once per parameter set by an adaptive
 Dormand-Prince 8(5,3) pair (``_dop853``) at a tolerance of 1e-15, whose
 seventh-order dense output is sampled on a fixed grid of step
-dtau = 2e-3; the most recently used flows are cached. A query between
-nodes takes one step of the engine's RK4 scheme from the nearest node.
-A flow whose integrator needs more steps than the grid has cells is too
-stiff for this solver and an error. The spectral integral
+dtau = 2e-3; the most recently used flows are cached. A flow whose
+integrator needs more steps than the grid has cells is too stiff for
+this solver and an error. The spectral integral
 uses a product rule: beta is linearized on each cell while the
 exponential factor is integrated exactly, which keeps the constant-beta
 case exact to rounding and the smooth case at grid-squared accuracy.
@@ -37,9 +36,9 @@ stops once the flow has settled, the cap is reached, or the part of the
 integral past the horizon can no longer move the root; beyond the
 horizon the tail integral (m / lambda) * exp(-lambda * tau_max) is
 added in closed form.
-A flow query extends the cached flow as far as it needs, up to the cap;
-past the cap it returns the state at the first doubled horizon where
-the flow has settled, and a flow that never settled is an error.
+A flow query reads the dense output and adds no node; past the cap it
+returns the state at the first doubled horizon where the flow has
+settled, and a flow that never settled is an error.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NoRootError, NotLinearError
 from ._dop853 import Dop853
-from .model import ModelParams, TumorState, _field, _rk4_step
+from .model import ModelParams, TumorState, _field
 
 __all__ = [
     "SpectralResult",
@@ -97,11 +96,10 @@ class _Flow:
 
     Node i is the DOP853 dense output at tau = i * dtau, from the step
     that covers it. Steps are never clipped to a build target, so a node
-    does not depend on how far the flow was built before. Built to
-    tau = 50 and extended on demand up to the cap. A caller that needs a
-    horizon picks it itself and reads only the nodes up to it, so what it
-    computes does not depend on how far earlier queries extended the
-    flow.
+    does not depend on how far the integrator went before. The grid is
+    built to tau = 50 and extended to the horizon a solve picks, which
+    reads only the nodes up to it; ``at`` reads the dense output and
+    leaves the grid as it is.
     """
 
     def __init__(self, b: float, V0: float, K0: float):
@@ -120,7 +118,19 @@ class _Flow:
         return round(tau / self.dtau)
 
     def settled_at(self, i: int) -> bool:
-        return abs(self.Va[i] - 1.0) + abs(self.Ka[i] - 1.0) < _SETTLE_TOL
+        return _settled(self.Va[i], self.Ka[i])
+
+    def _advance(self, tau: float):
+        """Step the integrator until it covers tau, at most one step per grid cell."""
+        ode, cells = self._ode, self.node(tau)
+        while ode.t < tau:
+            ode.step()
+            if ode.steps > cells:
+                raise ConfigurationError(
+                    f"the growth flow for b={self.b:g} takes more integrator steps "
+                    f"than the {cells} grid cells to tau={cells * self.dtau:g}: "
+                    "it is too stiff for the spectral solver"
+                )
 
     def extend_to(self, tau_target: float):
         # new nodes go to a fresh array and Va and Ka are replaced by the
@@ -128,43 +138,32 @@ class _Flow:
         last = self.node(tau_target)
         if last < self.Va.size:
             return
-        ode = self._ode
-        while ode.t < last * self.dtau:
-            ode.step()
-            if ode.steps > last:
-                raise ConfigurationError(
-                    f"the growth flow for b={self.b:g} takes more integrator steps "
-                    f"than the {last} grid cells to tau={last * self.dtau:g}: "
-                    "it is too stiff for the spectral solver"
-                )
-        V, K = ode.sample(np.arange(self.Va.size, last + 1) * self.dtau)
+        self._advance(last * self.dtau)
+        V, K = self._ode.sample(np.arange(self.Va.size, last + 1) * self.dtau)
         self.Va = np.concatenate((self.Va, V))
         self.Ka = np.concatenate((self.Ka, K))
 
     def at(self, tau: float) -> tuple[float, float]:
-        """State at tau: one ``model._rk4_step`` of length tau - i*dtau,
-        forward or back, from the nearest node i, so a node maps to
-        itself. Extends the flow as far as tau needs, up to the cap; past
-        the cap, the node at the first horizon where the flow settled."""
-        if tau >= _TAU_MAX_CAP:
-            horizon = _TAU_MAX_INITIAL
-            while horizon < _TAU_MAX_CAP and not self.settled_at(self.node(horizon)):
-                horizon = min(2.0 * horizon, _TAU_MAX_CAP)
-                self.extend_to(horizon)
-            last = self.node(horizon)
-            if tau > horizon and not self.settled_at(last):
-                raise ConfigurationError(
-                    f"tau={tau:g} lies past the flow horizon tau_max={horizon:g}, "
-                    f"where the flow has not settled at (1, 1)"
-                )
-            return float(self.Va[last]), float(self.Ka[last])
-        i = self.node(tau)
-        if i >= self.Va.size:
-            # at least doubling keeps rising queries linear in the nodes
-            self.extend_to(min(max(tau, 2.0 * self.tau_max), _TAU_MAX_CAP))
-        return _rk4_step(
-            float(self.Va[i]), float(self.Ka[i]), self.b, 0.0, tau - i * self.dtau
-        )
+        """State at tau from the dense output, so a node maps to itself;
+        the grid is left as it is. Past the cap, the state at the first
+        horizon of 50, 100, ..., 900 where the flow settled."""
+        horizon = tau if tau < _TAU_MAX_CAP else _TAU_MAX_INITIAL
+        while True:
+            self._advance(horizon)
+            V, K = (float(x[0]) for x in self._ode.sample(np.array([horizon])))
+            if horizon == tau or horizon >= _TAU_MAX_CAP or _settled(V, K):
+                break
+            horizon = min(2.0 * horizon, _TAU_MAX_CAP)
+        if tau > horizon and not _settled(V, K):
+            raise ConfigurationError(
+                f"tau={tau:g} lies past the flow horizon tau_max={horizon:g}, "
+                f"where the flow has not settled at (1, 1)"
+            )
+        return V, K
+
+
+def _settled(V: float, K: float) -> bool:
+    return abs(V - 1.0) + abs(K - 1.0) < _SETTLE_TOL
 
 
 # a slow-regime flow holds up to 450k nodes; the key is (b, V0, K0)
@@ -190,7 +189,7 @@ def _emission_threshold_time(flow: _Flow, Vm: float, last: int) -> float | None:
 
     V is strictly increasing along the flow for V0 < K0, so the
     crossing is unique. It is bracketed on the grid and solved on the
-    flow's in-cell step.
+    dense output.
     """
     hits = flow.Va[: last + 1] >= Vm
     if not hits.any():
@@ -198,13 +197,7 @@ def _emission_threshold_time(flow: _Flow, Vm: float, last: int) -> float | None:
     i = int(np.argmax(hits))
     if i == 0:
         return 0.0
-    return brentq(
-        lambda tau: flow.at(tau)[0] - Vm,
-        (i - 1) * flow.dtau,
-        i * flow.dtau,
-        xtol=1e-15,
-        rtol=4.0 * np.finfo(float).eps,
-    )
+    return _brent(lambda tau: flow.at(tau)[0] - Vm, (i - 1) * flow.dtau, i * flow.dtau)
 
 
 def malthus_exponent(p: ModelParams) -> SpectralResult:
@@ -344,7 +337,12 @@ def _root(f, hi: float) -> float:
         lo *= 0.5
     else:
         raise NoRootError("failed to bracket the growth exponent from below")
-    return brentq(f, lo, hi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+    return _brent(f, lo, hi)
+
+
+def _brent(f, lo: float, hi: float) -> float:
+    """Brent root of f on [lo, hi], to a relative stop: a small root keeps its digits."""
+    return brentq(f, lo, hi, xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps)
 
 
 def _cell_weights(lam: float, width: float) -> tuple[float, float]:

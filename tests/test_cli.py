@@ -104,6 +104,23 @@ class TestRun:
         n_bins = json.loads((out / "bins_run.json").read_text())["scenario"]["n_bins"]
         assert (type(n_bins), n_bins) == (int, 40)
 
+    def test_huge_n_bins_exits_2_before_the_run(self, tmp_path):
+        # 1e12 bins used to integrate, then die building 7.28 TiB of edges
+        sc = _write(
+            tmp_path / "huge.json",
+            {"name": "a", "settings": {"t_end": 1.0}, "n_bins": 1e12, "outputs": ["histogram"]},
+        )
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "metasim.cli", "run", sc, "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "n_bins must be >= 1 and at most 1000000, got 1000000000000" in proc.stderr
+        assert not out.exists()
+
     def test_log_scale_flag(self, tmp_path, quick_scenario, capsys):
         out = tmp_path / "out"
         assert main(["run", quick_scenario, "--out", str(out), "--log-scale"]) == 0
@@ -322,7 +339,10 @@ class TestSweep:
 
     def test_bad_jobs_exits_2(self, tmp_path, capsys):
         sw = self._sweep_file(tmp_path, [1.0])
-        assert main(["sweep", sw, "--out", str(tmp_path / "o"), "--jobs", "0"]) == 2
+        out = tmp_path / "o"
+        assert main(["sweep", sw, "--out", str(out), "--jobs", "0"]) == 2
+        assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParser:

@@ -8,6 +8,7 @@ from metasim import (
     ModelParams,
     NoRootError,
     NotLinearError,
+    TumorState,
 )
 from metasim import spectral
 from metasim.spectral import (
@@ -65,15 +66,18 @@ class TestCharacteristicFlow:
 
     def test_past_an_unsettled_horizon_rejected(self):
         # b = 0.01 reaches the horizon cap before settling at (1, 1); the
-        # last node is 6.4e-3 from the state at tau = 1200
+        # state at 900 is 6.4e-3 from the state at tau = 1200
         p = ModelParams(e=0.0, b=0.01)
         spectral._flow.cache_clear()
         with pytest.raises(ConfigurationError, match="tau=1200 .* tau_max=900"):
             characteristic_flow(1200.0, p)
         flow = spectral._flow_for(p)
-        assert flow.tau_max == spectral._TAU_MAX_CAP
-        assert not flow.settled_at(-1)
-        assert characteristic_flow(flow.tau_max, p).V == flow.Va[-1]
+        cap = spectral._TAU_MAX_CAP
+        assert flow._ode.t >= cap
+        assert flow.tau_max == spectral._TAU_MAX_INITIAL
+        V, K = flow.at(cap)
+        assert not spectral._settled(V, K)
+        assert characteristic_flow(cap, p) == TumorState(V=V, K=K)
 
     def test_past_the_cap_a_settled_flow_answers_from_where_it_settled(self):
         # the anchor flow settles at tau = 50, so a query past the cap
@@ -88,6 +92,39 @@ class TestCharacteristicFlow:
         characteristic_flow(800.0, p)
         assert characteristic_flow(1000.0, p) == far
 
+    def test_a_far_query_stays_within_the_cap(self):
+        # b = 100 settles by tau = 50: a query at 1e6 reads the state there
+        # and integrates no further
+        p = ModelParams(e=0.0, b=100.0)
+        spectral._flow.cache_clear()
+        far = characteristic_flow(1e6, p)
+        flow = spectral._flow_for(p)
+        assert flow._ode.t < 2 * spectral._TAU_MAX_INITIAL
+        assert (far.V, far.K) == (flow.Va[-1], flow.Ka[-1])
+
+    @pytest.mark.parametrize("b", [100.0, 1000.0])
+    def test_stiff_off_node_matches_the_fine_oracle(self, b):
+        # one RK4 step from the nearest node was up to 1.1e-11 off in K at
+        # b = 100 and 8.7e-7 at b = 1000 here; the dense output is within
+        # 2.2e-14 of the oracle
+        p = ModelParams(e=0.0, b=b)
+        h = 2e-6
+        V, K = flow_dense_state(p.b, p.V0, p.K0, 0.2, h)
+        ks = [k for k in range(1, 100_000, 97) if k % round(spectral._DTAU / h)]
+        for k in ks:
+            state = characteristic_flow(k * h, p)
+            assert state.V == pytest.approx(V[k], rel=0, abs=1e-13)
+            assert state.K == pytest.approx(K[k], rel=0, abs=1e-13)
+
+    def test_queries_leave_the_grid_as_it_is(self):
+        p = ModelParams(e=0.0, b=0.134)
+        spectral._flow.cache_clear()
+        flow = spectral._flow_for(p)
+        Va, Ka = flow.Va, flow.Ka
+        for tau in (0.0, 0.0013, 25.0, 49.999, 50.0, 77.7, 899.0, 1e6):
+            characteristic_flow(tau, p)
+        assert flow.Va is Va and flow.Ka is Ka
+
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
             characteristic_flow(-1.0, ModelParams(e=0.0))
@@ -97,9 +134,12 @@ class TestMalthusExponent:
     def test_constant_emission_closed_form(self):
         # alpha = 0 with the threshold at the domain edge makes the
         # spectral integral m/lambda exactly, so the root is m itself
-        for m in (1.0, 2.5):
+        # to the last digits however small m is: an absolute stop of
+        # 1e-15 left 5.0e-11 relative at m = 1e-6 and 1.7e-4 at 1e-12
+        for m in (1.0, 2.5, 1e-6, 1e-12):
             res = malthus_exponent(ModelParams(e=0.0, alpha=0.0, m=m))
-            assert res.lambda0 == pytest.approx(m, rel=1e-9)
+            assert res.lambda0 == pytest.approx(m, rel=1e-12, abs=0)
+            assert res.residual < 1e-13
 
     def test_reference_parameters_frozen_value(self):
         res = malthus_exponent(ModelParams(e=0.0))
@@ -302,7 +342,8 @@ class TestHorizon:
     )
     def test_lambda0_frozen(self, params, single_grid, lambda0):
         res = malthus_exponent(ModelParams(e=0.0, **params))
-        assert res.lambda0 == pytest.approx(lambda0, rel=1e-12)
+        # abs=0: approx's default abs of 1e-12 outweighs rel 1e-12 below 1
+        assert res.lambda0 == pytest.approx(lambda0, rel=1e-12, abs=0)
         assert res.residual < 1e-13
         assert res.lambda0 == pytest.approx(single_grid, rel=6e-9)
 
@@ -348,12 +389,15 @@ class TestHorizon:
 
     @pytest.mark.parametrize("params", [dict(b=0.134), dict(b=0.1, Vm=0.95)])
     def test_result_does_not_depend_on_earlier_queries(self, params):
+        # the query takes the integrator past 800 and leaves the grid
         p = ModelParams(e=0.0, **params)
         spectral._flow.cache_clear()
         cold = malthus_exponent(p)
         spectral._flow.cache_clear()
         characteristic_flow(800.0, p)
-        assert spectral._flow_for(p).tau_max > cold.tau_max
+        flow = spectral._flow_for(p)
+        assert flow._ode.t >= 800.0
+        assert flow.tau_max == spectral._TAU_MAX_INITIAL
         assert malthus_exponent(p) == cold
 
     def test_queries_past_the_decay_horizon_extend_the_flow(self):
@@ -362,13 +406,21 @@ class TestHorizon:
         res = malthus_exponent(p)
         assert res.tau_max < 150.0
         h = spectral._DTAU
-        ks = (75_000, 150_000, 449_500)
+        # the first time is a node, the others lie past the horizon, on the
+        # grid's spacing and off it
+        ks = (30_000, 75_000, 150_000, 449_500)
         dense = flow_dense(p.b, p.V0, p.K0, ks[-1] * h, h / 10)
         flow = spectral._flow_for(p)
+        nodes = flow.Va.size
+        assert ks[0] < nodes <= ks[1]
         for k in ks:
             V = characteristic_flow(k * h, p).V
-            assert V == flow.Va[k]
+            if k < nodes:
+                assert V == flow.Va[k]
             assert V == pytest.approx(dense[10 * k], rel=0, abs=1e-12)
+            off = characteristic_flow((10 * k - 3) * (h / 10), p).V
+            assert off == pytest.approx(dense[10 * k - 3], rel=0, abs=1e-12)
+        assert flow.Va.size == nodes
 
 
 class TestFlowIntegrator:
