@@ -1,17 +1,20 @@
-"""Scenario and sweep configuration: schemas, loading, and the built-in
-catalog of dynamical regimes.
+"""Scenario and sweep configuration: loading, and the built-in catalog
+of dynamical regimes.
 
-Configuration files are JSON, validated against explicit schemas before
-any numerics run; validation failures carry the offending path.
+Configuration files are JSON. The loaders check each file's shape (its
+objects, their keys and the JSON type of each value), and the
+dataclasses they build check the values, all before any numerics run.
+A failed check names the JSON path of the offending field.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import lru_cache
+from numbers import Real
 
-import jsonschema
 import numpy as np
 
 from .engine import Cohort, SolverSettings
@@ -30,82 +33,36 @@ __all__ = [
 _PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
 _SETTING_NAMES = tuple(f.name for f in fields(SolverSettings))
 _OUTPUT_KINDS = ("timeseries", "histogram", "metrics", "plots")
+_NAME = re.compile(r"[A-Za-z0-9._=+-]+")
+# 10 000 base points take hours; 1e12 points would not fit in memory
+_MAX_COUNT = 10_000
 
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "name": {"type": "string", "pattern": "^[A-Za-z0-9._=+-]+$"},
-        "params": {
-            "type": "object",
-            "properties": {name: {"type": "number"} for name in _PARAM_NAMES},
-            "additionalProperties": False,
-        },
-        "settings": {
-            "type": "object",
-            "properties": {name: {"type": "number"} for name in _SETTING_NAMES},
-            "additionalProperties": False,
-        },
-        "initial_cohorts": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "birth_time": {"type": "number"},
-                    "weight": {"type": "number"},
-                    "V": {"type": "number"},
-                    "K": {"type": "number"},
-                },
-                "required": ["weight", "V", "K"],
-                "additionalProperties": False,
-            },
-        },
-        "outputs": {
-            "type": "array",
-            "items": {"enum": list(_OUTPUT_KINDS)},
-            "uniqueItems": True,
-        },
-        "transient": {"type": ["number", "null"]},
-        "log_scale": {"type": "boolean"},
-        "n_bins": {"type": "integer", "minimum": 1},
-    },
-    "required": ["name"],
-    "additionalProperties": False,
-}
 
-SWEEP_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "base": {"anyOf": [{"type": "string"}, SCENARIO_SCHEMA]},
-        "axis": {"enum": list(_PARAM_NAMES)},
-        "values": {
-            "anyOf": [
-                {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                {
-                    "type": "object",
-                    "properties": {
-                        "from": {"type": "number", "exclusiveMinimum": 0},
-                        "to": {"type": "number", "exclusiveMinimum": 0},
-                        "count": {"type": "integer", "minimum": 2},
-                    },
-                    "required": ["from", "to", "count"],
-                    "additionalProperties": False,
-                },
-            ]
-        },
-        "parallelism": {"type": "integer", "minimum": 1},
-    },
-    "required": ["base", "axis", "values"],
-    "additionalProperties": False,
-}
+def _is_number(value) -> bool:
+    """JSON's number: any real but a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """JSON's integer: a number with no fractional part, such as 40 or 40.0."""
+    return _is_number(value) and value % 1 == 0
+
+
+def _expect(ok, path: str, value, kind: str, what: str = "scenario"):
+    """Reject ``value``, at ``path`` of a ``what`` file, unless ``ok``."""
+    if not ok:
+        raise ConfigurationError(f"invalid {what} at {path}: {value!r} is not {kind}")
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One named, fully-resolved simulation configuration.
 
-    ``transient`` is the analysis-window start for oscillation metrics;
-    None resolves to a quarter of the horizon. ``log_scale`` requests
-    logarithmic y-axes on the plots.
+    ``name`` matches ``[A-Za-z0-9._=+-]+``, so it names files inside the
+    output directory; ``outputs`` are distinct. ``transient`` is the
+    analysis-window start for oscillation metrics; None resolves to a
+    quarter of the horizon. ``log_scale`` requests logarithmic y-axes on
+    the plots. ``n_bins`` is checked when a run asks for the histogram.
     """
 
     name: str
@@ -116,6 +73,18 @@ class Scenario:
     transient: float | None = None
     log_scale: bool = False
     n_bins: int = 40
+
+    def __post_init__(self):
+        name, outputs, transient = self.name, self.outputs, self.transient
+        ok = isinstance(name, str) and _NAME.fullmatch(name)
+        _expect(ok, "$.name", name, f"a string matching {_NAME.pattern!r}")
+        for i, kind in enumerate(outputs):
+            _expect(kind in _OUTPUT_KINDS, f"$.outputs[{i}]", kind, f"one of {list(_OUTPUT_KINDS)}")
+        _expect(len(set(outputs)) == len(outputs), "$.outputs", list(outputs), "free of duplicates")
+        # the comparison admits an int too large for a float, as JSON does
+        ok = transient is None or (_is_number(transient) and -math.inf < transient < math.inf)
+        _expect(ok, "$.transient", transient, "null or a finite number")
+        _expect(isinstance(self.log_scale, bool), "$.log_scale", self.log_scale, "a boolean")
 
     @property
     def resolved_transient(self) -> float:
@@ -134,12 +103,10 @@ class SweepSpec:
     parallelism: int = 1
 
     def __post_init__(self):
-        if self.axis not in _PARAM_NAMES:
-            raise ConfigurationError(f"unknown sweep axis {self.axis!r}")
-        if not self.values:
-            raise ConfigurationError("sweep needs at least one value")
-        if self.parallelism < 1:
-            raise ConfigurationError("parallelism must be >= 1")
+        ok = self.axis in _PARAM_NAMES
+        _expect(ok, "$.axis", self.axis, f"one of {list(_PARAM_NAMES)}", "sweep")
+        _expect(len(self.values) > 0, "$.values", self.values, "a non-empty array", "sweep")
+        _expect(self.parallelism >= 1, "$.parallelism", self.parallelism, "at least 1", "sweep")
         labels: dict[str, float] = {}
         for value in self.values:
             label = self.point_label(value)
@@ -177,27 +144,39 @@ class SweepSpec:
         ]
 
 
-@lru_cache(maxsize=None)
-def _validator(what: str):
-    # jsonschema.validate checks the schema and builds a validator on
-    # every call; this does both once per schema
-    schema = {"scenario": SCENARIO_SCHEMA, "sweep": SWEEP_SCHEMA}[what]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-def _validate(instance: dict, what: str):
-    exc = jsonschema.exceptions.best_match(_validator(what).iter_errors(instance))
-    if exc is not None:
-        raise ConfigurationError(f"invalid {what} at {exc.json_path}: {exc.message}") from exc
+def _check_object(raw, path: str, keys, required=(), numbers=False, what: str = "scenario"):
+    """Reject ``raw`` unless it is a JSON object whose keys are among
+    ``keys`` and include ``required``, its values all numbers if ``numbers``."""
+    _expect(isinstance(raw, dict), path, raw, "an object", what)
+    for key, value in raw.items():
+        _expect(key in keys, path, key, f"one of the keys {list(keys)}", what)
+        _expect(not numbers or _is_number(value), f"{path}.{key}", value, "a number", what)
+    for key in required:
+        if key not in raw:
+            raise ConfigurationError(f"invalid {what} at {path}: {key!r} is a required property")
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Build a Scenario from validated JSON data."""
-    _validate(raw, "scenario")
-    # the schema admits only Scenario's fields; an absent one keeps its default
+    """Build a Scenario from its JSON object. This checks the object's
+    shape; Scenario and the dataclasses it holds check the values."""
+    _check_object(raw, "$", [f.name for f in fields(Scenario)], required=("name",))
+    _check_object(raw.get("params", {}), "$.params", _PARAM_NAMES, numbers=True)
+    _check_object(raw.get("settings", {}), "$.settings", _SETTING_NAMES, numbers=True)
+    cohorts = raw.get("initial_cohorts", [])
+    _expect(isinstance(cohorts, list), "$.initial_cohorts", cohorts, "an array")
+    for i, c in enumerate(cohorts):
+        keys = ("birth_time", "weight", "V", "K")
+        _check_object(c, f"$.initial_cohorts[{i}]", keys, keys[1:], numbers=True)
+    # an absent key keeps Scenario's default
     kwargs = dict(raw)
+    if "outputs" in raw:
+        outputs = raw["outputs"]
+        _expect(isinstance(outputs, list), "$.outputs", outputs, "an array")
+        kwargs["outputs"] = tuple(outputs)
+    if "n_bins" in raw:
+        n_bins = raw["n_bins"]
+        _expect(_is_integer(n_bins) and n_bins >= 1, "$.n_bins", n_bins, "an integer >= 1")
+        kwargs["n_bins"] = int(n_bins)
     try:
         kwargs["params"] = ModelParams(**raw.get("params", {}))
         kwargs["settings"] = SolverSettings(**raw.get("settings", {}))
@@ -213,11 +192,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise
     except Exception as exc:
         raise ConfigurationError(f"invalid scenario content: {exc}") from exc
-    if "outputs" in raw:
-        kwargs["outputs"] = tuple(raw["outputs"])
-    if "n_bins" in raw:
-        # the schema's integer admits 40.0, as JSON has no integer type
-        kwargs["n_bins"] = int(raw["n_bins"])
     return Scenario(**kwargs)
 
 
@@ -262,9 +236,33 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(_read_object(path, "scenario"))
 
 
+def _sweep_values(raw) -> tuple[float, ...]:
+    """A sweep's values: an array of numbers, or ``count`` points
+    geometrically spaced from ``from`` to ``to``."""
+    if isinstance(raw, list):
+        for i, value in enumerate(raw):
+            _expect(_is_number(value), f"$.values[{i}]", value, "a number", "sweep")
+    else:
+        _expect(isinstance(raw, dict), "$.values", raw, "an array or an object", "sweep")
+        keys = ("from", "to", "count")
+        _check_object(raw, "$.values", keys, keys, numbers=True, what="sweep")
+        for key in ("from", "to"):
+            _expect(raw[key] > 0, f"$.values.{key}", raw[key], "positive", "sweep")
+        count = raw["count"]
+        ok = _is_integer(count) and 2 <= count <= _MAX_COUNT
+        _expect(ok, "$.values.count", count, f"an integer in [2, {_MAX_COUNT}]", "sweep")
+    try:
+        if isinstance(raw, dict):
+            raw = np.geomspace(raw["from"], raw["to"], int(raw["count"]))
+        return tuple(float(v) for v in raw)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ConfigurationError(f"invalid sweep at $.values: {exc}") from exc
+
+
 def load_sweep(path: str) -> SweepSpec:
     raw = _read_object(path, "sweep")
-    _validate(raw, "sweep")
+    keys = ("base", "axis", "values", "parallelism")
+    _check_object(raw, "$", keys, keys[:3], what="sweep")
 
     base_raw = raw["base"]
     if isinstance(base_raw, str):
@@ -274,23 +272,23 @@ def load_sweep(path: str) -> SweepSpec:
                 f"unknown base scenario {base_raw!r}; catalog has: {', '.join(sorted(by_name))}"
             )
         base = by_name[base_raw]
+    elif isinstance(base_raw, dict):
+        try:
+            base = scenario_from_dict(base_raw)
+        except ConfigurationError as exc:
+            # the base's paths, read from the sweep's root
+            message = str(exc).replace("invalid scenario at $", "invalid sweep at $.base", 1)
+            raise ConfigurationError(message) from exc
     else:
-        base = scenario_from_dict(base_raw)
+        _expect(False, "$.base", base_raw, "a string or an object", "sweep")
 
-    values_raw = raw["values"]
-    if isinstance(values_raw, dict):
-        values = tuple(
-            float(v)
-            for v in np.geomspace(values_raw["from"], values_raw["to"], int(values_raw["count"]))
-        )
-    else:
-        values = tuple(float(v) for v in values_raw)
-
+    parallelism = raw.get("parallelism", 1)
+    _expect(_is_integer(parallelism), "$.parallelism", parallelism, "an integer", "sweep")
     return SweepSpec(
         base=base,
         axis=raw["axis"],
-        values=values,
-        parallelism=int(raw.get("parallelism", 1)),
+        values=_sweep_values(raw["values"]),
+        parallelism=int(parallelism),
     )
 
 

@@ -90,10 +90,10 @@ class TestRun:
         assert main(["run", sc, "--out", str(out)]) == 0
         doc = json.loads((out / "lin_metrics.json").read_text())
         assert list(doc.keys()) == METRIC_KEYS + ["lambda0"]
-        assert doc["lambda0"] == pytest.approx(0.4292814661422716, rel=1e-9)
+        assert doc["lambda0"] == pytest.approx(0.4292814661422716, rel=1e-9, abs=0)
 
     def test_integer_valued_float_n_bins(self, tmp_path, capsys):
-        # JSON has no integer type: the schema's integer admits 40.0
+        # JSON has no integer type: the loader's integer admits 40.0
         sc = _write(
             tmp_path / "bins.json",
             {"name": "bins", "settings": {"t_end": 5.0}, "n_bins": 40.0, "outputs": ["histogram"]},
@@ -119,6 +119,19 @@ class TestRun:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "n_bins must be >= 1 and at most 1000000, got 1000000000000" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("transient", ["NaN", "Infinity"])
+    def test_non_finite_transient_exits_2_before_any_output(self, tmp_path, capsys, transient):
+        # Python's json reads NaN; it used to run and write "transient": NaN into run.json
+        sc = tmp_path / "t.json"
+        sc.write_text(
+            '{"name": "t", "transient": %s, "settings": {"t_end": 1.0}, '
+            '"outputs": ["timeseries"]}' % transient
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(sc), "--out", str(out)]) == 2
+        assert "invalid scenario at $.transient: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_log_scale_flag(self, tmp_path, quick_scenario, capsys):
@@ -184,7 +197,7 @@ class TestLambda0:
         sc = _write(tmp_path / "lin.json", {"name": "lin", "params": {"e": 0.0}})
         assert main(["lambda0", sc]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["lambda0"] == pytest.approx(0.4292814661422716, rel=1e-9)
+        assert doc["lambda0"] == pytest.approx(0.4292814661422716, rel=1e-9, abs=0)
         assert doc["quadrature_nodes"] > 1000
         assert list(doc) == ["name", "lambda0", "tau_max", "quadrature_nodes", "residual"]
 
@@ -337,6 +350,23 @@ class TestSweep:
                     assert (out / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
         assert sizes == {1: [3, 3, 3], 2: [2, 1, 2], 3: [1, 1, 1]}
 
+    def test_huge_count_exits_2_before_any_output(self, tmp_path):
+        # a count of 1e12 used to die in np.geomspace asking for 7.28 TiB
+        sw = _write(
+            tmp_path / "sw.json",
+            {"base": "base", "axis": "m", "values": {"from": 0.1, "to": 10, "count": 1e12}},
+        )
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "metasim.cli", "sweep", sw, "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "invalid sweep at $.values.count: 1000000000000.0 is not" in proc.stderr
+        assert not out.exists()
+
     def test_bad_jobs_exits_2(self, tmp_path, capsys):
         sw = self._sweep_file(tmp_path, [1.0])
         out = tmp_path / "o"
@@ -364,7 +394,7 @@ class TestParser:
         code = (
             "import sys, metasim.cli; "
             "print(*(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate',"
-            " 'scipy.integrate') if m in sys.modules))"
+            " 'scipy.integrate', 'jsonschema') if m in sys.modules))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True

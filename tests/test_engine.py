@@ -93,18 +93,18 @@ class TestRates:
     def test_burden_weights_volumes(self):
         p = ModelParams()
         s = _state(p, [(2.0, 0.5, 1.0), (3.0, 0.2, 0.4)])
-        assert total_burden(s) == pytest.approx(1.6, rel=1e-15)
+        assert total_burden(s) == pytest.approx(1.6, rel=1e-15, abs=0)
 
     def test_inhibitor_rate_includes_primary_and_clearance(self):
         p = ModelParams(k=2.0)
         s = _state(p, [(2.0, 0.5, 1.0)], primary=TumorState(1.0, 1.0), I=0.25)
         # 1 + 2*0.5 - 2*0.25
-        assert inhibitor_rate(s, p) == pytest.approx(1.5, rel=1e-15)
+        assert inhibitor_rate(s, p) == pytest.approx(1.5, rel=1e-15, abs=0)
 
     def test_birth_rate_from_rest(self):
         p = ModelParams()
         assert birth_rate(initial_state(p), p) == pytest.approx(
-            0.2154434690031884, rel=1e-14
+            0.2154434690031884, rel=1e-14, abs=0
         )
 
     def test_birth_rate_silent_below_threshold(self):
@@ -112,7 +112,7 @@ class TestRates:
         s = _state(p, [(4.0, 0.3, 1.0)])
         assert birth_rate(s, p) == 0.0
         s2 = _state(p, [(4.0, 0.5, 1.0)])
-        assert birth_rate(s2, p) == pytest.approx(4.0 * 0.5 ** (2.0 / 3.0), rel=1e-14)
+        assert birth_rate(s2, p) == pytest.approx(4.0 * 0.5 ** (2.0 / 3.0), rel=1e-14, abs=0)
 
 
 class TestStep:
@@ -121,20 +121,20 @@ class TestStep:
         s1 = step(initial_state(p), p, 1e-2)
         assert s1.w.size == 1
         # frozen regression values for the base first step at dt = 1e-2
-        assert s1.w[0] == pytest.approx(0.0021617433664636336, rel=1e-12)
+        assert s1.w[0] == pytest.approx(0.0021617433664636336, rel=1e-12, abs=0)
         assert s1.birth_t[0] == pytest.approx(0.005, abs=1e-15)
-        assert s1.V[0] == pytest.approx(0.10034666278753236, rel=1e-12)
-        assert s1.K[0] == pytest.approx(0.20028452128747418, rel=1e-12)
+        assert s1.V[0] == pytest.approx(0.10034666278753236, rel=1e-12, abs=0)
+        assert s1.K[0] == pytest.approx(0.20028452128747418, rel=1e-12, abs=0)
         assert s1.born_count == s1.w[0]
-        assert s1.primary.V == pytest.approx(0.10069350477953093, rel=1e-12)
-        assert s1.I == pytest.approx(0.0009995528994514342, rel=1e-12)
+        assert s1.primary.V == pytest.approx(0.10069350477953093, rel=1e-12, abs=0)
+        assert s1.I == pytest.approx(0.0009995528994514342, rel=1e-12, abs=0)
 
     def test_first_weight_close_to_rate_times_dt(self):
         p = ModelParams()
         s0 = initial_state(p)
         s1 = step(s0, p, 1e-2)
         crude = 1e-2 * birth_rate(s0, p)
-        assert s1.w[0] == pytest.approx(crude, rel=5e-3)
+        assert s1.w[0] == pytest.approx(crude, rel=5e-3, abs=0)
 
     def test_no_emission_no_cohorts(self):
         p = ModelParams(m=0.0)
@@ -149,8 +149,8 @@ class TestStep:
         doomed = (0.5, 0.1000001, 0.001)
         s = step(_state(p, [doomed], primary=TumorState(1.0, 1.0)), p, 1e-2)
         assert s.w.size == 0
-        assert s.exited_count == pytest.approx(0.5, rel=1e-15)
-        assert s.born_count == pytest.approx(0.5, rel=1e-15)
+        assert s.exited_count == pytest.approx(0.5, rel=1e-15, abs=0)
+        assert s.born_count == pytest.approx(0.5, rel=1e-15, abs=0)
 
     def test_cohort_at_edge_survives(self):
         p = ModelParams(m=0.0, e=0.0)
@@ -195,7 +195,7 @@ class TestStep:
         for _ in range(1000):
             s = step(s, p, 1e-3)
         exact = (3.0 / 2.0) * (1.0 - math.exp(-2.0))
-        assert s.I == pytest.approx(exact, rel=1e-10)
+        assert s.I == pytest.approx(exact, rel=1e-10, abs=0)
         assert s.primary == TumorState(1.0, 1.0)
         assert (s.V[0], s.K[0]) == (1.0, 1.0)
 
@@ -231,7 +231,7 @@ class TestPrimaryRow:
         assert s.w.size == 0
         assert s.primary == step(s0, p, 1e-2).primary
         assert s.born_count > 2.0
-        assert s.exited_count == pytest.approx(s.born_count, rel=1e-15)
+        assert s.exited_count == pytest.approx(s.born_count, rel=1e-15, abs=0)
 
 
 class TestSystemStateArrays:
@@ -328,8 +328,8 @@ class TestSimulate:
     def test_burden_regression_value(self):
         p = ModelParams()
         traj, _ = simulate(p, SolverSettings(dt=1e-2, t_end=7.0, sample_every=0.1))
-        assert float(traj.M[-1]) == pytest.approx(1.1127248210955996, rel=1e-9)
-        assert float(traj.N[-1]) == pytest.approx(8.447439780093095, rel=1e-9)
+        assert float(traj.M[-1]) == pytest.approx(1.1127248210955996, rel=1e-9, abs=0)
+        assert float(traj.N[-1]) == pytest.approx(8.447439780093095, rel=1e-9, abs=0)
 
     def test_conservation_along_trajectory(self):
         p = ModelParams()
@@ -346,12 +346,12 @@ class TestSimulate:
     def test_final_state_consistent_with_trajectory(self):
         p = ModelParams()
         traj, final = simulate(p, SolverSettings(dt=1e-2, t_end=10.0, sample_every=0.1))
-        assert total_burden(final) == pytest.approx(float(traj.M[-1]), rel=1e-12)
-        assert final.I == pytest.approx(float(traj.I[-1]), rel=1e-12)
-        assert final.born_count == pytest.approx(float(traj.born[-1]), rel=1e-12)
+        assert total_burden(final) == pytest.approx(float(traj.M[-1]), rel=1e-12, abs=0)
+        assert final.I == pytest.approx(float(traj.I[-1]), rel=1e-12, abs=0)
+        assert final.born_count == pytest.approx(float(traj.born[-1]), rel=1e-12, abs=0)
         # N is NumPy's pairwise sum of the positive live weights, whose
         # error is at most about log2(n) ulps of the exact sum
-        assert float(traj.N[-1]) == pytest.approx(math.fsum(final.w), rel=1e-14)
+        assert float(traj.N[-1]) == pytest.approx(math.fsum(final.w), rel=1e-14, abs=0)
         bts = final.birth_t.tolist()
         assert bts == sorted(bts)
         assert all(final.V >= p.V0)

@@ -91,8 +91,8 @@ class TestGrowthField:
         #   dV = 0.1 * ln(2)
         #   dK = 1 * (0.1 - 0.1**(2/3) * 0.2)
         dV, dK = growth_field(TumorState(0.1, 0.2), 0.0, ModelParams())
-        assert dV == pytest.approx(0.06931471805599453, rel=1e-15)
-        assert dK == pytest.approx(0.05691130619936233, rel=1e-15)
+        assert dV == pytest.approx(0.06931471805599453, rel=1e-15, abs=0)
+        assert dK == pytest.approx(0.05691130619936233, rel=1e-15, abs=0)
 
     def test_systemic_term_linear_in_I(self):
         p = ModelParams(e=2.0)
@@ -100,8 +100,8 @@ class TestGrowthField:
         _, dK0 = growth_field(s, 0.0, p)
         _, dK1 = growth_field(s, 1.0, p)
         _, dK3 = growth_field(s, 3.0, p)
-        assert dK1 - dK0 == pytest.approx(-2.0 * 0.7, rel=1e-12)
-        assert dK3 - dK0 == pytest.approx(3 * (dK1 - dK0), rel=1e-12)
+        assert dK1 - dK0 == pytest.approx(-2.0 * 0.7, rel=1e-12, abs=0)
+        assert dK3 - dK0 == pytest.approx(3 * (dK1 - dK0), rel=1e-12, abs=0)
 
     def test_fixed_point_is_exact(self):
         # (1, 1) with no inhibitor: both rates vanish to the last bit
@@ -138,7 +138,7 @@ class TestEmissionRate:
     def test_power_law(self):
         # Frozen oracle: 0.5**(2/3)
         assert emission_rate(0.5, ModelParams()) == pytest.approx(
-            0.6299605249474366, rel=1e-15
+            0.6299605249474366, rel=1e-15, abs=0
         )
 
     def test_threshold_gates_emission(self):
@@ -156,7 +156,7 @@ class TestEmissionRate:
     @given(V=volumes, m=st.floats(min_value=0, max_value=100))
     def test_scales_linearly_in_m(self, V, m):
         base = emission_rate(V, ModelParams(m=1.0))
-        assert emission_rate(V, ModelParams(m=m)) == pytest.approx(m * base, rel=1e-12)
+        assert emission_rate(V, ModelParams(m=m)) == pytest.approx(m * base, rel=1e-12, abs=0)
 
     @given(V1=volumes, V2=volumes)
     def test_monotone_in_volume(self, V1, V2):
@@ -177,18 +177,18 @@ class TestLocalInhibitionCoefficient:
         # Frozen oracle: e=1, Vd=1, p=1, D=1 leaves the pure geometric
         # factor (1/15) * (3/(4*pi))**(2/3).
         d = local_inhibition_coefficient(1.0, 1.0, 1.0, 1.0)
-        assert d == pytest.approx(0.3848347315591266 / 15.0, rel=1e-14)
+        assert d == pytest.approx(0.3848347315591266 / 15.0, rel=1e-14, abs=0)
 
     def test_reference_value_D2(self):
         # Frozen oracle: D=2 divides by 4.
         d = local_inhibition_coefficient(1.0, 1.0, 1.0, 2.0)
-        assert d == pytest.approx(0.09620868288978165 / 15.0, rel=1e-14)
+        assert d == pytest.approx(0.09620868288978165 / 15.0, rel=1e-14, abs=0)
 
     @given(e=positive, Vd=positive, prod=positive, D=positive)
     def test_multiplicative_structure(self, e, Vd, prod, D):
         d = local_inhibition_coefficient(e, Vd, prod, D)
         ref = local_inhibition_coefficient(1.0, 1.0, 1.0, 1.0)
-        assert d == pytest.approx(ref * e * Vd * prod / (D * D), rel=1e-9)
+        assert d == pytest.approx(ref * e * Vd * prod / (D * D), rel=1e-9, abs=0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):
@@ -202,17 +202,17 @@ class TestDimensionalParams:
     def test_v_star(self):
         # Frozen oracle: (5.85 / 0.00873)**1.5.
         dp = DimensionalParams(d=0.00873, e=0.0, **self.BASE)
-        assert dp.V_star == pytest.approx(17346.522891206965, rel=1e-15)
+        assert dp.V_star == pytest.approx(17346.522891206965, rel=1e-15, abs=0)
 
     def test_d_built_from_biophysics(self):
         dp = DimensionalParams(e=2.0, Vd=3.0, p=0.5, D=1.5, **self.BASE)
         assert dp.d == pytest.approx(
-            local_inhibition_coefficient(2.0, 3.0, 0.5, 1.5), rel=1e-15
+            local_inhibition_coefficient(2.0, 3.0, 0.5, 1.5), rel=1e-15, abs=0
         )
 
     def test_e_derived_from_e_hat(self):
         dp = DimensionalParams(e_hat=6.0, Vd=3.0, p=0.5, D=1.5, **self.BASE)
-        assert dp.e == pytest.approx(2.0, rel=1e-15)
+        assert dp.e == pytest.approx(2.0, rel=1e-15, abs=0)
 
     def test_missing_d_and_subgroup_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -229,8 +229,8 @@ class TestNondimensionalize:
                                **TestDimensionalParams.BASE)
         p = nondimensionalize(dp)
         assert p.e == 0.0
-        assert p.b == pytest.approx(5.85 / 0.192, rel=1e-15)
-        assert p.k == pytest.approx(1.0 / 0.192, rel=1e-15)
+        assert p.b == pytest.approx(5.85 / 0.192, rel=1e-15, abs=0)
+        assert p.k == pytest.approx(1.0 / 0.192, rel=1e-15, abs=0)
 
     def test_requires_production_rate_when_coupled(self):
         dp = DimensionalParams(d=0.00873, e=1e-4,
@@ -243,16 +243,16 @@ class TestNondimensionalize:
                                **TestDimensionalParams.BASE)
         p = nondimensionalize(dp)
         v_star = 17346.522891206965
-        assert p.V0 == pytest.approx(1e-6 / v_star, rel=1e-14)
-        assert p.K0 == pytest.approx(625e-6 / v_star, rel=1e-14)
-        assert p.Vm == pytest.approx(p.V0, rel=1e-14)
+        assert p.V0 == pytest.approx(1e-6 / v_star, rel=1e-14, abs=0)
+        assert p.K0 == pytest.approx(625e-6 / v_star, rel=1e-14, abs=0)
+        assert p.Vm == pytest.approx(p.V0, rel=1e-14, abs=0)
 
     def test_emission_scaling(self):
         dp = DimensionalParams(d=0.00873, e=0.0,
                                **TestDimensionalParams.BASE)
         p = nondimensionalize(dp)
         v_star = 17346.522891206965
-        assert p.m == pytest.approx((0.001 / 0.192) * v_star ** (2.0 / 3.0), rel=1e-13)
+        assert p.m == pytest.approx((0.001 / 0.192) * v_star ** (2.0 / 3.0), rel=1e-13, abs=0)
 
     @settings(max_examples=50)
     @given(
@@ -270,13 +270,13 @@ class TestNondimensionalize:
         dp = DimensionalParams(a=a, b=b, d=d, e=e, k=k, m=m, alpha=2.0 / 3.0,
                                V0=1e-7 * v_star, K0=5e-7 * v_star, p=prod)
         p = nondimensionalize(dp)
-        assert p.b * a == pytest.approx(b, rel=1e-12)
-        assert p.k * a == pytest.approx(k, rel=1e-12)
-        assert p.e * a / (prod * v_star) == pytest.approx(e, rel=1e-12)
-        assert p.m * a / v_star**p.alpha == pytest.approx(m, rel=1e-12)
-        assert p.V0 * v_star == pytest.approx(1e-7 * v_star, rel=1e-12)
+        assert p.b * a == pytest.approx(b, rel=1e-12, abs=0)
+        assert p.k * a == pytest.approx(k, rel=1e-12, abs=0)
+        assert p.e * a / (prod * v_star) == pytest.approx(e, rel=1e-12, abs=0)
+        assert p.m * a / v_star**p.alpha == pytest.approx(m, rel=1e-12, abs=0)
+        assert p.V0 * v_star == pytest.approx(1e-7 * v_star, rel=1e-12, abs=0)
         # time scaling: one unit of rescaled time is 1/a raw time units,
         # so every rescaled rate times a has the raw dimension back
         assert growth_field(birth_state(p), 0.0, p)[0] * a == pytest.approx(
-            a * p.V0 * math.log(p.K0 / p.V0), rel=1e-12
+            a * p.V0 * math.log(p.K0 / p.V0), rel=1e-12, abs=0
         )

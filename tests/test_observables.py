@@ -73,7 +73,7 @@ class TestHistogram:
     def test_total_mass_equals_count(self):
         cohorts = [(w, v, 1.0) for w, v in [(0.5, 0.11), (1.5, 0.3), (2.5, 0.97), (3.5, 2.0)]]
         h = histogram(_state(cohorts), n_bins=17)
-        assert float(h.mass.sum()) == pytest.approx(8.0, rel=1e-15)
+        assert float(h.mass.sum()) == pytest.approx(8.0, rel=1e-15, abs=0)
 
     def test_empty_population(self):
         h = histogram(_state(), n_bins=5)

@@ -62,7 +62,7 @@ class TestRunScenario:
                 "window beyond transient=10 holds fewer than 3 samples",
             ),
             ({"name": "big", "params": {"V0": 1.5, "K0": 2.0}}, "histogram bins require V0 < 1"),
-            # the schema already rejects n_bins = 0 in a scenario file
+            # the loader already rejects n_bins = 0 in a scenario file
             (Scenario(name="bins", n_bins=0), "n_bins must be >= 1"),
         ],
     )
@@ -146,8 +146,8 @@ class TestRunScenario:
         traj = result.trajectory
         gap = np.abs(traj.born - traj.exited - traj.N)
         assert diag["max_conservation_gap"] == gap.max() <= 1e-12
-        assert diag["pruned_weight"] == pytest.approx(7e-4, rel=1e-15)
-        assert result.final_state.exited_count == pytest.approx(0.2507, rel=1e-15)
+        assert diag["pruned_weight"] == pytest.approx(7e-4, rel=1e-15, abs=0)
+        assert result.final_state.exited_count == pytest.approx(0.2507, rel=1e-15, abs=0)
 
     def test_run_json_counts_the_steps_that_ran(self, tmp_path):
         # 1.0 / 0.3 is not a whole number of steps: the run rounds up

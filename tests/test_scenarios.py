@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import fields
 
 import pytest
 
@@ -106,6 +108,161 @@ class TestScenarioDict:
             scenario_from_dict({"name": "x", "params": {"b": "fast"}})
 
 
+COHORT = {"weight": 1.0, "V": 0.5, "K": 1.0}
+SWEEP = {"base": "base", "axis": "e", "values": [1.0]}
+RANGE = {"from": 0.1, "to": 10.0, "count": 3}
+
+# One document for each rule a scenario or sweep file must keep, with the
+# JSON path its error names: (label, document, path). A document with a
+# "base", "axis" or "values" key is a sweep file; the others are scenarios.
+RULE_DOCUMENTS = [
+    # not an object
+    ("scenario-not-object", [1], "$"),
+    ("params-not-object", {"name": "x", "params": [1]}, "$.params"),
+    ("settings-not-object", {"name": "x", "settings": 1}, "$.settings"),
+    ("cohort-not-object", {"name": "x", "initial_cohorts": [1]}, "$.initial_cohorts[0]"),
+    ("range-not-object", {**SWEEP, "values": "a"}, "$.values"),
+    # unknown key
+    ("scenario-unknown-key", {"name": "x", "horizon": 5}, "$"),
+    ("params-unknown-key", {"name": "x", "params": {"zz": 1}}, "$.params"),
+    ("settings-unknown-key", {"name": "x", "settings": {"zz": 1}}, "$.settings"),
+    (
+        "cohort-unknown-key",
+        {"name": "x", "initial_cohorts": [{**COHORT, "z": 1}]},
+        "$.initial_cohorts[0]",
+    ),
+    ("sweep-unknown-key", {**SWEEP, "zz": 1}, "$"),
+    ("range-unknown-key", {**SWEEP, "values": {**RANGE, "step": 1}}, "$.values"),
+    ("base-unknown-key", {**SWEEP, "base": {"name": "x", "zz": 1}}, "$.base"),
+    # missing required key
+    ("scenario-missing-name", {"params": {}}, "$"),
+    *(
+        (
+            f"cohort-missing-{key}",
+            {"name": "x", "initial_cohorts": [{k: v for k, v in COHORT.items() if k != key}]},
+            "$.initial_cohorts[0]",
+        )
+        for key in COHORT
+    ),
+    ("sweep-missing-base", {"axis": "e", "values": [1.0]}, "$"),
+    ("sweep-missing-axis", {"base": "base", "values": [1.0]}, "$"),
+    ("sweep-missing-values", {"base": "base", "axis": "e"}, "$"),
+    ("range-missing-from", {**SWEEP, "values": {"to": 10.0, "count": 3}}, "$.values"),
+    ("range-missing-to", {**SWEEP, "values": {"from": 0.1, "count": 3}}, "$.values"),
+    ("range-missing-count", {**SWEEP, "values": {"from": 0.1, "to": 10.0}}, "$.values"),
+    ("base-missing-name", {**SWEEP, "base": {}}, "$.base"),
+    # wrong JSON type
+    ("name-number", {"name": 3}, "$.name"),
+    ("param-string", {"name": "x", "params": {"b": "fast"}}, "$.params.b"),
+    ("param-bool", {"name": "x", "params": {"b": True}}, "$.params.b"),
+    ("param-null", {"name": "x", "params": {"Vm": None}}, "$.params.Vm"),
+    ("setting-string", {"name": "x", "settings": {"dt": "a"}}, "$.settings.dt"),
+    (
+        "cohort-value-string",
+        {"name": "x", "initial_cohorts": [COHORT, {**COHORT, "birth_time": "0"}]},
+        "$.initial_cohorts[1].birth_time",
+    ),
+    ("cohorts-not-array", {"name": "x", "initial_cohorts": COHORT}, "$.initial_cohorts"),
+    ("outputs-not-array", {"name": "x", "outputs": "timeseries"}, "$.outputs"),
+    ("output-number", {"name": "x", "outputs": [1]}, "$.outputs[0]"),
+    ("transient-string", {"name": "x", "transient": "a"}, "$.transient"),
+    ("transient-bool", {"name": "x", "transient": True}, "$.transient"),
+    ("log-scale-number", {"name": "x", "log_scale": 1}, "$.log_scale"),
+    ("log-scale-null", {"name": "x", "log_scale": None}, "$.log_scale"),
+    ("n-bins-fraction", {"name": "x", "n_bins": 40.5}, "$.n_bins"),
+    ("n-bins-bool", {"name": "x", "n_bins": True}, "$.n_bins"),
+    ("n-bins-string", {"name": "x", "n_bins": "40"}, "$.n_bins"),
+    ("axis-number", {**SWEEP, "axis": 1}, "$.axis"),
+    ("value-string", {**SWEEP, "values": [1.0, "a"]}, "$.values[1]"),
+    ("value-bool", {**SWEEP, "values": [True]}, "$.values[0]"),
+    ("from-string", {**SWEEP, "values": {**RANGE, "from": "0.1"}}, "$.values.from"),
+    ("to-null", {**SWEEP, "values": {**RANGE, "to": None}}, "$.values.to"),
+    ("count-fraction", {**SWEEP, "values": {**RANGE, "count": 2.5}}, "$.values.count"),
+    ("count-bool", {**SWEEP, "values": {**RANGE, "count": True}}, "$.values.count"),
+    ("parallelism-fraction", {**SWEEP, "parallelism": 1.5}, "$.parallelism"),
+    ("parallelism-bool", {**SWEEP, "parallelism": True}, "$.parallelism"),
+    ("parallelism-string", {**SWEEP, "parallelism": "2"}, "$.parallelism"),
+    ("base-number", {**SWEEP, "base": 3}, "$.base"),
+    ("base-array", {**SWEEP, "base": []}, "$.base"),
+    ("base-bool", {**SWEEP, "base": True}, "$.base"),
+    ("base-null", {**SWEEP, "base": None}, "$.base"),
+    (
+        "base-param-string",
+        {**SWEEP, "base": {"name": "x", "params": {"b": "f"}}},
+        "$.base.params.b",
+    ),
+    # values out of range
+    ("name-space", {"name": "a b"}, "$.name"),
+    ("name-empty", {"name": ""}, "$.name"),
+    ("name-slash", {"name": "../escaped"}, "$.name"),
+    ("base-name-space", {**SWEEP, "base": {"name": "a b"}}, "$.base.name"),
+    ("output-unknown", {"name": "x", "outputs": ["timeseries", "spreadsheet"]}, "$.outputs[1]"),
+    ("outputs-duplicate", {"name": "x", "outputs": ["plots", "plots"]}, "$.outputs"),
+    (
+        "base-outputs-duplicate",
+        {**SWEEP, "base": {"name": "x", "outputs": ["plots", "plots"]}},
+        "$.base.outputs",
+    ),
+    ("n-bins-zero", {"name": "x", "n_bins": 0}, "$.n_bins"),
+    ("n-bins-negative", {"name": "x", "n_bins": -3}, "$.n_bins"),
+    ("base-n-bins-zero", {**SWEEP, "base": {"name": "x", "n_bins": 0}}, "$.base.n_bins"),
+    ("from-zero", {**SWEEP, "values": {**RANGE, "from": 0}}, "$.values.from"),
+    ("to-negative", {**SWEEP, "values": {**RANGE, "to": -2.0}}, "$.values.to"),
+    ("count-one", {**SWEEP, "values": {**RANGE, "count": 1}}, "$.values.count"),
+    ("values-empty", {**SWEEP, "values": []}, "$.values"),
+    ("parallelism-zero", {**SWEEP, "parallelism": 0}, "$.parallelism"),
+    ("axis-unknown", {**SWEEP, "axis": "zeta"}, "$.axis"),
+]
+
+
+class TestRules:
+    @pytest.mark.parametrize(
+        "doc, path", [row[1:] for row in RULE_DOCUMENTS], ids=[row[0] for row in RULE_DOCUMENTS]
+    )
+    def test_each_rule_names_its_json_path(self, tmp_path, doc, path):
+        if isinstance(doc, dict) and {"base", "axis", "values"} & doc.keys():
+            file = tmp_path / "sweep.json"
+            file.write_text(json.dumps(doc))
+            what, load = "sweep", lambda: load_sweep(str(file))
+        else:
+            what, load = "scenario", lambda: scenario_from_dict(doc)
+        with pytest.raises(ConfigurationError) as exc:
+            load()
+        assert f"invalid {what} at {path}: " in str(exc.value)
+
+    def test_python_api_scenario_is_checked_at_construction(self):
+        # an unchecked name wrote out/../escaped_run.json outside out_dir
+        with pytest.raises(ConfigurationError, match=r"at \$\.name: '\.\./escaped'"):
+            Scenario(name="../escaped")
+        # an unknown output kind ran and silently wrote only run.json
+        with pytest.raises(ConfigurationError, match=r"at \$\.outputs\[0\]: 'spreadsheet'"):
+            Scenario(name="x", outputs=("spreadsheet",))
+        with pytest.raises(ConfigurationError, match=r"at \$\.outputs: "):
+            Scenario(name="x", outputs=("plots", "plots"))
+        with pytest.raises(ConfigurationError, match=r"at \$\.log_scale: "):
+            Scenario(name="x", log_scale=1)
+        # n_bins is checked when a run asks for the histogram
+        assert Scenario(name="x", n_bins=0).n_bins == 0
+
+    @pytest.mark.parametrize("transient", [math.nan, math.inf, -math.inf])
+    def test_non_finite_transient_rejected(self, transient):
+        # NaN used to run and write "transient": NaN, invalid JSON, into run.json
+        with pytest.raises(ConfigurationError, match=r"at \$\.transient: "):
+            Scenario(name="x", transient=transient)
+        with pytest.raises(ConfigurationError, match=r"at \$\.transient: "):
+            scenario_from_dict({"name": "x", "transient": transient})
+
+    def test_count_is_bounded_before_the_values_are_built(self, tmp_path):
+        path = tmp_path / "sw.json"
+        for count, ok in ((7, True), (10_000, True), (10_001, False), (1e12, False)):
+            path.write_text(json.dumps({**SWEEP, "values": {**RANGE, "count": count}}))
+            if ok:
+                assert len(load_sweep(str(path)).values) == count
+            else:
+                with pytest.raises(ConfigurationError, match=r"at \$\.values\.count: "):
+                    load_sweep(str(path))
+
+
 class TestLoaders:
     def test_load_scenario(self, tmp_path):
         path = tmp_path / "s.json"
@@ -211,3 +368,11 @@ class TestSweepSpec:
         sc = SweepSpec(base=Scenario(name="base"), axis=axis, values=(value,)).scenarios()[0]
         assert "=" in sc.name
         assert scenario_from_dict(scenario_to_dict(sc)) == sc
+
+    @pytest.mark.parametrize("base", catalog(), ids=lambda sc: sc.name)
+    def test_every_point_of_every_catalog_axis_round_trips(self, base):
+        for axis in (f.name for f in fields(ModelParams)):
+            value = getattr(base.params, axis)
+            values = (0.9 * value, 1.1 * value) if value else (0.5, 2.0)
+            for sc in SweepSpec(base=base, axis=axis, values=values).scenarios():
+                assert scenario_from_dict(scenario_to_dict(sc)) == sc

@@ -23,8 +23,8 @@ class TestCharacteristicFlow:
     def test_starts_at_birth_state(self):
         p = ModelParams(e=0.0)
         f0 = characteristic_flow(0.0, p)
-        assert f0.V == pytest.approx(p.V0, rel=1e-12)
-        assert f0.K == pytest.approx(p.K0, rel=1e-12)
+        assert f0.V == pytest.approx(p.V0, rel=1e-12, abs=0)
+        assert f0.K == pytest.approx(p.K0, rel=1e-12, abs=0)
 
     def test_settles_at_unit_fixed_point(self):
         p = ModelParams(e=0.0)
@@ -37,7 +37,7 @@ class TestCharacteristicFlow:
         tau = 2.3456
         dense = flow_dense(p.b, p.V0, p.K0, 4.0, 1e-4)
         oracle_V = dense[int(round(tau / 1e-4))]
-        assert characteristic_flow(tau, p).V == pytest.approx(oracle_V, rel=1e-8)
+        assert characteristic_flow(tau, p).V == pytest.approx(oracle_V, rel=1e-8, abs=0)
 
     def test_off_grid_matches_fine_oracle(self):
         p = ModelParams(e=0.0)
@@ -143,7 +143,7 @@ class TestMalthusExponent:
 
     def test_reference_parameters_frozen_value(self):
         res = malthus_exponent(ModelParams(e=0.0))
-        assert res.lambda0 == pytest.approx(0.4292814661422716, rel=1e-9)
+        assert res.lambda0 == pytest.approx(0.4292814661422716, rel=1e-9, abs=0)
         assert abs(res.residual) < 1e-10
         assert res.quadrature_nodes > 1000
 
@@ -151,7 +151,7 @@ class TestMalthusExponent:
         p = ModelParams(e=0.0)
         res = malthus_exponent(p)
         oracle = brute_lambda0(p.b, p.m, p.alpha, p.V0, p.K0, p.Vm)
-        assert res.lambda0 == pytest.approx(oracle, rel=1e-6)
+        assert res.lambda0 == pytest.approx(oracle, rel=1e-6, abs=0)
 
     def test_slow_regime_extends_horizon(self):
         # a much deeper entry point needs a longer flow horizon; the
@@ -159,15 +159,15 @@ class TestMalthusExponent:
         p = ModelParams(e=0.0, V0=1e-4, K0=1e-3)
         res = malthus_exponent(p)
         assert res.tau_max > 50.0
-        assert res.lambda0 == pytest.approx(0.15377797754549305, rel=1e-9)
+        assert res.lambda0 == pytest.approx(0.15377797754549305, rel=1e-9, abs=0)
         oracle = brute_lambda0(p.b, p.m, p.alpha, p.V0, p.K0, p.Vm)
-        assert res.lambda0 == pytest.approx(oracle, rel=1e-6)
+        assert res.lambda0 == pytest.approx(oracle, rel=1e-6, abs=0)
 
     def test_monotone_in_emission_strength(self):
         lam1 = malthus_exponent(ModelParams(e=0.0, m=1.0)).lambda0
         lam2 = malthus_exponent(ModelParams(e=0.0, m=2.0)).lambda0
         assert lam2 > lam1
-        assert lam2 == pytest.approx(0.7028569585168192, rel=1e-9)
+        assert lam2 == pytest.approx(0.7028569585168192, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("params", [dict(), dict(b=5.0), dict(m=2.0), dict(b=0.3)])
     def test_matches_the_extrapolated_brute_force(self, params):
@@ -175,7 +175,7 @@ class TestMalthusExponent:
         # cancel their h^2 term, so they agree far below either grid error
         p = ModelParams(e=0.0, **params)
         oracle = richardson_lambda0(p.b, p.m, p.alpha, p.V0, p.K0, p.Vm)
-        assert malthus_exponent(p).lambda0 == pytest.approx(oracle, rel=1e-12)
+        assert malthus_exponent(p).lambda0 == pytest.approx(oracle, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("Vm", [0.3, 0.5, 0.9])
     def test_gated_threshold_vs_brute_force(self, Vm):
@@ -185,7 +185,7 @@ class TestMalthusExponent:
         spectral._flow.cache_clear()
         res = malthus_exponent(p)
         oracle = brute_lambda0(p.b, p.m, p.alpha, p.V0, p.K0, p.Vm)
-        assert res.lambda0 == pytest.approx(oracle, rel=1e-4)
+        assert res.lambda0 == pytest.approx(oracle, rel=1e-4, abs=0)
         flow = spectral._flow_for(p)
         tau_star = spectral._emission_threshold_time(flow, Vm, flow.Va.size - 1)
         assert characteristic_flow(tau_star, p).V == pytest.approx(Vm, rel=0, abs=1e-13)
@@ -345,7 +345,7 @@ class TestHorizon:
         # abs=0: approx's default abs of 1e-12 outweighs rel 1e-12 below 1
         assert res.lambda0 == pytest.approx(lambda0, rel=1e-12, abs=0)
         assert res.residual < 1e-13
-        assert res.lambda0 == pytest.approx(single_grid, rel=6e-9)
+        assert res.lambda0 == pytest.approx(single_grid, rel=6e-9, abs=0)
 
     @pytest.mark.parametrize("params", [dict(), dict(b=0.1), dict(Vm=0.5)])
     def test_lambda0_is_the_root_it_reports(self, params):
@@ -384,7 +384,7 @@ class TestHorizon:
         malthus_exponent(p)
         flow = spectral._flow_for(p)
         found = spectral._emission_threshold_time(flow, p.Vm, flow.Va.size - 1)
-        assert found == pytest.approx(tau_star, rel=1e-12)
+        assert found == pytest.approx(tau_star, rel=1e-12, abs=0)
         assert found > spectral._TAU_MAX_INITIAL
 
     @pytest.mark.parametrize("params", [dict(b=0.134), dict(b=0.1, Vm=0.95)])
@@ -451,7 +451,7 @@ class TestFlowIntegrator:
         oracle = malthus_exponent(p)
         spectral._flow.cache_clear()
         assert oracle.tau_max == res.tau_max
-        assert res.lambda0 == pytest.approx(oracle.lambda0, rel=1e-12)
+        assert res.lambda0 == pytest.approx(oracle.lambda0, rel=1e-12, abs=0)
 
     def test_too_stiff_a_flow_is_a_configuration_error(self):
         # b = 2000 takes about 41 000 steps for the 25 000 cells to tau = 50
@@ -504,18 +504,18 @@ class TestFitGrowthRate:
     def test_pure_exponential(self):
         t = np.linspace(0.0, 10.0, 101)
         assert fit_growth_rate(t, np.exp(3.0 * t), (0.0, 10.0)) == pytest.approx(
-            3.0, rel=1e-12
+            3.0, rel=1e-12, abs=0
         )
 
     def test_prefactor_ignored(self):
         t = np.linspace(0.0, 10.0, 201)
         M = 5.0 * np.exp(0.7 * t)
-        assert fit_growth_rate(t, M, (2.0, 8.0)) == pytest.approx(0.7, rel=1e-12)
+        assert fit_growth_rate(t, M, (2.0, 8.0)) == pytest.approx(0.7, rel=1e-12, abs=0)
 
     def test_window_restricts_fit(self):
         t = np.linspace(0.0, 10.0, 501)
         M = np.where(t < 5.0, np.exp(t), math.e**5 * np.exp(2.0 * (t - 5.0)))
-        assert fit_growth_rate(t, M, (6.0, 10.0)) == pytest.approx(2.0, rel=1e-6)
+        assert fit_growth_rate(t, M, (6.0, 10.0)) == pytest.approx(2.0, rel=1e-6, abs=0)
 
     def test_too_few_samples_rejected(self):
         t = np.linspace(0.0, 10.0, 101)
