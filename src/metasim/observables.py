@@ -6,6 +6,7 @@ Everything here is a pure read of ``simulate``'s output (re-exported
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,10 @@ class OscillationMetrics:
 def _check_bins(V0: float, n_bins: int):
     """Reject a bin layout ``histogram`` cannot build; the runner calls
     this before a run that asks for the histogram."""
+    # a fraction passes the range check and fails in np.zeros, after the
+    # run; a bool is an int to Python but no bin count
+    if isinstance(n_bins, bool) or not isinstance(n_bins, numbers.Integral):
+        raise ConfigurationError(f"n_bins must be an integer, got {n_bins!r}")
     # a million bins is a 60 MB CSV; 1e12 would need terabytes of edges
     if not 1 <= n_bins <= 1_000_000:
         raise ConfigurationError(f"n_bins must be >= 1 and at most 1000000, got {n_bins}")

@@ -27,8 +27,10 @@ fixed before the solve. The rule is linear in beta, so the rules on
 every node (I_h) and on every second node (I_2h) of the one flow
 extrapolate (Richardson) to the fourth-order rule (4 I_h - I_2h) / 3,
 which cancels the grid-squared term; the equation is solved once with
-it. One walk sets the horizon: it starts at 50 and extends the flow one
-horizon at a time, up to a cap of 900.
+it. Its left side takes one exponential for both rules: the coarse
+cells start on every second fine node, so I_2h reads every second value
+of I_h's. One walk sets the horizon: it starts at 50 and extends the
+flow one horizon at a time, up to a cap of 900.
 Until the emission onset lies among the nodes built so far it doubles
 the horizon, and a flow that settles at the fixed point (1, 1), or
 reaches the cap, before the onset has no root. From the onset on, it
@@ -266,9 +268,18 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     # even node, so both end at tau_max.
     tau_max = last * flow.dtau
     coarse = _truncated_integral(flow, p, tau_star, last, 2)[0]
+    # one exponential per F: the coarse cells start on every second fine
+    # cell start, as i * (2 dtau) == (2 i) * dtau in floating point; a
+    # contiguous copy of those values rounds the coarse rule's dot
+    # products as an exponential of its own did
+    first = _first_node(tau_star, flow.dtau)
+    tau_lo = np.arange(first, last) * flow.dtau
+    skip = 2 * _first_node(tau_star, 2 * flow.dtau) - first
+    assert skip >= 0, f"the coarse rule starts before the fine one ({skip})"
 
     def F(lam: float) -> float:
-        quadrature = (4.0 * integral(lam) - coarse(lam)) / 3.0
+        decay = np.exp(-lam * tau_lo)
+        quadrature = (4.0 * integral(lam, decay) - coarse(lam, decay[skip::2].copy())) / 3.0
         return quadrature + (p.m / lam) * math.exp(-lam * tau_max) - 1.0
 
     root = _root(F, hi)
@@ -287,13 +298,14 @@ def _truncated_integral(
     of lambda, with the volumes at its quadrature nodes.
 
     The quadrature nodes are the crossing time, then every ``stride``-th
-    grid node past it up to ``last``, which ``stride`` divides.
+    grid node past it up to ``last``, which ``stride`` divides. The
+    function takes exp(-lambda * tau) at the starts of the grid cells,
+    the nodes from ``_first_node`` up to the last but one, as ``decay``
+    when the caller has it.
     """
     assert last % stride == 0, f"node {last} is off the stride-{stride} grid"
     h = flow.dtau * stride
-    first = int(math.ceil(tau_star / h - 1e-12))
-    if first * h <= tau_star:
-        first += 1
+    first = _first_node(tau_star, h)
     Vs = np.concatenate(([p.Vm if tau_star > 0 else p.V0], flow.Va[: last + 1 : stride][first:]))
     last //= stride
     betas = p.m * Vs**p.alpha
@@ -308,10 +320,11 @@ def _truncated_integral(
     slope = np.diff(betas[1:]) / h
     tau_lo = np.arange(first, last) * h
 
-    def integral(lam: float) -> float:
+    def integral(lam: float, decay: np.ndarray | None = None) -> float:
         i0, i1 = _cell_weights(lam, h)
         j0, j1 = _cell_weights(lam, d0)
-        decay = np.exp(-lam * tau_lo)
+        if decay is None:
+            decay = np.exp(-lam * tau_lo)
         # einsum, not a BLAS dot: a threaded BLAS wakes its workers on
         # every dot, which measured 8 ms per call on a 2-vCPU host
         cells = i0 * np.einsum("i,i", decay, beta_lo) + i1 * np.einsum("i,i", decay, slope)
@@ -319,6 +332,12 @@ def _truncated_integral(
         return first_cell + cells
 
     return integral, Vs
+
+
+def _first_node(tau_star: float, h: float) -> int:
+    """Index of the first node of the grid of step h that lies past tau_star."""
+    first = int(math.ceil(tau_star / h - 1e-12))
+    return first + 1 if first * h <= tau_star else first
 
 
 def _root(f, hi: float) -> float:

@@ -158,3 +158,103 @@ def renewal(p, T: float, h: float) -> tuple[float, float]:
     N = trapezoid(B, h)
     M = h * (0.5 * (V[n] * B[0] + V[0] * B[n]) + np.dot(V[n - 1 : 0 : -1], B[1:n]))
     return float(M), float(N)
+
+
+def dop853_reference(field, V: float, K: float, tol: float, t_end: float):
+    """Table-driven DOP853 integration of (V, K)' = field(V, K) from t = 0
+    until t >= t_end, with scipy's step control and the step never clipped.
+
+    Every stage, error and dense-output sum is a loop over the nonzero
+    entries of a row of SciPy's table
+    (``scipy.integrate._ivp.dop853_coefficients``) in ascending column
+    order, each term added to a running sum from 0. Returns the accepted
+    steps as (start, width, V, K, the seven dense-output coefficients of
+    V, then of K) and the number of rejected attempts.
+    """
+    from scipy.integrate._ivp import dop853_coefficients as tab
+
+    def row(weights):
+        return [(int(j), float(weights[j])) for j in np.flatnonzero(weights)]
+
+    A = [row(r) for r in tab.A]
+    E3, E5, D = row(tab.E3), row(tab.E5), [row(r) for r in tab.D]
+
+    def weighted(weights, kV, kK):
+        sV = sK = 0.0
+        for j, a in weights:
+            sV += a * kV[j]
+            sK += a * kK[j]
+        return sV, sK
+
+    f = field(V, K)
+    # the initial step of Hairer, Nørsett & Wanner (1993), §II.4, for order 7
+    sV, sK = tol * (1.0 + abs(V)), tol * (1.0 + abs(K))
+    d0 = math.hypot(V / sV, K / sK) / math.sqrt(2.0)
+    d1 = math.hypot(f[0] / sV, f[1] / sK) / math.sqrt(2.0)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    g = field(V + h0 * f[0], K + h0 * f[1])
+    d2 = math.hypot((g[0] - f[0]) / sV, (g[1] - f[1]) / sK) / math.sqrt(2.0) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    h = min(100.0 * h0, h1)
+
+    t, steps, rejected, after_rejection = 0.0, [], 0, False
+    while t < t_end:
+        kV, kK = [f[0]], [f[1]]
+        for i in range(1, 13):
+            sV, sK = weighted(A[i], kV, kK)
+            v, k = V + h * sV, K + h * sK
+            dv, dk = field(v, k)
+            kV.append(dv)
+            kK.append(dk)
+        e5V, e5K = weighted(E5, kV, kK)
+        e3V, e3K = weighted(E3, kV, kK)
+        sV = tol * (1.0 + max(abs(V), abs(v)))
+        sK = tol * (1.0 + max(abs(K), abs(k)))
+        e5 = (e5V / sV) ** 2 + (e5K / sK) ** 2
+        e3 = (e3V / sV) ** 2 + (e3K / sK) ** 2
+        err = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
+        if not err < 1.0:
+            h *= max(0.2, 0.9 * err ** (-1.0 / 8.0))
+            rejected += 1
+            after_rejection = True
+            continue
+        factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** (-1.0 / 8.0))
+        if after_rejection:
+            factor = min(1.0, factor)
+        after_rejection = False
+        for i in range(13, 16):
+            sV, sK = weighted(A[i], kV, kK)
+            dv2, dk2 = field(V + h * sV, K + h * sK)
+            kV.append(dv2)
+            kK.append(dk2)
+        dV, dK = v - V, k - K
+        cV = [dV, h * kV[0] - dV, 2.0 * dV - h * (kV[12] + kV[0])]
+        cK = [dK, h * kK[0] - dK, 2.0 * dK - h * (kK[12] + kK[0])]
+        for weights in D:
+            sV, sK = weighted(weights, kV, kK)
+            cV.append(h * sV)
+            cK.append(h * sK)
+        steps.append((t, h, V, K, *cV, *cK))
+        t += h
+        V, K, f = v, k, (dv, dk)
+        h *= factor
+    return steps, rejected
+
+
+def dop853_dense_at(step: tuple, tau: float) -> tuple[float, float]:
+    """(V, K) at tau from one step of ``dop853_reference``, in scalar
+    arithmetic: scipy's nested (Horner) form in x = (tau - start) / width,
+    c6 * x + c5, times (1 - x), + c4, times x, ..., + c0, times x."""
+    start, width = step[0], step[1]
+    x = (tau - start) / width
+    out = []
+    for state, c in ((step[2], step[4:11]), (step[3], step[11:18])):
+        acc = c[6] * x
+        for r in range(5, -1, -1):
+            acc += c[r]
+            acc *= (1.0 - x) if r % 2 else x
+        out.append(acc + state)
+    return out[0], out[1]

@@ -80,6 +80,12 @@ class TestHistogram:
         assert np.all(h.mass == 0.0)
         assert h.largest_volume is None
 
+    def test_n_bins_must_be_integral(self):
+        for n_bins in (2.5, True, 40.0):
+            with pytest.raises(ConfigurationError, match="n_bins must be an integer"):
+                histogram(_state(), n_bins=n_bins)
+        assert histogram(_state(), n_bins=np.int64(40)).mass.size == 40
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             histogram(_state(), n_bins=0)

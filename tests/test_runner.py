@@ -64,6 +64,9 @@ class TestRunScenario:
             ({"name": "big", "params": {"V0": 1.5, "K0": 2.0}}, "histogram bins require V0 < 1"),
             # the loader already rejects n_bins = 0 in a scenario file
             (Scenario(name="bins", n_bins=0), "n_bins must be >= 1"),
+            # and a fractional or bool one; the Python API takes both
+            (Scenario(name="bins", n_bins=2.5), "n_bins must be an integer, got 2.5"),
+            (Scenario(name="bins", n_bins=True), "n_bins must be an integer, got True"),
         ],
     )
     def test_configuration_errors_raise_before_the_run(self, tmp_path, no_steps, raw, message):

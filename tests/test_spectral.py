@@ -11,12 +11,21 @@ from metasim import (
     TumorState,
 )
 from metasim import spectral
+from metasim._dop853 import Dop853
+from metasim.model import _field
 from metasim.spectral import (
     characteristic_flow,
     fit_growth_rate,
     malthus_exponent,
 )
-from oracles import brute_lambda0, flow_dense, flow_dense_state, richardson_lambda0
+from oracles import (
+    brute_lambda0,
+    dop853_dense_at,
+    dop853_reference,
+    flow_dense,
+    flow_dense_state,
+    richardson_lambda0,
+)
 
 
 class TestCharacteristicFlow:
@@ -423,7 +432,46 @@ class TestHorizon:
         assert flow.Va.size == nodes
 
 
+def _integrate(b: float, tau: float) -> tuple[Dop853, int]:
+    """The spectral flow's integrator from the reference birth state,
+    stepped until it covers tau, and the number of rejected attempts."""
+    p = ModelParams(e=0.0, b=b)
+    ode = Dop853(lambda V, K: _field(V, K, b, 0.0), p.V0, p.K0, spectral._FLOW_TOL)
+    attempts = 0
+    while ode.t < tau:
+        ode.step()
+        attempts += 1
+    return ode, attempts - ode.steps
+
+
 class TestFlowIntegrator:
+    @pytest.mark.parametrize("b", [0.1, 1.0, 7.0, 100.0])
+    def test_steps_are_the_table_driven_reference_bit_for_bit(self, b):
+        # every accepted step's start, width, state and dense coefficients
+        # against loops over the rows of SciPy's table, rejections included
+        ode, rejected = _integrate(b, 50.0)
+        p = ModelParams(e=0.0, b=b)
+        steps, ref_rejected = dop853_reference(ode.field, p.V0, p.K0, spectral._FLOW_TOL, 50.0)
+        assert ode._dense == steps
+        assert rejected == ref_rejected > 0
+
+    @pytest.mark.parametrize("b", [0.1, 1.0, 7.0])
+    def test_sample_is_each_steps_scalar_horner_form(self, b):
+        # a time on a step end is read from the step that ends there, so
+        # the end state comes from x = 1 of that step, not x = 0 of the next
+        ode, _ = _integrate(b, 50.0)
+        steps = ode._dense
+        ends = [step[0] for step in steps[1:]] + [ode.t]
+        taus, expected = [0.0], [dop853_dense_at(steps[0], 0.0)]
+        for step, end in zip(steps, ends):
+            for tau in (step[0] + 0.3 * step[1], step[0] + 0.7 * step[1], end):
+                taus.append(tau)
+                expected.append(dop853_dense_at(step, tau))
+        V, K = ode.sample(np.array(taus))
+        assert (V[0], K[0]) == steps[0][2:4]
+        assert np.array_equal(V, [e[0] for e in expected])
+        assert np.array_equal(K, [e[1] for e in expected])
+
     @pytest.mark.parametrize("b", [0.1, 5.0])
     def test_nodes_do_not_depend_on_how_the_flow_was_extended(self, b, monkeypatch):
         # steps are never clipped to a build target, so a node is the same
