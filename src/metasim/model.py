@@ -43,6 +43,11 @@ def _require_finite(name: str, value: float) -> float:
     return float(value)
 
 
+def _require_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigurationError(f"parameter {name} must be finite and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TumorState:
     """Volume and carrying capacity of one tumor; both strictly positive."""
@@ -164,7 +169,14 @@ class DimensionalParams:
                 raise ConfigurationError(
                     "e missing and cannot be derived: supply e, or both e_hat and Vd"
                 )
+            _require_nonnegative("e_hat", self.e_hat)
+            if not (math.isfinite(self.Vd) and self.Vd > 0):
+                raise ConfigurationError(f"parameter Vd must be finite and > 0, got {self.Vd!r}")
             object.__setattr__(self, "e", self.e_hat / self.Vd)
+        # nan > 0 is false, so an unchecked NaN e would rescale to the
+        # uncoupled model
+        for name in ("e", "m"):
+            _require_nonnegative(name, getattr(self, name))
         if self.d is None:
             if self.Vd is None or self.p is None or self.D is None:
                 raise ConfigurationError(
@@ -181,10 +193,6 @@ class DimensionalParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"volume {name} must be finite and > 0, got {value!r}")
-        if self.e < 0:
-            raise ConfigurationError(f"e must be >= 0, got {self.e}")
-        if self.m < 0:
-            raise ConfigurationError(f"m must be >= 0, got {self.m}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must lie in [0, 1], got {self.alpha}")
 

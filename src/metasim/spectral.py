@@ -11,15 +11,15 @@ The left side is strictly decreasing in lambda, so the root is unique;
 once bracketed it is found with Brent's method (scipy's brentq), which
 converges superlinearly and keeps the bracket.
 
-The flow is integrated once per parameter set by an adaptive
-Dormand-Prince 8(5,3) pair (``_dop853``) at a tolerance of 1e-15, whose
-seventh-order dense output is sampled on a fixed grid of step
-dtau = 2e-3; the most recently used flows are cached. A flow whose
-integrator needs more steps than the grid has cells is too stiff for
-this solver and an error. The spectral integral
-uses a product rule: beta is linearized on each cell while the
-exponential factor is integrated exactly, which keeps the constant-beta
-case exact to rounding and the smooth case at grid-squared accuracy.
+The flow is integrated by an adaptive Dormand-Prince 8(5,3) pair
+(``_dop853``) at a tolerance of 1e-15; the most recently used
+integrators are cached, one per flow, and a solve samples the
+seventh-order dense output on a fixed grid of step dtau = 2e-3. A flow
+whose integrator needs more steps than the grid has cells is too stiff
+for this solver and an error. The spectral integral uses a product
+rule: beta is linearized on each cell while the exponential factor is
+integrated exactly, which keeps the constant-beta case exact to
+rounding and the smooth case at grid-squared accuracy.
 Every cell but the first (from the emission onset to the next node) is
 a grid cell of width dtau, so their exact weights are two scalars, and
 the sum over them is one exponential and two dot products with arrays
@@ -29,18 +29,18 @@ extrapolate (Richardson) to the fourth-order rule (4 I_h - I_2h) / 3,
 which cancels the grid-squared term; the equation is solved once with
 it. Its left side takes one exponential for both rules: the coarse
 cells start on every second fine node, so I_2h reads every second value
-of I_h's. One walk sets the horizon: it starts at 50 and extends the
-flow one horizon at a time, up to a cap of 900.
-Until the emission onset lies among the nodes built so far it doubles
+of I_h's. One walk sets the horizon: it starts at 50 and samples the
+nodes one horizon at a time, up to a cap of 900.
+Until the emission onset lies among the nodes sampled so far it doubles
 the horizon, and a flow that settles at the fixed point (1, 1), or
 reaches the cap, before the onset has no root. From the onset on, it
 stops once the flow has settled, the cap is reached, or the part of the
 integral past the horizon can no longer move the root; beyond the
 horizon the tail integral (m / lambda) * exp(-lambda * tau_max) is
 added in closed form.
-A flow query reads the dense output and adds no node; past the cap it
-returns the state at the first doubled horizon where the flow has
-settled, and a flow that never settled is an error.
+A flow query reads the dense output; past the cap it returns the state
+at the first doubled horizon where the flow has settled, and a flow
+that never settled is an error.
 """
 
 from __future__ import annotations
@@ -94,61 +94,37 @@ class SpectralResult:
 
 
 class _Flow:
-    """Cached autonomous growth flow from (V0, K0) on a uniform grid.
-
-    Node i is the DOP853 dense output at tau = i * dtau, from the step
-    that covers it. Steps are never clipped to a build target, so a node
-    does not depend on how far the integrator went before. The grid is
-    built to tau = 50 and extended to the horizon a solve picks, which
-    reads only the nodes up to it; ``at`` reads the dense output and
-    leaves the grid as it is.
-    """
+    """Cached autonomous growth flow from (V0, K0): its integrator, built
+    to tau = 50 and advanced on demand. No step is clipped to a target,
+    so what ``volumes`` and ``at`` read from the dense output does not
+    depend on how far the integrator went before."""
 
     def __init__(self, b: float, V0: float, K0: float):
         self.b = b
-        self.dtau = _DTAU
-        self.Va = np.array([V0], dtype=float)
-        self.Ka = np.array([K0], dtype=float)
         self._ode = Dop853(lambda V, K: _field(V, K, b, 0.0), V0, K0, _FLOW_TOL)
-        self.extend_to(_TAU_MAX_INITIAL)
-
-    @property
-    def tau_max(self) -> float:
-        return (self.Va.size - 1) * self.dtau
-
-    def node(self, tau: float) -> int:
-        return round(tau / self.dtau)
-
-    def settled_at(self, i: int) -> bool:
-        return _settled(self.Va[i], self.Ka[i])
+        self._advance(_TAU_MAX_INITIAL)
 
     def _advance(self, tau: float):
         """Step the integrator until it covers tau, at most one step per grid cell."""
-        ode, cells = self._ode, self.node(tau)
+        ode, cells = self._ode, round(tau / _DTAU)
         while ode.t < tau:
             ode.step()
             if ode.steps > cells:
                 raise ConfigurationError(
                     f"the growth flow for b={self.b:g} takes more integrator steps "
-                    f"than the {cells} grid cells to tau={cells * self.dtau:g}: "
+                    f"than the {cells} grid cells to tau={cells * _DTAU:g}: "
                     "it is too stiff for the spectral solver"
                 )
 
-    def extend_to(self, tau_target: float):
-        # new nodes go to a fresh array and Va and Ka are replaced by the
-        # concatenation, so an array handed out earlier stays valid
-        last = self.node(tau_target)
-        if last < self.Va.size:
-            return
-        self._advance(last * self.dtau)
-        V, K = self._ode.sample(np.arange(self.Va.size, last + 1) * self.dtau)
-        self.Va = np.concatenate((self.Va, V))
-        self.Ka = np.concatenate((self.Ka, K))
+    def volumes(self, first: int, last: int) -> np.ndarray:
+        """Volumes at the grid nodes ``first`` to ``last``, node i at i * dtau."""
+        self._advance(last * _DTAU)
+        return self._ode.sample(np.arange(first, last + 1) * _DTAU)[0]
 
     def at(self, tau: float) -> tuple[float, float]:
-        """State at tau from the dense output, so a node maps to itself;
-        the grid is left as it is. Past the cap, the state at the first
-        horizon of 50, 100, ..., 900 where the flow settled."""
+        """State at tau from the dense output, so a node maps to itself.
+        Past the cap, the state at the first horizon of 50, 100, ..., 900
+        where the flow settled."""
         horizon = tau if tau < _TAU_MAX_CAP else _TAU_MAX_INITIAL
         while True:
             self._advance(horizon)
@@ -168,7 +144,7 @@ def _settled(V: float, K: float) -> bool:
     return abs(V - 1.0) + abs(K - 1.0) < _SETTLE_TOL
 
 
-# a slow-regime flow holds up to 450k nodes; the key is (b, V0, K0)
+# the key is (b, V0, K0)
 _flow = lru_cache(maxsize=_FLOW_CACHE_SIZE)(_Flow)
 
 
@@ -185,21 +161,21 @@ def characteristic_flow(tau: float, p: ModelParams) -> TumorState:
     return TumorState(V=V, K=K)
 
 
-def _emission_threshold_time(flow: _Flow, Vm: float, last: int) -> float | None:
-    """First time the flow volume reaches Vm within nodes 0 to ``last``,
+def _emission_threshold_time(flow: _Flow, Vm: float, Va: np.ndarray) -> float | None:
+    """First time the flow volume reaches Vm within the grid volumes Va,
     or None if it does not.
 
     V is strictly increasing along the flow for V0 < K0, so the
     crossing is unique. It is bracketed on the grid and solved on the
     dense output.
     """
-    hits = flow.Va[: last + 1] >= Vm
+    hits = Va >= Vm
     if not hits.any():
         return None
     i = int(np.argmax(hits))
     if i == 0:
         return 0.0
-    return _brent(lambda tau: flow.at(tau)[0] - Vm, (i - 1) * flow.dtau, i * flow.dtau)
+    return _brent(lambda tau: flow.at(tau)[0] - Vm, (i - 1) * _DTAU, i * _DTAU)
 
 
 def malthus_exponent(p: ModelParams) -> SpectralResult:
@@ -216,7 +192,7 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
         raise NoRootError("no positive growth exponent exists for m = 0")
 
     # The horizon starts at 50 and doubles until the emission onset
-    # tau_star lies among the nodes built so far; a flow that settles or
+    # tau_star lies among the nodes sampled so far; a flow that settles or
     # reaches the cap first never switches emission on. From the onset
     # on, the horizon grows until the flow has settled there, the cap is
     # reached, or the tail can no longer move the root: beta <= C =
@@ -226,15 +202,17 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     # lower estimate lam_lo of lambda0, and the bound is taken there;
     # short of it, the horizon grows to the bound, at most doubling. A
     # longer horizon only raises lam_lo and lowers the bound, so a
-    # horizon that reached the bound needs no second solve.
+    # horizon that reached the bound needs no second solve. Va holds the
+    # volumes at the grid nodes 0 to the horizon's, node i at i * dtau.
     flow = _flow_for(p)
+    Va = np.array([p.V0])
     horizon, tau_star, tau_bound = _TAU_MAX_INITIAL, None, math.inf
     while True:
-        flow.extend_to(horizon)
-        last = flow.node(horizon)
-        at_end = horizon >= _TAU_MAX_CAP or flow.settled_at(last)
+        last = round(horizon / _DTAU)
+        Va = np.concatenate((Va, flow.volumes(Va.size, last)))
+        at_end = horizon >= _TAU_MAX_CAP or _settled(*flow.at(last * _DTAU))
         if tau_star is None:
-            tau_star = _emission_threshold_time(flow, p.Vm, last)
+            tau_star = _emission_threshold_time(flow, p.Vm, Va)
         if tau_star is None:
             if at_end:
                 raise NoRootError(
@@ -242,7 +220,7 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
                     "no births occur"
                 )
         else:
-            integral, Vs = _truncated_integral(flow, p, tau_star, last)
+            integral, Vs = _truncated_integral(Va, p, tau_star)
             # F -> +inf as lam -> 0+ and F < 0 once lam exceeds the
             # emission-rate ceiling along the flow, m * max(Vs)^alpha
             peak = float(np.max(Vs)) ** p.alpha
@@ -266,15 +244,15 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     # the rules on every node and on every second node combine into a
     # fourth-order one (Richardson); every horizon is a whole number, an
     # even node, so both end at tau_max.
-    tau_max = last * flow.dtau
-    coarse = _truncated_integral(flow, p, tau_star, last, 2)[0]
+    tau_max = last * _DTAU
+    coarse = _truncated_integral(Va, p, tau_star, 2)[0]
     # one exponential per F: the coarse cells start on every second fine
     # cell start, as i * (2 dtau) == (2 i) * dtau in floating point; a
     # contiguous copy of those values rounds the coarse rule's dot
     # products as an exponential of its own did
-    first = _first_node(tau_star, flow.dtau)
-    tau_lo = np.arange(first, last) * flow.dtau
-    skip = 2 * _first_node(tau_star, 2 * flow.dtau) - first
+    first = _first_node(tau_star, _DTAU)
+    tau_lo = np.arange(first, last) * _DTAU
+    skip = 2 * _first_node(tau_star, 2 * _DTAU) - first
     assert skip >= 0, f"the coarse rule starts before the fine one ({skip})"
 
     def F(lam: float) -> float:
@@ -291,23 +269,21 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     )
 
 
-def _truncated_integral(
-    flow: _Flow, p: ModelParams, tau_star: float, last: int, stride: int = 1
-):
-    """The spectral integral over [tau_star, last * dtau] as a function
-    of lambda, with the volumes at its quadrature nodes.
+def _truncated_integral(Va: np.ndarray, p: ModelParams, tau_star: float, stride: int = 1):
+    """The spectral integral over [tau_star, (Va.size - 1) * dtau] as a
+    function of lambda, with the volumes at its quadrature nodes.
 
     The quadrature nodes are the crossing time, then every ``stride``-th
-    grid node past it up to ``last``, which ``stride`` divides. The
-    function takes exp(-lambda * tau) at the starts of the grid cells,
-    the nodes from ``_first_node`` up to the last but one, as ``decay``
-    when the caller has it.
+    grid node past it up to the last of the grid volumes Va, which
+    ``stride`` divides. The function takes exp(-lambda * tau) at the
+    starts of the grid cells, the nodes from ``_first_node`` up to the
+    last but one, as ``decay`` when the caller has it.
     """
-    assert last % stride == 0, f"node {last} is off the stride-{stride} grid"
-    h = flow.dtau * stride
+    last, off = divmod(Va.size - 1, stride)
+    assert off == 0, f"node {Va.size - 1} is off the stride-{stride} grid"
+    h = _DTAU * stride
     first = _first_node(tau_star, h)
-    Vs = np.concatenate(([p.Vm if tau_star > 0 else p.V0], flow.Va[: last + 1 : stride][first:]))
-    last //= stride
+    Vs = np.concatenate(([p.Vm if tau_star > 0 else p.V0], Va[::stride][first:]))
     betas = p.m * Vs**p.alpha
     # the first cell runs from the crossing to node `first` (there is none
     # when the crossing rounds onto the last node); every later cell is a
@@ -387,7 +363,7 @@ def fit_growth_rate(times, M, window: tuple[float, float]) -> float:
             f"window [{t_lo:g}, {t_hi:g}] holds fewer than 10 samples"
         )
     Mw = M[mask]
-    if np.any(Mw <= 0):
-        raise ConfigurationError("M must be positive throughout the fit window")
+    if not np.all(np.isfinite(Mw) & (Mw > 0)):
+        raise ConfigurationError("M must be finite and positive throughout the fit window")
     slope, _ = np.polyfit(times[mask], np.log(Mw), 1)
     return float(slope)

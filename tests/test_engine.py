@@ -357,6 +357,27 @@ class TestSimulate:
         assert all(final.V >= p.V0)
         assert all(final.K > 0)
 
+    def test_coupled_steady_state_matches_its_closed_form(self):
+        # At e = 100 the primary holds itself below Vm = V0 at V = K = I:
+        # dV = 0 on the diagonal, and dK = 0 with k I = V gives
+        # V^(2/3) = 1 - e V / (k b). Its root, found here by bisection,
+        # is 0.009549876349548894. At t = 100 the engine is -3.0e-13,
+        # -3.1e-13 and 2.4e-14 from it, the order of M / I* = 3.3e-13
+        p = ModelParams(e=100.0)
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid ** (2.0 / 3.0) > 1.0 - p.e * mid / (p.k * p.b):
+                hi = mid
+            else:
+                lo = mid
+        v_star = lo
+        assert v_star < p.Vm
+        traj, final = simulate(p, SolverSettings(dt=1e-2, t_end=100.0, sample_every=1.0))
+        for got in (final.primary.V, final.primary.K, final.I):
+            assert got == pytest.approx(v_star, rel=1e-11, abs=0)
+        assert float(traj.N[-1]) < 1e-12
+
     def test_second_order_on_smooth_window(self):
         # no cohort exits before t = 7 at base parameters, so the
         # burden is smooth there and the scheme shows its full order

@@ -28,6 +28,16 @@ from oracles import (
 )
 
 
+def _grid(p: ModelParams, tau_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Volumes and capacities of the cached flow of p at the grid nodes
+    from 0 to tau_max: the volumes a solve reads, and the dense output's
+    capacities there."""
+    flow = spectral._flow_for(p)
+    last = round(tau_max / spectral._DTAU)
+    Va = flow.volumes(0, last)
+    return Va, flow._ode.sample(np.arange(last + 1) * spectral._DTAU)[1]
+
+
 class TestCharacteristicFlow:
     def test_starts_at_birth_state(self):
         p = ModelParams(e=0.0)
@@ -65,12 +75,12 @@ class TestCharacteristicFlow:
         # an unsettled flow, so the state still moves within the cell
         p = ModelParams(e=0.0, b=0.01)
         flow = spectral._flow_for(p)
-        h = 1e-5
-        node = flow.Va.size - 2
-        dense = flow_dense(p.b, flow.Va[node], flow.Ka[node], flow.dtau, h)
+        h, dtau = 1e-5, spectral._DTAU
+        node = round(spectral._TAU_MAX_INITIAL / dtau) - 1
+        dense = flow_dense(p.b, *flow.at(node * dtau), dtau, h)
         for k in (1, 37, 63, 99):
-            tau = node * flow.dtau + k * h
-            assert tau < flow.tau_max
+            tau = node * dtau + k * h
+            assert tau < spectral._TAU_MAX_INITIAL <= flow._ode.t
             assert characteristic_flow(tau, p).V == pytest.approx(dense[k], rel=0, abs=1e-12)
 
     def test_past_an_unsettled_horizon_rejected(self):
@@ -83,7 +93,6 @@ class TestCharacteristicFlow:
         flow = spectral._flow_for(p)
         cap = spectral._TAU_MAX_CAP
         assert flow._ode.t >= cap
-        assert flow.tau_max == spectral._TAU_MAX_INITIAL
         V, K = flow.at(cap)
         assert not spectral._settled(V, K)
         assert characteristic_flow(cap, p) == TumorState(V=V, K=K)
@@ -95,9 +104,10 @@ class TestCharacteristicFlow:
         spectral._flow.cache_clear()
         far = characteristic_flow(1000.0, p)
         flow = spectral._flow_for(p)
-        assert flow.tau_max == spectral._TAU_MAX_INITIAL
-        assert flow.settled_at(-1)
-        assert (far.V, far.K) == (flow.Va[-1], flow.Ka[-1])
+        assert flow._ode.t < 2 * spectral._TAU_MAX_INITIAL
+        settled = flow.at(spectral._TAU_MAX_INITIAL)
+        assert spectral._settled(*settled)
+        assert (far.V, far.K) == settled
         characteristic_flow(800.0, p)
         assert characteristic_flow(1000.0, p) == far
 
@@ -109,7 +119,7 @@ class TestCharacteristicFlow:
         far = characteristic_flow(1e6, p)
         flow = spectral._flow_for(p)
         assert flow._ode.t < 2 * spectral._TAU_MAX_INITIAL
-        assert (far.V, far.K) == (flow.Va[-1], flow.Ka[-1])
+        assert (far.V, far.K) == flow.at(spectral._TAU_MAX_INITIAL)
 
     @pytest.mark.parametrize("b", [100.0, 1000.0])
     def test_stiff_off_node_matches_the_fine_oracle(self, b):
@@ -124,15 +134,6 @@ class TestCharacteristicFlow:
             state = characteristic_flow(k * h, p)
             assert state.V == pytest.approx(V[k], rel=0, abs=1e-13)
             assert state.K == pytest.approx(K[k], rel=0, abs=1e-13)
-
-    def test_queries_leave_the_grid_as_it_is(self):
-        p = ModelParams(e=0.0, b=0.134)
-        spectral._flow.cache_clear()
-        flow = spectral._flow_for(p)
-        Va, Ka = flow.Va, flow.Ka
-        for tau in (0.0, 0.0013, 25.0, 49.999, 50.0, 77.7, 899.0, 1e6):
-            characteristic_flow(tau, p)
-        assert flow.Va is Va and flow.Ka is Ka
 
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -195,8 +196,8 @@ class TestMalthusExponent:
         res = malthus_exponent(p)
         oracle = brute_lambda0(p.b, p.m, p.alpha, p.V0, p.K0, p.Vm)
         assert res.lambda0 == pytest.approx(oracle, rel=1e-4, abs=0)
-        flow = spectral._flow_for(p)
-        tau_star = spectral._emission_threshold_time(flow, Vm, flow.Va.size - 1)
+        Va, _ = _grid(p, res.tau_max)
+        tau_star = spectral._emission_threshold_time(spectral._flow_for(p), Vm, Va)
         assert characteristic_flow(tau_star, p).V == pytest.approx(Vm, rel=0, abs=1e-13)
 
     def test_emission_threshold_shrinks_exponent(self):
@@ -219,7 +220,7 @@ class TestMalthusExponent:
         spectral._flow.cache_clear()
         with pytest.raises(NoRootError, match="never reaches the emission threshold Vm=5"):
             malthus_exponent(p)
-        assert spectral._flow_for(p).tau_max == spectral._TAU_MAX_INITIAL
+        assert spectral._flow_for(p)._ode.t < 2 * spectral._TAU_MAX_INITIAL
 
 
 # the anchor and the deep-seed regime, whose flows settle first and keep
@@ -248,7 +249,7 @@ FROZEN_FOOTPRINTS = [
 class TestQuadratureGrid:
     @pytest.fixture(autouse=True)
     def cold_solve(self, params):
-        # the flow a cold solve leaves: exactly the nodes up to its horizon
+        # the flow a cold solve leaves
         spectral._flow.cache_clear()
         malthus_exponent(ModelParams(e=0.0, **params))
 
@@ -256,28 +257,27 @@ class TestQuadratureGrid:
         # every node against RK4 at a tenth of the step: the grid is within
         # 1.1e-13 of it, and an integrator tolerance of 1e-14 left 3.2e-12
         p = ModelParams(e=0.0, **params)
-        flow = spectral._flow_for(p)
+        Va, _ = _grid(p, tau_max)
         dense, _ = flow_dense_state(p.b, p.V0, p.K0, tau_max, spectral._DTAU / 10)
-        assert flow.Va.size == nodes
-        assert np.max(np.abs(flow.Va - dense[::10])) < 5e-13
+        assert Va.size == nodes
+        assert np.max(np.abs(Va - dense[::10])) < 5e-13
 
     def test_capacity_matches_the_fine_oracle(self, params, tau_max, nodes):
         # the capacity moves faster than the volume: 4.3e-13 at b = 5, and
         # within 6.2e-14 on the other rows
         p = ModelParams(e=0.0, **params)
-        flow = spectral._flow_for(p)
+        _, Ka = _grid(p, tau_max)
         _, dense = flow_dense_state(p.b, p.V0, p.K0, tau_max, spectral._DTAU / 10)
-        assert flow.Ka.size == nodes
-        assert np.max(np.abs(flow.Ka - dense[::10])) < 1e-12
+        assert Ka.size == nodes
+        assert np.max(np.abs(Ka - dense[::10])) < 1e-12
 
     def test_coarse_grid_ends_at_the_horizon(self, params, tau_max, nodes):
         # the extrapolated rule needs the quadrature on every second node
         # to cover the same [tau_star, tau_max] as the one on every node
         p = ModelParams(e=0.0, **params)
-        flow = spectral._flow_for(p)
-        last = flow.node(tau_max)
-        _, fine = spectral._truncated_integral(flow, p, 0.0, last)
-        _, coarse = spectral._truncated_integral(flow, p, 0.0, last, 2)
+        Va, _ = _grid(p, tau_max)
+        _, fine = spectral._truncated_integral(Va, p, 0.0)
+        _, coarse = spectral._truncated_integral(Va, p, 0.0, 2)
         assert fine.size == nodes
         assert (coarse.size, coarse[-1]) == ((nodes + 1) // 2, fine[-1])
 
@@ -361,11 +361,10 @@ class TestHorizon:
         # F rebuilt from the two quadratures at the result's horizon
         p = ModelParams(e=0.0, **params)
         res = malthus_exponent(p)
-        flow = spectral._flow_for(p)
-        last = flow.node(res.tau_max)
-        tau_star = spectral._emission_threshold_time(flow, p.Vm, last)
-        fine = spectral._truncated_integral(flow, p, tau_star, last)[0]
-        coarse = spectral._truncated_integral(flow, p, tau_star, last, 2)[0]
+        Va, _ = _grid(p, res.tau_max)
+        tau_star = spectral._emission_threshold_time(spectral._flow_for(p), p.Vm, Va)
+        fine = spectral._truncated_integral(Va, p, tau_star)[0]
+        coarse = spectral._truncated_integral(Va, p, tau_star, 2)[0]
 
         def F(lam):
             quadrature = (4.0 * fine(lam) - coarse(lam)) / 3.0
@@ -376,11 +375,10 @@ class TestHorizon:
 
     def test_every_horizon_is_an_even_node(self):
         # the walk's horizons are 50 * 2^k, an integer decay bound, or the cap
-        flow = spectral._flow_for(ModelParams(e=0.0))
         doubled = [spectral._TAU_MAX_INITIAL * 2**k for k in range(5)]
         bounds = range(int(spectral._TAU_MAX_INITIAL), int(spectral._TAU_MAX_CAP) + 1)
         for horizon in [*doubled, *bounds]:
-            assert flow.node(horizon) % 2 == 0, horizon
+            assert round(horizon / spectral._DTAU) % 2 == 0, horizon
 
     @pytest.mark.parametrize(
         "params, tau_star",
@@ -390,23 +388,22 @@ class TestHorizon:
         # a cold solve extends the flow until it finds the crossing
         p = ModelParams(e=0.0, **params)
         spectral._flow.cache_clear()
-        malthus_exponent(p)
-        flow = spectral._flow_for(p)
-        found = spectral._emission_threshold_time(flow, p.Vm, flow.Va.size - 1)
+        res = malthus_exponent(p)
+        Va, _ = _grid(p, res.tau_max)
+        found = spectral._emission_threshold_time(spectral._flow_for(p), p.Vm, Va)
         assert found == pytest.approx(tau_star, rel=1e-12, abs=0)
         assert found > spectral._TAU_MAX_INITIAL
 
     @pytest.mark.parametrize("params", [dict(b=0.134), dict(b=0.1, Vm=0.95)])
     def test_result_does_not_depend_on_earlier_queries(self, params):
-        # the query takes the integrator past 800 and leaves the grid
+        # the query takes the integrator past 800, beyond the solve's horizon
         p = ModelParams(e=0.0, **params)
         spectral._flow.cache_clear()
         cold = malthus_exponent(p)
+        assert cold.tau_max < 800.0
         spectral._flow.cache_clear()
         characteristic_flow(800.0, p)
-        flow = spectral._flow_for(p)
-        assert flow._ode.t >= 800.0
-        assert flow.tau_max == spectral._TAU_MAX_INITIAL
+        assert spectral._flow_for(p)._ode.t >= 800.0
         assert malthus_exponent(p) == cold
 
     def test_queries_past_the_decay_horizon_extend_the_flow(self):
@@ -420,16 +417,15 @@ class TestHorizon:
         ks = (30_000, 75_000, 150_000, 449_500)
         dense = flow_dense(p.b, p.V0, p.K0, ks[-1] * h, h / 10)
         flow = spectral._flow_for(p)
-        nodes = flow.Va.size
+        nodes = round(res.tau_max / h) + 1
         assert ks[0] < nodes <= ks[1]
         for k in ks:
             V = characteristic_flow(k * h, p).V
-            if k < nodes:
-                assert V == flow.Va[k]
+            assert V == flow.volumes(k, k)[0]
             assert V == pytest.approx(dense[10 * k], rel=0, abs=1e-12)
             off = characteristic_flow((10 * k - 3) * (h / 10), p).V
             assert off == pytest.approx(dense[10 * k - 3], rel=0, abs=1e-12)
-        assert flow.Va.size == nodes
+        assert flow._ode.t >= ks[-1] * h
 
 
 def _integrate(b: float, tau: float) -> tuple[Dop853, int]:
@@ -474,28 +470,34 @@ class TestFlowIntegrator:
 
     @pytest.mark.parametrize("b", [0.1, 5.0])
     def test_nodes_do_not_depend_on_how_the_flow_was_extended(self, b, monkeypatch):
-        # steps are never clipped to a build target, so a node is the same
-        # sample of the same step however far earlier builds went
+        # steps are never clipped to a target, so a node is the same
+        # sample of the same step however far earlier calls went: three
+        # volumes calls on a flow built to 50 against one on a flow
+        # built to 200
         p = ModelParams(e=0.0, b=b)
         stepwise = spectral._Flow(p.b, p.V0, p.K0)
-        for tau in (100.0, 200.0):
-            stepwise.extend_to(tau)
+        ranges = ((0, 25_000), (25_001, 50_000), (50_001, 100_000))
+        parts = [stepwise.volumes(first, last) for first, last in ranges]
         monkeypatch.setattr(spectral, "_TAU_MAX_INITIAL", 200.0)
         straight = spectral._Flow(p.b, p.V0, p.K0)
-        assert straight.tau_max == stepwise.tau_max == 200.0
-        assert np.array_equal(straight.Va, stepwise.Va)
-        assert np.array_equal(straight.Ka, stepwise.Ka)
+        assert straight._ode.t >= 200.0
+        assert np.array_equal(straight.volumes(0, 100_000), np.concatenate(parts))
+        assert straight._ode._dense == stepwise._ode._dense
+        nodes = np.arange(100_001) * spectral._DTAU
+        assert np.array_equal(straight._ode.sample(nodes)[1], stepwise._ode.sample(nodes)[1])
 
     @pytest.mark.parametrize("b", [40.0, 100.0])
-    def test_stiff_lambda0_matches_the_fine_oracle_grid(self, b):
+    def test_stiff_lambda0_matches_the_fine_oracle_grid(self, b, monkeypatch):
         # the same quadrature on the oracle's nodes at dtau / 20; the
         # fixed-step RK4 grid was 1.2e-11 and 2.0e-10 off here
         p = ModelParams(e=0.0, b=b)
         spectral._flow.cache_clear()
         res = malthus_exponent(p)
-        flow = spectral._flow_for(p)
-        V, K = flow_dense_state(p.b, p.V0, p.K0, res.tau_max, spectral._DTAU / 20)
-        flow.Va, flow.Ka = V[::20], K[::20]
+        V, _ = flow_dense_state(p.b, p.V0, p.K0, res.tau_max, spectral._DTAU / 20)
+        nodes = V[::20]
+        monkeypatch.setattr(
+            spectral._flow_for(p), "volumes", lambda first, last: nodes[first : last + 1]
+        )
         oracle = malthus_exponent(p)
         spectral._flow.cache_clear()
         assert oracle.tau_max == res.tau_max
@@ -538,8 +540,10 @@ class TestFlowCache:
             spectral._flow_for(ModelParams(e=0.0, b=2.0 + k))
         again = spectral._flow_for(p)
         assert again is not first
-        assert np.array_equal(again.Va, first.Va)
-        assert np.array_equal(again.Ka, first.Ka)
+        assert again._ode._dense == first._ode._dense
+        nodes = np.arange(25_001) * spectral._DTAU
+        for a, b in zip(again._ode.sample(nodes), first._ode.sample(nodes)):
+            assert np.array_equal(a, b)
 
     def test_sets_that_differ_off_the_flow_share_it(self):
         # the flow depends on b, V0 and K0 only, so the key holds no more
@@ -576,3 +580,14 @@ class TestFitGrowthRate:
         M[50] = 0.0
         with pytest.raises(ConfigurationError):
             fit_growth_rate(t, M, (0.0, 10.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_burden_rejected(self, bad):
+        # only M <= 0 was refused, and a NaN or inf made the slope NaN
+        t = np.linspace(0.0, 10.0, 101)
+        M = np.exp(t)
+        M[50] = bad
+        with pytest.raises(ConfigurationError, match="M must be finite and positive"):
+            fit_growth_rate(t, M, (0.0, 10.0))
+        # outside the window it is not read
+        assert fit_growth_rate(t, M, (6.0, 10.0)) == pytest.approx(1.0, rel=1e-12, abs=0)
