@@ -451,11 +451,13 @@ class Dop853:
             )
         )
 
-    def sample(self, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The dense output at the ascending times tau in [0, t], each from
-        the first step that ends at or after it: a time on a step end is
-        read from the step that ends there, and tau = 0 gives the start
-        state exactly."""
+    def sample(self, tau: np.ndarray) -> tuple[np.ndarray, float]:
+        """The dense output's volume at the ascending times tau in [0, t],
+        and its capacity at the last of them, each from the first step
+        that ends at or after the time: a time on a step end is read from
+        the step that ends there, and tau = 0 gives the start state
+        exactly. The capacity is the same sequence of operations on that
+        one time, so a single time yields the full state."""
         if self._table.shape[1] != self.steps:
             self._table = np.array(self._dense).T
             self._ends = np.append(self._table[0][1:], self.t)
@@ -469,14 +471,20 @@ class Dop853:
         # each table row is repeated once per time, one row at a time, so
         # the temporaries stay a few arrays of the size of tau
         x = (tau - table[0].repeat(counts)) / table[1].repeat(counts)
-        y = 1.0 - x
+        V = _horner(table[2], table[4:11], counts, x)
+        # tau[-1] lies in the last step of the run
+        K = _horner(table[3, -1:], table[11:18, -1:], 1, x[-1:])
+        return V, float(K[0])
 
-        def evaluate(start: np.ndarray, c: np.ndarray) -> np.ndarray:
-            # scipy's nested form: c6, then * x, + c5, * (1 - x), + c4, ...
-            acc = c[6].repeat(counts) * x
-            for r in range(5, -1, -1):
-                acc += c[r].repeat(counts)
-                acc *= y if r % 2 else x
-            return acc + start.repeat(counts)
 
-        return evaluate(table[2], table[4:11]), evaluate(table[3], table[11:18])
+def _horner(start: np.ndarray, c: np.ndarray, counts, x: np.ndarray) -> np.ndarray:
+    """One component of the dense output at the times x (as fractions of
+    their steps), each step's row of ``start`` and ``c`` repeated
+    ``counts`` times: scipy's nested form, c6, then * x, + c5, * (1 - x),
+    + c4, ..."""
+    y = 1.0 - x
+    acc = c[6].repeat(counts) * x
+    for r in range(5, -1, -1):
+        acc += c[r].repeat(counts)
+        acc *= y if r % 2 else x
+    return acc + start.repeat(counts)

@@ -9,12 +9,15 @@ exponentially at the rate lambda0 solving
 where X_tau is the growth flow with I = 0 and beta the emission law.
 The left side is strictly decreasing in lambda, so the root is unique;
 once bracketed it is found with Brent's method (scipy's brentq), which
-converges superlinearly and keeps the bracket.
+converges superlinearly and keeps the bracket. A root solve evaluates
+its function once per lambda: the bracketing, Brent's iterations and
+the residual at the root share the values.
 
 The flow is integrated by an adaptive Dormand-Prince 8(5,3) pair
 (``_dop853``) at a tolerance of 1e-15; the most recently used
 integrators are cached, one per flow, and a solve samples the
-seventh-order dense output on a fixed grid of step dtau = 2e-3. A flow
+seventh-order dense output's volume on a fixed grid of step
+dtau = 2e-3, the capacity only at each horizon's last node. A flow
 whose integrator needs more steps than the grid has cells is too stiff
 for this solver and an error. The spectral integral uses a product
 rule: beta is linearized on each cell while the exponential factor is
@@ -30,7 +33,9 @@ which cancels the grid-squared term; the equation is solved once with
 it. Its left side takes one exponential for both rules: the coarse
 cells start on every second fine node, so I_2h reads every second value
 of I_h's. One walk sets the horizon: it starts at 50 and samples the
-nodes one horizon at a time, up to a cap of 900.
+nodes one horizon at a time, up to a cap of 900, and computes beta on
+each batch of nodes as it samples them; the rules of every horizon
+slice the one beta array.
 Until the emission onset lies among the nodes sampled so far it doubles
 the horizon, and a flow that settles at the fixed point (1, 1), or
 reaches the cap, before the onset has no root. From the onset on, it
@@ -46,8 +51,9 @@ that never settled is an error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -74,9 +80,15 @@ _FLOW_TOL = 1e-15
 # of the unit roundoff of its value 1 at the root
 _TAIL_TOL = 1e-17
 # lower end of a root bracket, halved while the function is not yet
-# positive there
+# positive there, at most 200 times (to about 6.2e-70: below about
+# 1e-154 the cell weights would divide by an underflowed lambda^2)
 _LAM_FLOOR = 1e-9
 _FLOW_CACHE_SIZE = 4
+# Brent's iteration bound: bisection alone narrows any bracket of
+# positive doubles to the stop in fewer halvings than the doubles have
+# binades and mantissa bits (2098). A root near 1e-50 takes about 130
+# iterations from a bracket [lo, 1e-6], past brentq's default of 100.
+_BRENT_MAXITER = sys.float_info.max_exp - sys.float_info.min_exp + sys.float_info.mant_dig
 
 
 @dataclass(frozen=True)
@@ -116,10 +128,11 @@ class _Flow:
                     "it is too stiff for the spectral solver"
                 )
 
-    def volumes(self, first: int, last: int) -> np.ndarray:
-        """Volumes at the grid nodes ``first`` to ``last``, node i at i * dtau."""
+    def volumes(self, first: int, last: int) -> tuple[np.ndarray, float]:
+        """Volumes at the grid nodes ``first`` to ``last``, node i at i *
+        dtau, and the capacity at node ``last``, as ``at`` reads it."""
         self._advance(last * _DTAU)
-        return self._ode.sample(np.arange(first, last + 1) * _DTAU)[0]
+        return self._ode.sample(np.arange(first, last + 1) * _DTAU)
 
     def at(self, tau: float) -> tuple[float, float]:
         """State at tau from the dense output, so a node maps to itself.
@@ -128,7 +141,8 @@ class _Flow:
         horizon = tau if tau < _TAU_MAX_CAP else _TAU_MAX_INITIAL
         while True:
             self._advance(horizon)
-            V, K = (float(x[0]) for x in self._ode.sample(np.array([horizon])))
+            V, K = self._ode.sample(np.array([horizon]))
+            V = float(V[0])
             if horizon == tau or horizon >= _TAU_MAX_CAP or _settled(V, K):
                 break
             horizon = min(2.0 * horizon, _TAU_MAX_CAP)
@@ -202,17 +216,28 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     # lower estimate lam_lo of lambda0, and the bound is taken there;
     # short of it, the horizon grows to the bound, at most doubling. A
     # longer horizon only raises lam_lo and lowers the bound, so a
-    # horizon that reached the bound needs no second solve. Va holds the
-    # volumes at the grid nodes 0 to the horizon's, node i at i * dtau.
+    # horizon that reached the bound needs no second solve. Va and beta
+    # hold the volumes and emission rates at the grid nodes 0 to the
+    # horizon's, node i at i * dtau, each computed once as the walk
+    # samples its node; the settle test reads the capacity the last
+    # node's sample gives.
     flow = _flow_for(p)
     Va = np.array([p.V0])
+    beta = p.m * Va**p.alpha
     horizon, tau_star, tau_bound = _TAU_MAX_INITIAL, None, math.inf
     while True:
         last = round(horizon / _DTAU)
-        Va = np.concatenate((Va, flow.volumes(Va.size, last)))
-        at_end = horizon >= _TAU_MAX_CAP or _settled(*flow.at(last * _DTAU))
+        V, K = flow.volumes(Va.size, last)
+        Va = np.concatenate((Va, V))
+        beta = np.concatenate((beta, p.m * V**p.alpha))
+        at_end = horizon >= _TAU_MAX_CAP or _settled(float(V[-1]), K)
         if tau_star is None:
             tau_star = _emission_threshold_time(flow, p.Vm, Va)
+            if tau_star is not None:
+                onset = p.Vm if tau_star > 0 else p.V0
+                # a one-element array, so it rounds as every other node's
+                beta_star = p.m * np.array([onset]) ** p.alpha
+                first = _first_node(tau_star, _DTAU)
         if tau_star is None:
             if at_end:
                 raise NoRootError(
@@ -220,17 +245,19 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
                     "no births occur"
                 )
         else:
-            integral, Vs = _truncated_integral(Va, p, tau_star)
+            integral, betas = _truncated_integral(beta, beta_star, tau_star)
             # F -> +inf as lam -> 0+ and F < 0 once lam exceeds the
-            # emission-rate ceiling along the flow, m * max(Vs)^alpha
-            peak = float(np.max(Vs)) ** p.alpha
+            # emission-rate ceiling along the flow, m * max(V)^alpha over
+            # the quadrature nodes
+            peak = float(np.max(Va[first:], initial=onset)) ** p.alpha
             hi = 1.5 * p.m * peak + 1e-6
             if at_end or horizon >= tau_bound:
                 break
             # a truncated integral that stays <= 1 as lam -> 0 has no
             # root to bound the horizon with, so the horizon just doubles
-            if integral(_LAM_FLOOR) > 1.0:
-                lam_lo = _root(lambda lam: integral(lam) - 1.0, hi)
+            f = cache(lambda lam: integral(lam) - 1.0)
+            if f(_LAM_FLOOR) > 0.0:
+                lam_lo = _root(f, hi)[0]
                 C = p.m * max(1.0, peak)
                 tau_bound = float(math.ceil(math.log(C / (lam_lo * _TAIL_TOL)) / lam_lo))
             if horizon >= tau_bound:
@@ -245,12 +272,11 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     # fourth-order one (Richardson); every horizon is a whole number, an
     # even node, so both end at tau_max.
     tau_max = last * _DTAU
-    coarse = _truncated_integral(Va, p, tau_star, 2)[0]
+    coarse = _truncated_integral(beta, beta_star, tau_star, 2)[0]
     # one exponential per F: the coarse cells start on every second fine
     # cell start, as i * (2 dtau) == (2 i) * dtau in floating point; a
     # contiguous copy of those values rounds the coarse rule's dot
     # products as an exponential of its own did
-    first = _first_node(tau_star, _DTAU)
     tau_lo = np.arange(first, last) * _DTAU
     skip = 2 * _first_node(tau_star, 2 * _DTAU) - first
     assert skip >= 0, f"the coarse rule starts before the fine one ({skip})"
@@ -260,31 +286,32 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
         quadrature = (4.0 * integral(lam, decay) - coarse(lam, decay[skip::2].copy())) / 3.0
         return quadrature + (p.m / lam) * math.exp(-lam * tau_max) - 1.0
 
-    root = _root(F, hi)
+    root, value = _root(F, hi)
     return SpectralResult(
         lambda0=root,
         tau_max=tau_max,
-        quadrature_nodes=int(Vs.size),
-        residual=float(abs(F(root))),
+        quadrature_nodes=int(betas.size),
+        residual=float(abs(value)),
     )
 
 
-def _truncated_integral(Va: np.ndarray, p: ModelParams, tau_star: float, stride: int = 1):
-    """The spectral integral over [tau_star, (Va.size - 1) * dtau] as a
-    function of lambda, with the volumes at its quadrature nodes.
+def _truncated_integral(beta: np.ndarray, beta_star: np.ndarray, tau_star: float, stride: int = 1):
+    """The spectral integral over [tau_star, (beta.size - 1) * dtau] as a
+    function of lambda, with the emission rates at its quadrature nodes.
 
-    The quadrature nodes are the crossing time, then every ``stride``-th
-    grid node past it up to the last of the grid volumes Va, which
-    ``stride`` divides. The function takes exp(-lambda * tau) at the
-    starts of the grid cells, the nodes from ``_first_node`` up to the
-    last but one, as ``decay`` when the caller has it.
+    beta holds the emission rates at the grid nodes, node i at i * dtau,
+    and beta_star (one element) the rate at the crossing time. The
+    quadrature nodes are the crossing time, then every ``stride``-th grid
+    node past it up to the last, which ``stride`` divides. The function
+    takes exp(-lambda * tau) at the starts of the grid cells, the nodes
+    from ``_first_node`` up to the last but one, as ``decay`` when the
+    caller has it.
     """
-    last, off = divmod(Va.size - 1, stride)
-    assert off == 0, f"node {Va.size - 1} is off the stride-{stride} grid"
+    last, off = divmod(beta.size - 1, stride)
+    assert off == 0, f"node {beta.size - 1} is off the stride-{stride} grid"
     h = _DTAU * stride
     first = _first_node(tau_star, h)
-    Vs = np.concatenate(([p.Vm if tau_star > 0 else p.V0], Va[::stride][first:]))
-    betas = p.m * Vs**p.alpha
+    betas = np.concatenate((beta_star, beta[::stride][first:]))
     # the first cell runs from the crossing to node `first` (there is none
     # when the crossing rounds onto the last node); every later cell is a
     # grid cell of width h, starting at tau_lo
@@ -307,7 +334,7 @@ def _truncated_integral(Va: np.ndarray, p: ModelParams, tau_star: float, stride:
         first_cell = math.exp(-lam * tau_star) * (beta0 * j0 + slope0 * j1)
         return first_cell + cells
 
-    return integral, Vs
+    return integral, betas
 
 
 def _first_node(tau_star: float, h: float) -> int:
@@ -316,9 +343,13 @@ def _first_node(tau_star: float, h: float) -> int:
     return first + 1 if first * h <= tau_star else first
 
 
-def _root(f, hi: float) -> float:
-    """Brent root of a function decreasing in lambda, after bracketing
-    it by doubling ``hi`` and halving the lower end from ``_LAM_FLOOR``."""
+def _root(f, hi: float) -> tuple[float, float]:
+    """Brent root of a function decreasing in lambda, and f there, after
+    bracketing it by doubling ``hi`` and halving the lower end from
+    ``_LAM_FLOOR`` at most 200 times, to about 6.2e-70. f is evaluated
+    once per lambda: the bracket ends and the root are values Brent's
+    method reads again."""
+    f = cache(f)
     for _ in range(200):
         if f(hi) < 0.0:
             break
@@ -326,18 +357,34 @@ def _root(f, hi: float) -> float:
     else:
         raise NoRootError("failed to bracket the growth exponent from above")
     lo = _LAM_FLOOR
-    for _ in range(200):
+    for _ in range(201):
         if f(lo) > 0.0:
             break
         lo *= 0.5
     else:
         raise NoRootError("failed to bracket the growth exponent from below")
-    return _brent(f, lo, hi)
+    root = _brent(f, lo, hi)
+    return root, f(root)
 
 
 def _brent(f, lo: float, hi: float) -> float:
     """Brent root of f on [lo, hi], to a relative stop: a small root keeps its digits."""
-    return brentq(f, lo, hi, xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps)
+    root, info = brentq(
+        f,
+        lo,
+        hi,
+        xtol=np.finfo(float).tiny,
+        rtol=4.0 * np.finfo(float).eps,
+        maxiter=_BRENT_MAXITER,
+        full_output=True,
+        disp=False,
+    )
+    if not info.converged:
+        raise NoRootError(
+            f"Brent's method found no root on [{lo:g}, {hi:g}] "
+            f"in {info.iterations} iterations"
+        )
+    return root
 
 
 def _cell_weights(lam: float, width: float) -> tuple[float, float]:

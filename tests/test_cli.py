@@ -205,6 +205,23 @@ class TestLambda0:
         sc = _write(tmp_path / "cpl.json", {"name": "cpl"})
         assert main(["lambda0", sc]) == 2
 
+    def test_a_tiny_lambda0_keeps_its_digits(self, tmp_path, capsys):
+        # alpha = 0 with Vm = V0 makes lambda0 = m; Brent's method took
+        # more than 100 iterations here and the call died on a traceback
+        params = {"e": 0, "alpha": 0, "m": 1e-60}
+        sc = _write(tmp_path / "tiny.json", {"name": "tiny", "params": params})
+        assert main(["lambda0", sc]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["lambda0"] == pytest.approx(1e-60, rel=1e-12, abs=0)
+
+    def test_a_root_solve_that_does_not_converge_exits_2(self, tmp_path, capsys, monkeypatch):
+        from metasim import spectral
+
+        monkeypatch.setattr(spectral, "_BRENT_MAXITER", 3)
+        sc = _write(tmp_path / "lin.json", {"name": "lin", "params": {"e": 0.0}})
+        assert main(["lambda0", sc]) == 2
+        assert "Brent's method found no root" in capsys.readouterr().err
+
     def test_too_stiff_a_flow_exits_2_without_a_traceback(self, tmp_path):
         # the fixed-step RK4 flow died here with a bare math domain error
         sc = _write(tmp_path / "stiff.json", {"name": "stiff", "params": {"e": 0, "b": 2000}})

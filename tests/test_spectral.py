@@ -1,4 +1,6 @@
+import bisect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,18 +26,35 @@ from oracles import (
     dop853_reference,
     flow_dense,
     flow_dense_state,
+    flow_extrapolated,
     richardson_lambda0,
 )
 
 
-def _grid(p: ModelParams, tau_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Volumes and capacities of the cached flow of p at the grid nodes
-    from 0 to tau_max: the volumes a solve reads, and the dense output's
-    capacities there."""
-    flow = spectral._flow_for(p)
-    last = round(tau_max / spectral._DTAU)
-    Va = flow.volumes(0, last)
-    return Va, flow._ode.sample(np.arange(last + 1) * spectral._DTAU)[1]
+def _grid(p: ModelParams, tau_max: float) -> np.ndarray:
+    """Volumes of the cached flow of p at the grid nodes from 0 to
+    tau_max: the volumes a solve reads."""
+    return spectral._flow_for(p).volumes(0, round(tau_max / spectral._DTAU))[0]
+
+
+def _capacities(p: ModelParams, tau_max: float) -> np.ndarray:
+    """The dense output's capacities at the same nodes, each from the
+    step that holds it in scalar Horner form: the sample reads only the
+    last node's, and matches this form bit for bit
+    (``test_sample_is_each_steps_scalar_horner_form``)."""
+    ode = spectral._flow_for(p)._ode
+    ends = [step[0] for step in ode._dense[1:]] + [ode.t]
+    nodes = np.arange(round(tau_max / spectral._DTAU) + 1) * spectral._DTAU
+    return np.array(
+        [dop853_dense_at(ode._dense[bisect.bisect_left(ends, tau)], tau)[1] for tau in nodes]
+    )
+
+
+def _rates(p: ModelParams, Va: np.ndarray, tau_star: float) -> tuple[np.ndarray, np.ndarray]:
+    """The emission rates m V^alpha at the grid volumes Va and, as a
+    one-element array, at the crossing time tau_star."""
+    onset = p.Vm if tau_star > 0 else p.V0
+    return p.m * Va**p.alpha, p.m * np.array([onset]) ** p.alpha
 
 
 class TestCharacteristicFlow:
@@ -145,11 +164,19 @@ class TestMalthusExponent:
         # alpha = 0 with the threshold at the domain edge makes the
         # spectral integral m/lambda exactly, so the root is m itself
         # to the last digits however small m is: an absolute stop of
-        # 1e-15 left 5.0e-11 relative at m = 1e-6 and 1.7e-4 at 1e-12
-        for m in (1.0, 2.5, 1e-6, 1e-12):
+        # 1e-15 left 5.0e-11 relative at m = 1e-6 and 1.7e-4 at 1e-12.
+        # From 1e-50 on, Brent's method takes more than 100 iterations
+        # (about 130 at 1e-50), and the bracket's lower end reaches
+        # 1e-9 * 2^-200, about 6.2e-70
+        for m in (1.0, 2.5, 1e-6, 1e-12, 1e-50, 1e-60, 1e-69):
             res = malthus_exponent(ModelParams(e=0.0, alpha=0.0, m=m))
             assert res.lambda0 == pytest.approx(m, rel=1e-12, abs=0)
             assert res.residual < 1e-13
+
+    def test_a_root_solve_that_does_not_converge_has_no_root(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_BRENT_MAXITER", 3)
+        with pytest.raises(NoRootError, match="in 3 iterations"):
+            malthus_exponent(ModelParams(e=0.0))
 
     def test_reference_parameters_frozen_value(self):
         res = malthus_exponent(ModelParams(e=0.0))
@@ -196,7 +223,7 @@ class TestMalthusExponent:
         res = malthus_exponent(p)
         oracle = brute_lambda0(p.b, p.m, p.alpha, p.V0, p.K0, p.Vm)
         assert res.lambda0 == pytest.approx(oracle, rel=1e-4, abs=0)
-        Va, _ = _grid(p, res.tau_max)
+        Va = _grid(p, res.tau_max)
         tau_star = spectral._emission_threshold_time(spectral._flow_for(p), Vm, Va)
         assert characteristic_flow(tau_star, p).V == pytest.approx(Vm, rel=0, abs=1e-13)
 
@@ -257,7 +284,7 @@ class TestQuadratureGrid:
         # every node against RK4 at a tenth of the step: the grid is within
         # 1.1e-13 of it, and an integrator tolerance of 1e-14 left 3.2e-12
         p = ModelParams(e=0.0, **params)
-        Va, _ = _grid(p, tau_max)
+        Va = _grid(p, tau_max)
         dense, _ = flow_dense_state(p.b, p.V0, p.K0, tau_max, spectral._DTAU / 10)
         assert Va.size == nodes
         assert np.max(np.abs(Va - dense[::10])) < 5e-13
@@ -266,7 +293,7 @@ class TestQuadratureGrid:
         # the capacity moves faster than the volume: 4.3e-13 at b = 5, and
         # within 6.2e-14 on the other rows
         p = ModelParams(e=0.0, **params)
-        _, Ka = _grid(p, tau_max)
+        Ka = _capacities(p, tau_max)
         _, dense = flow_dense_state(p.b, p.V0, p.K0, tau_max, spectral._DTAU / 10)
         assert Ka.size == nodes
         assert np.max(np.abs(Ka - dense[::10])) < 1e-12
@@ -275,9 +302,9 @@ class TestQuadratureGrid:
         # the extrapolated rule needs the quadrature on every second node
         # to cover the same [tau_star, tau_max] as the one on every node
         p = ModelParams(e=0.0, **params)
-        Va, _ = _grid(p, tau_max)
-        _, fine = spectral._truncated_integral(Va, p, 0.0)
-        _, coarse = spectral._truncated_integral(Va, p, 0.0, 2)
+        beta, beta_star = _rates(p, _grid(p, tau_max), 0.0)
+        _, fine = spectral._truncated_integral(beta, beta_star, 0.0)
+        _, coarse = spectral._truncated_integral(beta, beta_star, 0.0, 2)
         assert fine.size == nodes
         assert (coarse.size, coarse[-1]) == ((nodes + 1) // 2, fine[-1])
 
@@ -361,10 +388,11 @@ class TestHorizon:
         # F rebuilt from the two quadratures at the result's horizon
         p = ModelParams(e=0.0, **params)
         res = malthus_exponent(p)
-        Va, _ = _grid(p, res.tau_max)
+        Va = _grid(p, res.tau_max)
         tau_star = spectral._emission_threshold_time(spectral._flow_for(p), p.Vm, Va)
-        fine = spectral._truncated_integral(Va, p, tau_star)[0]
-        coarse = spectral._truncated_integral(Va, p, tau_star, 2)[0]
+        beta, beta_star = _rates(p, Va, tau_star)
+        fine = spectral._truncated_integral(beta, beta_star, tau_star)[0]
+        coarse = spectral._truncated_integral(beta, beta_star, tau_star, 2)[0]
 
         def F(lam):
             quadrature = (4.0 * fine(lam) - coarse(lam)) / 3.0
@@ -389,7 +417,7 @@ class TestHorizon:
         p = ModelParams(e=0.0, **params)
         spectral._flow.cache_clear()
         res = malthus_exponent(p)
-        Va, _ = _grid(p, res.tau_max)
+        Va = _grid(p, res.tau_max)
         found = spectral._emission_threshold_time(spectral._flow_for(p), p.Vm, Va)
         assert found == pytest.approx(tau_star, rel=1e-12, abs=0)
         assert found > spectral._TAU_MAX_INITIAL
@@ -413,19 +441,102 @@ class TestHorizon:
         assert res.tau_max < 150.0
         h = spectral._DTAU
         # the first time is a node, the others lie past the horizon, on the
-        # grid's spacing and off it
+        # grid's spacing and off it; the oracle is within 7.8e-16 of RK4
+        # with Kahan's sum at h / 10 at these eight times
         ks = (30_000, 75_000, 150_000, 449_500)
-        dense = flow_dense(p.b, p.V0, p.K0, ks[-1] * h, h / 10)
+        taus = [t for k in ks for t in ((10 * k - 3) * (h / 10), k * h)]
+        oracle = flow_extrapolated(p.b, p.V0, p.K0, taus)
         flow = spectral._flow_for(p)
         nodes = round(res.tau_max / h) + 1
         assert ks[0] < nodes <= ks[1]
-        for k in ks:
+        for i, k in enumerate(ks):
             V = characteristic_flow(k * h, p).V
-            assert V == flow.volumes(k, k)[0]
-            assert V == pytest.approx(dense[10 * k], rel=0, abs=1e-12)
-            off = characteristic_flow((10 * k - 3) * (h / 10), p).V
-            assert off == pytest.approx(dense[10 * k - 3], rel=0, abs=1e-12)
+            assert V == flow.volumes(k, k)[0][0]
+            assert V == pytest.approx(oracle[2 * i + 1], rel=0, abs=1e-12)
+            off = characteristic_flow(taus[2 * i], p).V
+            assert off == pytest.approx(oracle[2 * i], rel=0, abs=1e-12)
         assert flow._ode.t >= ks[-1] * h
+
+
+class TestEachValueOnce:
+    def test_the_root_solve_evaluates_f_once_per_lambda(self):
+        # the bracket ends are read again by Brent's method, and the root
+        # is one of its iterates, so its value comes back with it
+        calls = Counter()
+
+        def f(lam):
+            calls[lam] += 1
+            return 0.25 / lam - 1.0
+
+        result = spectral._root(f, 1e-6)
+        assert set(calls.values()) == {1}
+        root, value = result
+        assert root == pytest.approx(0.25, rel=1e-15, abs=0)
+        assert value == 0.25 / root - 1.0
+
+    @pytest.mark.parametrize("params", [dict(), dict(b=0.1), dict(Vm=0.5), dict(b=0.01, m=0.01)])
+    def test_a_solve_evaluates_each_integral_once_per_lambda(self, params, monkeypatch):
+        # the walk's check at the bracket floor, the lower-estimate solve,
+        # the final root solve and the residual share their values
+        counts = []
+        truncated = spectral._truncated_integral
+
+        def counting(*args, **kwargs):
+            integral, betas = truncated(*args, **kwargs)
+            seen = Counter()
+            counts.append(seen)
+
+            def counted(lam, decay=None):
+                seen[lam, decay is None] += 1
+                return integral(lam, decay)
+
+            return counted, betas
+
+        monkeypatch.setattr(spectral, "_truncated_integral", counting)
+        spectral._flow.cache_clear()
+        malthus_exponent(ModelParams(e=0.0, **params))
+        assert sum(map(len, counts)) > 0
+        assert {n for seen in counts for n in seen.values()} == {1}
+
+    @pytest.mark.parametrize("b", [0.1, 1.0, 100.0])
+    def test_the_settle_state_is_the_last_nodes_sample(self, b, monkeypatch):
+        # the capacity each horizon's settle test reads is the one a flow
+        # query at that node gives, bit for bit
+        p = ModelParams(e=0.0, b=b)
+        spectral._flow.cache_clear()
+        flow = spectral._flow_for(p)
+        sampled = []
+        volumes = flow.volumes
+
+        def recording(first, last):
+            V, K = volumes(first, last)
+            sampled.append((last, K))
+            return V, K
+
+        monkeypatch.setattr(flow, "volumes", recording)
+        res = malthus_exponent(p)
+        assert sampled[-1][0] == round(res.tau_max / spectral._DTAU)
+        for last, K in sampled:
+            assert K == flow.at(last * spectral._DTAU)[1]
+        assert len(sampled) > 1 if b == 0.1 else len(sampled) == 1
+
+    @pytest.mark.parametrize("params", [dict(), dict(b=0.1), dict(Vm=0.5), dict(alpha=0.3)])
+    def test_the_carried_rates_are_the_rates_of_the_final_nodes(self, params, monkeypatch):
+        # beta, extended with each horizon's nodes, against m V^alpha
+        # rebuilt on the solve's nodes in one piece
+        p = ModelParams(e=0.0, **params)
+        carried = []
+        truncated = spectral._truncated_integral
+
+        def recording(beta, *args):
+            carried.append(beta)
+            return truncated(beta, *args)
+
+        monkeypatch.setattr(spectral, "_truncated_integral", recording)
+        spectral._flow.cache_clear()
+        res = malthus_exponent(p)
+        Va = _grid(p, res.tau_max)
+        assert np.array_equal(carried[-1], p.m * Va**p.alpha)
 
 
 def _integrate(b: float, tau: float) -> tuple[Dop853, int]:
@@ -463,10 +574,13 @@ class TestFlowIntegrator:
             for tau in (step[0] + 0.3 * step[1], step[0] + 0.7 * step[1], end):
                 taus.append(tau)
                 expected.append(dop853_dense_at(step, tau))
-        V, K = ode.sample(np.array(taus))
-        assert (V[0], K[0]) == steps[0][2:4]
+        # the capacity comes with the last time of a sample, so each time
+        # is also sampled on its own
+        V, _ = ode.sample(np.array(taus))
         assert np.array_equal(V, [e[0] for e in expected])
-        assert np.array_equal(K, [e[1] for e in expected])
+        alone = [ode.sample(np.array([tau])) for tau in taus]
+        assert (alone[0][0][0], alone[0][1]) == steps[0][2:4]
+        assert [(v[0], k) for v, k in alone] == expected
 
     @pytest.mark.parametrize("b", [0.1, 5.0])
     def test_nodes_do_not_depend_on_how_the_flow_was_extended(self, b, monkeypatch):
@@ -481,10 +595,13 @@ class TestFlowIntegrator:
         monkeypatch.setattr(spectral, "_TAU_MAX_INITIAL", 200.0)
         straight = spectral._Flow(p.b, p.V0, p.K0)
         assert straight._ode.t >= 200.0
-        assert np.array_equal(straight.volumes(0, 100_000), np.concatenate(parts))
+        V, K = straight.volumes(0, 100_000)
+        assert np.array_equal(V, np.concatenate([part[0] for part in parts]))
+        assert K == parts[-1][1]
         assert straight._ode._dense == stepwise._ode._dense
-        nodes = np.arange(100_001) * spectral._DTAU
-        assert np.array_equal(straight._ode.sample(nodes)[1], stepwise._ode.sample(nodes)[1])
+        # the capacity at the end of every range, as the settle test reads it
+        for (first, last), (_, K) in zip(ranges, parts):
+            assert straight.volumes(first, last)[1] == K
 
     @pytest.mark.parametrize("b", [40.0, 100.0])
     def test_stiff_lambda0_matches_the_fine_oracle_grid(self, b, monkeypatch):
@@ -493,10 +610,12 @@ class TestFlowIntegrator:
         p = ModelParams(e=0.0, b=b)
         spectral._flow.cache_clear()
         res = malthus_exponent(p)
-        V, _ = flow_dense_state(p.b, p.V0, p.K0, res.tau_max, spectral._DTAU / 20)
-        nodes = V[::20]
+        V, K = flow_dense_state(p.b, p.V0, p.K0, res.tau_max, spectral._DTAU / 20)
+        nodes, capacities = V[::20], K[::20]
         monkeypatch.setattr(
-            spectral._flow_for(p), "volumes", lambda first, last: nodes[first : last + 1]
+            spectral._flow_for(p),
+            "volumes",
+            lambda first, last: (nodes[first : last + 1], capacities[last]),
         )
         oracle = malthus_exponent(p)
         spectral._flow.cache_clear()
