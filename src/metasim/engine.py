@@ -217,12 +217,16 @@ class _Member:
     count ``n`` (primary included), and the diagnostics ``simulate``
     reports: the peak row count, the smallest birth denominator and the
     weight pruned by the floor. ``b`` is ``p.b`` as a 0-d array, the
-    cheaper ufunc operand."""
+    cheaper ufunc operand. ``index`` is its position in ``params``, its
+    row of the samples and slot of the output; a step sets ``newborn``,
+    its column of ``rows`` or None, or ``error``, the blowup that ends it."""
 
-    __slots__ = ("p", "b", "I", "born", "exited", "n", "peak_n", "min_denom", "pruned")
+    __slots__ = ("p", "b", "I", "born", "exited", "n", "peak_n", "min_denom", "pruned",
+                 "index", "error", "newborn")
 
-    def __init__(self, p: ModelParams, state: SystemState):
-        self.p = p
+    def __init__(self, p: ModelParams, state: SystemState, index: int):
+        self.p, self.index = p, index
+        self.error = self.newborn = None
         self.b = np.array(p.b)
         self.I = state.I
         self.born = _Accumulator(state.born_count)
@@ -300,8 +304,9 @@ class _Engine:
     newborns included) that left the domain or lies below the weight
     floor (see ``_remove``). A member fails a step when its rows or
     inhibitor go non-finite, it reaches the birth-term limit or its
-    newborn's step fails; it then leaves the engine with its
-    ``IntegrationBlowupError`` in ``failures``, and the others go on.
+    newborn's step fails; it then moves from ``members`` to ``failed``
+    (which the caller clears) with its ``IntegrationBlowupError`` as its
+    ``error``, and the others go on.
 
     ``rows`` (6 x capacity) holds V, K, w, birth_t, ``P`` = V^(2/3)
     and ``beta``, the emission rate per unit m (see
@@ -325,8 +330,8 @@ class _Engine:
         member starts from ``state``."""
         if isinstance(params, ModelParams):
             params = (params,)
-        self.members = [_Member(p, state) for p in params]
-        self.failures: list[tuple[_Member, IntegrationBlowupError]] = []
+        self.members = [_Member(p, state, j) for j, p in enumerate(params)]
+        self.failed: list[_Member] = []
         self.weight_floor = weight_floor
         self.t = state.t
         n0 = state.w.size + 1
@@ -340,10 +345,6 @@ class _Engine:
         self.n = n
         self._eI = np.empty(())
         self._dt = None
-
-    # the sole member's counters, for a one-member engine
-    exited = property(lambda self: self.members[0].exited)
-    pruned = property(lambda self: self.members[0].pruned)
 
     # -- storage -----------------------------------------------------
 
@@ -463,37 +464,33 @@ class _Engine:
         _emission_weights(ms[0].p, V, P, beta)  # V0, Vm and alpha are shared
         B = B0 + mm * sums(w, beta)
 
-        live, newborns = [], {}  # newborns: member index -> its column of rows
-        for j, (m, (a, z), I, I1, Bj) in enumerate(zip(ms, spans, each(I0), each(I_new), each(B))):
+        for m, (a, z), I, I1, Bj in zip(ms, spans, each(I0), each(I_new), each(B)):
             m.I = I1
             try:
                 if not (math.isfinite(I1) and V[a] > 0 and K[a] > 0
                         and (all_finite or _all_finite(V[a:z], K[a:z]))):
                     raise IntegrationBlowupError(t_new, reason="non-finite-state")
-                column = m.give_birth(self.t, dt, I, Bj)
+                m.newborn = m.give_birth(self.t, dt, I, Bj)
             except IntegrationBlowupError as exc:
-                self.failures.append((m, exc))
-                live.append(False)
-                continue
-            live.append(True)
-            if column is not None:
-                newborns[j] = column
+                m.error, m.newborn = exc, None
+                self.failed.append(m)
 
-        self._remove(spans, live, newborns)
+        self._remove(spans)
         self.t = t_new
 
-    def _remove(self, spans: list, live: list, newborns: dict):
+    def _remove(self, spans: list):
         """The removal pass: each live member's kept rows, then its
-        newborn if kept, copied block by block into the new layout.
+        ``newborn`` if kept, copied block by block into the new layout.
         Dropped rows are booked by their member in row order, newborn
-        last; a failed member's rows are dropped unbooked, and the member
-        leaves. At S = 1 the rows only move down, so they move in place;
-        at S > 1 a newborn pushes the next member's rows up, so the rows
-        go to the spare block, which then becomes ``rows``."""
+        last; a member with an ``error`` has its rows dropped unbooked,
+        and leaves. At S = 1 the rows only move down, so they move in
+        place; at S > 1 a newborn pushes the next member's rows up, so the
+        rows go to the spare block, which then becomes ``rows``."""
         ms = self.members
         V0, floor = ms[0].p.V0, self.weight_floor
-        if self.n + len(newborns) > self.V.size:
-            self._resize(2 * (self.n + len(newborns)))
+        births = sum(m.newborn is not None for m in ms)
+        if self.n + births > self.V.size:
+            self._resize(2 * (self.n + births))
         n = self.n
         drop = self.V[:n] < V0
         if floor > 0.0:
@@ -505,9 +502,9 @@ class _Engine:
         src = self.rows
         dst = src if len(ms) == 1 else self._spare
         at = g = 0
-        for j, (m, (a, z)) in enumerate(zip(ms, spans)):
+        for m, (a, z) in zip(ms, spans):
             h = bisect_left(gone, z, g)  # gone[g:h] lie in this segment
-            if live[j]:
+            if m.error is None:
                 start, cut = at, a
                 for x in gone[g:h] + [z]:
                     if dst is not src or at != cut:
@@ -515,13 +512,13 @@ class _Engine:
                     at += x - cut
                     cut = x + 1
                 out_w, out_V = ws[g:h], Vs[g:h]
-                if j in newborns:
-                    Vn, _, w_new, *_ = newborns[j]
+                if m.newborn is not None:
+                    Vn, _, w_new, *_ = m.newborn
                     if Vn < V0 or w_new < floor:
                         out_w.append(w_new)
                         out_V.append(Vn)
                     else:
-                        dst[:, at] = newborns[j]
+                        dst[:, at] = m.newborn
                         at += 1
                 if out_w:
                     m.book_exits(out_w, out_V)
@@ -532,8 +529,8 @@ class _Engine:
             self._bind(dst)
             self._spare = src
         self.n = at
-        if not all(live):
-            self.members = [m for m, ok in zip(ms, live) if ok]
+        if self.failed:
+            self.members = [m for m in ms if m.error is None]
 
     # -- observation: cohort rows only -------------------------------
 
@@ -687,8 +684,8 @@ def step(s: SystemState, p: ModelParams, dt: float, weight_floor: float = 0.0) -
     eng = _Engine(p, s, weight_floor=weight_floor)
     with np.errstate(all="ignore"):
         eng.step(dt)
-    if eng.failures:
-        raise eng.failures[0][1]
+    if eng.failed:
+        raise eng.failed[0].error
     return eng.to_state()
 
 
@@ -781,7 +778,6 @@ def simulate_ensemble(
     every = _steps_per_sample(settings)
 
     eng = _Engine(params, initial_state(params[0], initial_cohorts), settings.weight_floor)
-    slot = {m: j for j, m in enumerate(eng.members)}
     out: list = [None] * len(params)
 
     samples = np.empty((len(params), n_steps // every + 1, 9))
@@ -793,23 +789,22 @@ def simulate_ensemble(
         for i in range(n_steps):
             eng.step(dt)
             eng.t = (i + 1) * dt  # pin to the exact grid against drift
-            if eng.failures:
-                for m, exc in eng.failures:
-                    t, M, N, I, Vp, *_, n_live = samples[slot[m], row - 1].tolist()
-                    exc.last_sample = {
-                        "t": t, "M": M, "N": N, "I": I, "Vp": Vp, "n_live": int(n_live)
-                    }
-                    out[slot[m]] = exc
-                eng.failures.clear()
+            if eng.failed:
+                for m in eng.failed:
+                    t, M, N, I, Vp, *_, n_live = samples[m.index, row - 1].tolist()
+                    last = {"t": t, "M": M, "N": N, "I": I, "Vp": Vp, "n_live": int(n_live)}
+                    m.error.last_sample = last
+                    out[m.index] = m.error
+                eng.failed.clear()
                 if not eng.members:
                     break
             if (i + 1) % every == 0:
                 for j, m in enumerate(eng.members):
-                    samples[slot[m], row] = eng.sample_row(j)
+                    samples[m.index, row] = eng.sample_row(j)
                 row += 1
 
     for j, m in enumerate(eng.members):
-        times, M, N, I, Vp, born, exited, largest, _ = samples[slot[m], :row].T.copy()
+        times, M, N, I, Vp, born, exited, largest, _ = samples[m.index, :row].T.copy()
         traj = Trajectory(
             times, M, N, I, Vp, born, exited, largest,
             diagnostics={
@@ -820,5 +815,5 @@ def simulate_ensemble(
                 "pruned_weight": m.pruned,
             },
         )
-        out[slot[m]] = (traj, eng.to_state(j))
+        out[m.index] = (traj, eng.to_state(j))
     return out

@@ -20,9 +20,9 @@ its own subdirectory, and assembles ``summary.csv`` with one row per
 value; failed runs carry their error in-row and never abort the sweep.
 Points that differ only in b, e, k or m integrate together as one
 ``simulate_ensemble``, split into at most one chunk per worker, and each
-point's numbers are those of its solo run. A point that fails with
-anything but an integration blowup (which writes its own
-``{name}_error.json``) leaves ``{name}_error.json`` with the traceback.
+point's numbers are those of its solo run. A failed run or point
+leaves ``{name}_error.json`` (see ``_write_error``); a point's is best
+effort, and its row keeps the error that failed it.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -166,24 +167,22 @@ def run_scenario(sc: Scenario, out_dir: str = ".") -> RunResult:
     try:
         traj, final = simulate(sc.params, sc.settings, sc.initial_cohorts)
     except IntegrationBlowupError as exc:
-        _write_blowup(sc, out_dir, exc)
+        _write_error(sc, out_dir, exc)
         raise
     return _write_run(sc, traj, final, out_dir, time.perf_counter() - t_start, 1)
 
 
-def _write_blowup(sc: Scenario, out_dir: str, exc: IntegrationBlowupError):
-    _write_atomic(
-        os.path.join(out_dir, f"{sc.name}_error.json"),
-        _json_text(
-            {
-                "name": sc.name,
-                "error": "integration-blowup",
-                "t": exc.t,
-                "reason": exc.reason,
-                "last_sample": exc.last_sample,
-            }
-        ),
-    )
+def _write_error(sc: Scenario, out_dir: str, exc: Exception):
+    """``{name}_error.json`` for a failed run: the time, check and last
+    sample of an integration blowup, or the type, message and traceback
+    of any other exception."""
+    if isinstance(exc, IntegrationBlowupError):
+        doc = {"name": sc.name, "error": "integration-blowup", "t": exc.t,
+               "reason": exc.reason, "last_sample": exc.last_sample}
+    else:
+        doc = {"name": sc.name, "error": "exception", "type": type(exc).__name__,
+               "message": str(exc), "traceback": "".join(traceback.format_exception(exc))}
+    _write_atomic(os.path.join(out_dir, f"{sc.name}_error.json"), _json_text(doc))
 
 
 def _write_run(
@@ -281,23 +280,6 @@ def _summary_row(value: float, metrics: dict, traj: Trajectory) -> dict:
     }
 
 
-def _write_point_error(sc: Scenario, out_dir: str, exc: Exception):
-    """Best effort ``{name}_error.json`` for a point that failed outside
-    the blowup path; a failed write must not lose the summary row."""
-    doc = {
-        "name": sc.name,
-        "error": "exception",
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "traceback": "".join(traceback.format_exception(exc)),
-    }
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_atomic(os.path.join(out_dir, f"{sc.name}_error.json"), _json_text(doc))
-    except OSError:
-        pass
-
-
 def _point_row(task, outcome, runtime_s: float, ensemble_size: int) -> dict:
     """Write one point's artifacts from its integration outcome, a
     ``(trajectory, final_state)`` or the exception that ended it, and
@@ -306,15 +288,15 @@ def _point_row(task, outcome, runtime_s: float, ensemble_size: int) -> dict:
     try:
         os.makedirs(out_dir, exist_ok=True)
         if isinstance(outcome, Exception):
-            if isinstance(outcome, IntegrationBlowupError):
-                _write_blowup(sc, out_dir, outcome)
             raise outcome
         result = _write_run(sc, *outcome, out_dir, runtime_s, ensemble_size)
         # the summary row needs the metrics even when the point's outputs omit them
         metrics = result.metrics or compute_metrics(sc, result.trajectory)
     except Exception as exc:  # any failure stays in its own row
-        if not isinstance(exc, IntegrationBlowupError):
-            _write_point_error(sc, out_dir, exc)
+        try:
+            _write_error(sc, out_dir, exc)
+        except OSError:
+            pass  # best effort: the row keeps the error that failed the point
         return {name: None for name in SUMMARY_COLUMNS} | {
             "value": value,
             "error": f"{type(exc).__name__}: {exc}",
@@ -370,7 +352,7 @@ def run_sweep(sw: SweepSpec, out_dir: str = ".", jobs: int | None = None) -> lis
     Returns the summary rows in axis order. Every point's outputs, and
     the metrics its summary row needs, are checked before any directory
     is made; a failure raises ConfigurationError naming the point, and
-    ``jobs`` (default ``sw.parallelism``) below 1 raises it too.
+    so does a ``jobs`` (default ``sw.parallelism``) not an integer >= 1.
     Points that share ``_group_key`` integrate as one ensemble per chunk
     (see ``_chunks``), one chunk per pool task. Failures during a run
     are recorded in-row; the caller decides what an all-failed sweep
@@ -381,6 +363,8 @@ def run_sweep(sw: SweepSpec, out_dir: str = ".", jobs: int | None = None) -> lis
         for sc, value in zip(sw.scenarios(), sw.values)
     ]
     workers = sw.parallelism if jobs is None else jobs
+    if isinstance(workers, bool) or not isinstance(workers, Integral):
+        raise ConfigurationError(f"jobs must be an integer, got {workers!r}")
     if workers < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {workers}")
     for sc, value, _ in tasks:

@@ -13,7 +13,7 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -58,8 +58,10 @@ def _expect(ok, path: str, value, kind: str, what: str = "scenario"):
 class Scenario:
     """One named, fully-resolved simulation configuration.
 
-    ``name`` matches ``[A-Za-z0-9._=+-]+``, so it names files inside the
-    output directory; ``outputs`` are distinct. ``transient`` is the
+    ``params`` is a ``ModelParams``, ``settings`` a ``SolverSettings``,
+    and ``initial_cohorts`` a list or tuple of ``Cohort``, stored as a
+    tuple. ``name`` matches ``[A-Za-z0-9._=+-]+``, so it names files
+    inside the output directory; ``outputs`` are distinct. ``transient`` is the
     analysis-window start for oscillation metrics; None resolves to a
     quarter of the horizon. ``log_scale`` requests logarithmic y-axes on
     the plots. ``n_bins`` is checked when a run asks for the histogram.
@@ -78,6 +80,14 @@ class Scenario:
         name, outputs, transient = self.name, self.outputs, self.transient
         ok = isinstance(name, str) and _NAME.fullmatch(name)
         _expect(ok, "$.name", name, f"a string matching {_NAME.pattern!r}")
+        _expect(isinstance(self.params, ModelParams), "$.params", self.params, "a ModelParams")
+        ok = isinstance(self.settings, SolverSettings)
+        _expect(ok, "$.settings", self.settings, "a SolverSettings")
+        cohorts = self.initial_cohorts
+        _expect(isinstance(cohorts, (list, tuple)), "$.initial_cohorts", cohorts, "a sequence")
+        for i, c in enumerate(cohorts):
+            _expect(isinstance(c, Cohort), f"$.initial_cohorts[{i}]", c, "a Cohort")
+        object.__setattr__(self, "initial_cohorts", tuple(cohorts))
         for i, kind in enumerate(outputs):
             _expect(kind in _OUTPUT_KINDS, f"$.outputs[{i}]", kind, f"one of {list(_OUTPUT_KINDS)}")
         _expect(len(set(outputs)) == len(outputs), "$.outputs", list(outputs), "free of duplicates")
@@ -95,7 +105,9 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A one-parameter family of runs derived from a base scenario."""
+    """A one-parameter family of runs derived from a base scenario:
+    ``base`` is a ``Scenario``, ``values`` a non-empty list or tuple of
+    numbers (not bools) and ``parallelism`` an integer >= 1."""
 
     base: Scenario
     axis: str
@@ -103,10 +115,16 @@ class SweepSpec:
     parallelism: int = 1
 
     def __post_init__(self):
+        _expect(isinstance(self.base, Scenario), "$.base", self.base, "a Scenario", "sweep")
         ok = self.axis in _PARAM_NAMES
         _expect(ok, "$.axis", self.axis, f"one of {list(_PARAM_NAMES)}", "sweep")
-        _expect(len(self.values) > 0, "$.values", self.values, "a non-empty array", "sweep")
-        _expect(self.parallelism >= 1, "$.parallelism", self.parallelism, "at least 1", "sweep")
+        ok = isinstance(self.values, (list, tuple)) and len(self.values) > 0
+        _expect(ok, "$.values", self.values, "a non-empty array", "sweep")
+        for i, value in enumerate(self.values):
+            _expect(_is_number(value), f"$.values[{i}]", value, "a number", "sweep")
+        n = self.parallelism
+        ok = isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
+        _expect(ok, "$.parallelism", n, "an integer >= 1", "sweep")
         labels: dict[str, float] = {}
         for value in self.values:
             label = self.point_label(value)

@@ -5,6 +5,9 @@ import sys
 import pytest
 
 from metasim.cli import main
+from metasim.errors import IntegrationBlowupError
+from metasim.runner import run_scenario
+from metasim.scenarios import load_sweep
 
 TIMESERIES_HEADER = "t,M,N,I,Vp,born_cum,exited_cum"
 # an initial cohort below the domain edge V0 = 0.1
@@ -334,6 +337,25 @@ class TestSweep:
         assert len(err) == 1
         assert err[0].startswith("b=1e+08 failed: IntegrationBlowupError: ")
         assert (out / "b=1e+08" / "s_b=1e+08_error.json").exists()
+
+    def test_failed_point_same_under_any_jobs_and_as_a_lone_run(self, tmp_path, capsys):
+        # --jobs 2 puts b=1e9 in the chunk {1, 1e9} inside a pool worker
+        sw = self._sweep_file(tmp_path, [1.0, 2.0, 1e9], axis="b")
+        rel = "b=1e+09/s_b=1e+09_error.json"
+        docs, rows = {}, {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", sw, "--out", str(out), "--jobs", str(jobs)]) == 0
+            docs[jobs] = (out / rel).read_bytes()
+            rows[jobs] = (out / "summary.csv").read_text()
+        assert rows[1] == rows[2]
+        failed = rows[1].splitlines()[3]
+        assert failed.endswith(",IntegrationBlowupError: non-finite state at t=0.01")
+        assert docs[1] == docs[2]
+        sc = load_sweep(sw).scenarios()[2]
+        with pytest.raises(IntegrationBlowupError):
+            run_scenario(sc, out_dir=str(tmp_path / "solo"))
+        assert (tmp_path / "solo" / "s_b=1e+09_error.json").read_bytes() == docs[1]
 
     def test_all_failed_exits_3(self, tmp_path, capsys):
         sw = self._sweep_file(tmp_path, [1e8, 1e9], axis="b")

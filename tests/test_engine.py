@@ -629,8 +629,8 @@ class TestCarriedPower:
         # pruning and a growth past 4096 rows
         eng = self._run(1, 4094, 2, 2, 1e-3, [1e-2] * 10)
         assert eng.V.size > 4096
-        assert eng.pruned > 0.0
-        assert eng.exited.value > eng.pruned  # exits through V0 as well
+        assert eng.members[0].pruned > 0.0
+        assert eng.members[0].exited.value > eng.members[0].pruned  # exits through V0 as well
         assert eng.n == 1 + 4094 + 10 - 4  # ten births kept, four rows dropped
 
     @pytest.mark.parametrize("n0", [0, 300, 4094])

@@ -197,7 +197,48 @@ class TestRunSweep:
         rows = run_sweep(sw, out_dir=str(tmp_path))
         assert rows[0]["error"] is None
         assert "IntegrationBlowupError" in rows[1]["error"]
-        assert (tmp_path / "b=1e+09" / "r_b=1e+09_error.json").exists()
+        doc = json.loads((tmp_path / "b=1e+09" / "r_b=1e+09_error.json").read_text())
+        assert list(doc) == ["name", "error", "t", "reason", "last_sample"]
+        assert (doc["error"], doc["reason"]) == ("integration-blowup", "non-finite-state")
+        first = {"t": 0.0, "M": 0.0, "N": 0.0, "I": 0.0, "Vp": 0.1, "n_live": 0}
+        assert doc["last_sample"] == first
+        assert doc["last_sample"]["t"] < doc["t"]
+
+    def test_a_point_keeps_its_own_error_when_its_error_file_cannot_be_written(
+        self, tmp_path, monkeypatch
+    ):
+        real_write = runner._write_atomic
+
+        def no_error_files(path, text):
+            if path.endswith("_error.json"):
+                raise OSError("disk full")
+            return real_write(path, text)
+
+        monkeypatch.setattr(runner, "_write_atomic", no_error_files)
+        sw = SweepSpec(base=_scenario(), axis="b", values=(1.0, 1e9))
+        rows = run_sweep(sw, out_dir=str(tmp_path), jobs=1)
+        assert rows[0]["error"] is None
+        assert rows[1]["error"] == "IntegrationBlowupError: non-finite state at t=0.01"
+        assert sorted(p.name for p in (tmp_path / "b=1e+09").iterdir()) == []
+        # a lone run reports the failed write, so the CLI exits 4
+        with pytest.raises(OSError, match="disk full"):
+            run_scenario(sw.scenarios()[1], out_dir=str(tmp_path / "solo"))
+
+    @pytest.mark.parametrize("jobs", [2.5, True, 0])
+    def test_jobs_must_be_an_integer_of_at_least_1(self, tmp_path, jobs):
+        # 2.5 used to die in _chunks after making out_dir, and True ran as 1
+        sw = SweepSpec(base=_scenario(), axis="e", values=(0.5, 1.0, 2.0))
+        with pytest.raises(ConfigurationError, match="jobs must be"):
+            run_sweep(sw, out_dir=str(tmp_path / "out"), jobs=jobs)
+        assert not (tmp_path / "out").exists()
+
+    def test_cohorts_given_as_a_list_group_like_a_tuple(self, tmp_path):
+        # a list of cohorts was unhashable and failed the sweep's grouping
+        cohort = Cohort(birth_time=0.0, weight=1.0, state=TumorState(V=0.5, K=1.0))
+        base = replace(_scenario(outputs=["timeseries"]), initial_cohorts=[cohort])
+        assert base.initial_cohorts == (cohort,)
+        rows = run_sweep(SweepSpec(base=base, axis="e", values=(0.5, 2.0)), str(tmp_path))
+        assert [r["error"] for r in rows] == [None, None]
 
     def test_unexpected_exception_stays_in_row(self, tmp_path, monkeypatch):
         # the sweep writes each point through the writer run_scenario uses

@@ -244,6 +244,40 @@ class TestRules:
         # n_bins is checked when a run asks for the histogram
         assert Scenario(name="x", n_bins=0).n_bins == 0
 
+    @pytest.mark.parametrize(
+        "kwargs, path",
+        [
+            ({"params": {"e": 0}}, "$.params"),
+            ({"settings": {"t_end": 2.0}}, "$.settings"),
+            ({"initial_cohorts": [(1, 2)]}, "$.initial_cohorts[0]"),
+            ({"initial_cohorts": "c"}, "$.initial_cohorts"),
+        ],
+        ids=["params", "settings", "cohort", "cohorts"],
+    )
+    def test_python_api_scenario_fields_have_their_types(self, kwargs, path):
+        # each of these got past construction and failed later, in the run
+        with pytest.raises(ConfigurationError) as exc:
+            Scenario(name="x", **kwargs)
+        assert f"invalid scenario at {path}: " in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "kwargs, path",
+        [
+            ({"base": "base"}, "$.base"),
+            ({"values": (0.5, "a")}, "$.values[1]"),
+            ({"values": (True,)}, "$.values[0]"),
+            ({"values": 0.5}, "$.values"),
+            ({"parallelism": 2.5}, "$.parallelism"),
+            ({"parallelism": True}, "$.parallelism"),
+        ],
+        ids=["base", "value", "value-bool", "values-scalar", "parallelism-fraction",
+             "parallelism-bool"],
+    )
+    def test_python_api_sweep_fields_have_their_types(self, kwargs, path):
+        with pytest.raises(ConfigurationError) as exc:
+            SweepSpec(**{"base": Scenario(name="b"), "axis": "e", "values": (1.0,), **kwargs})
+        assert f"invalid sweep at {path}: " in str(exc.value)
+
     @pytest.mark.parametrize("transient", [math.nan, math.inf, -math.inf])
     def test_non_finite_transient_rejected(self, transient):
         # NaN used to run and write "transient": NaN, invalid JSON, into run.json
