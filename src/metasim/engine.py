@@ -39,11 +39,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import ConfigurationError, IntegrationBlowupError, InvalidStateError
-from .model import ModelParams, TumorState, _rk4_step, emission_rate
+from .model import ModelParams, TumorState, _rk4_step, emission_rate, is_finite
 
 __all__ = [
     "Cohort",
@@ -76,12 +77,14 @@ class Cohort:
     state: TumorState
 
     def __post_init__(self):
-        if not (math.isfinite(self.weight) and self.weight >= 0):
+        if not (is_finite(self.weight) and self.weight >= 0):
             raise InvalidStateError(f"cohort weight must be >= 0, got {self.weight!r}")
-        if not math.isfinite(self.birth_time):
+        if not is_finite(self.birth_time):
             raise InvalidStateError(f"cohort birth_time must be finite, got {self.birth_time!r}")
 
 
+# What ensemble members share besides the settings and initial cohorts.
+shared_params = attrgetter("V0", "K0", "Vm", "alpha")
 _COHORT_ARRAYS = ("V", "K", "w", "birth_t")
 _TWO_THIRDS = 2.0 / 3.0
 
@@ -116,16 +119,16 @@ class SystemState:
     V0: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.I) and self.I >= 0):
+        if not (is_finite(self.I) and self.I >= 0):
             raise InvalidStateError(f"inhibitor amount must be >= 0, got {self.I!r}")
         if not (0 <= self.born_count < math.inf and 0 <= self.exited_count < math.inf):
             raise InvalidStateError(
                 f"born_count and exited_count must be finite and >= 0, got "
                 f"{self.born_count!r} and {self.exited_count!r}"
             )
-        if not math.isfinite(self.t):
+        if not is_finite(self.t):
             raise InvalidStateError(f"time must be finite, got {self.t!r}")
-        if not (math.isfinite(self.V0) and self.V0 > 0):
+        if not (is_finite(self.V0) and self.V0 > 0):
             raise InvalidStateError(f"V0 must be finite and > 0, got {self.V0!r}")
         for name in _COHORT_ARRAYS:
             arr = np.array(getattr(self, name), dtype=np.float64)
@@ -162,7 +165,7 @@ class SolverSettings:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
+            if not is_finite(getattr(self, f.name)):
                 raise ConfigurationError(f"{f.name} must be finite")
         if self.dt <= 0:
             raise ConfigurationError(f"dt must be > 0, got {self.dt}")
@@ -772,7 +775,7 @@ def simulate_ensemble(
     and propagates.
     """
     params = tuple(params)
-    if len({(p.V0, p.K0, p.Vm, p.alpha) for p in params}) != 1:
+    if len(set(map(shared_params, params))) != 1:
         raise ConfigurationError("an ensemble needs members that share V0, K0, Vm and alpha")
     n_steps = settings.n_steps
     every = _steps_per_sample(settings)

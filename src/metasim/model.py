@@ -37,6 +37,14 @@ __all__ = [
 ]
 
 
+def is_finite(value) -> bool:
+    """``math.isfinite``, but False, not OverflowError, for an int beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise InvalidStateError(f"{name} must be finite, got {value!r}")
@@ -44,7 +52,7 @@ def _require_finite(name: str, value: float) -> float:
 
 
 def _require_nonnegative(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
+    if not (is_finite(value) and value >= 0):
         raise ConfigurationError(f"parameter {name} must be finite and >= 0, got {value!r}")
 
 
@@ -58,7 +66,7 @@ class TumorState:
     def __post_init__(self):
         for name in ("V", "K"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (is_finite(value) and value > 0):
                 raise InvalidStateError(
                     f"TumorState.{name} must be finite and > 0, got {value!r}"
                 )
@@ -97,10 +105,10 @@ class ModelParams:
 
     def __post_init__(self):
         if self.Vm is None:
-            object.__setattr__(self, "Vm", float(self.V0))
+            object.__setattr__(self, "Vm", self.V0)
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
+            if not is_finite(value):
                 raise ConfigurationError(f"parameter {f.name} must be finite, got {value!r}")
             object.__setattr__(self, f.name, float(value))
         if self.b <= 0:
@@ -163,14 +171,14 @@ class DimensionalParams:
 
     def __post_init__(self):
         if self.Vm is None:
-            object.__setattr__(self, "Vm", float(self.V0))
+            object.__setattr__(self, "Vm", self.V0)
         if self.e is None:
             if self.e_hat is None or self.Vd is None:
                 raise ConfigurationError(
                     "e missing and cannot be derived: supply e, or both e_hat and Vd"
                 )
             _require_nonnegative("e_hat", self.e_hat)
-            if not (math.isfinite(self.Vd) and self.Vd > 0):
+            if not (is_finite(self.Vd) and self.Vd > 0):
                 raise ConfigurationError(f"parameter Vd must be finite and > 0, got {self.Vd!r}")
             object.__setattr__(self, "e", self.e_hat / self.Vd)
         # nan > 0 is false, so an unchecked NaN e would rescale to the
@@ -187,11 +195,11 @@ class DimensionalParams:
             )
         for name in ("a", "b", "d", "k"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (is_finite(value) and value > 0):
                 raise ConfigurationError(f"parameter {name} must be finite and > 0, got {value!r}")
         for name in ("V0", "K0", "Vm"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (is_finite(value) and value > 0):
                 raise ConfigurationError(f"volume {name} must be finite and > 0, got {value!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must lie in [0, 1], got {self.alpha}")
@@ -270,7 +278,7 @@ def local_inhibition_coefficient(e: float, Vd: float, p: float, D: float) -> flo
     volume, and D the inhibitor diffusion length scale.
     """
     for name, value in (("e", e), ("Vd", Vd), ("p", p), ("D", D)):
-        if not (math.isfinite(value) and value > 0):
+        if not (is_finite(value) and value > 0):
             raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
     return e * Vd * (p / (15.0 * D * D)) * math.pow(3.0 / (4.0 * math.pi), 2.0 / 3.0)
 

@@ -44,6 +44,7 @@ from .engine import (
     Trajectory,
     _steps_per_sample,
     initial_state,
+    shared_params,
     simulate,
     simulate_ensemble,
 )
@@ -325,8 +326,7 @@ def _sweep_chunk(chunk: list) -> list[dict]:
 def _group_key(sc: Scenario) -> tuple:
     """What sweep points must share to integrate as one ensemble: all but
     b, e, k and m."""
-    p = sc.params
-    return (sc.settings, sc.initial_cohorts, p.V0, p.K0, p.Vm, p.alpha)
+    return (sc.settings, sc.initial_cohorts, shared_params(sc.params))
 
 
 def _chunks(tasks: list, jobs: int) -> list[list[int]]:

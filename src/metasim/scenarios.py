@@ -10,7 +10,6 @@ A failed check names the JSON path of the offending field.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
@@ -19,7 +18,7 @@ import numpy as np
 
 from .engine import Cohort, SolverSettings
 from .errors import ConfigurationError
-from .model import ModelParams, TumorState
+from .model import ModelParams, TumorState, is_finite
 
 __all__ = [
     "Scenario",
@@ -91,8 +90,7 @@ class Scenario:
         for i, kind in enumerate(outputs):
             _expect(kind in _OUTPUT_KINDS, f"$.outputs[{i}]", kind, f"one of {list(_OUTPUT_KINDS)}")
         _expect(len(set(outputs)) == len(outputs), "$.outputs", list(outputs), "free of duplicates")
-        # the comparison admits an int too large for a float, as JSON does
-        ok = transient is None or (_is_number(transient) and -math.inf < transient < math.inf)
+        ok = transient is None or (_is_number(transient) and is_finite(transient))
         _expect(ok, "$.transient", transient, "null or a finite number")
         _expect(isinstance(self.log_scale, bool), "$.log_scale", self.log_scale, "a boolean")
 
@@ -107,7 +105,8 @@ class Scenario:
 class SweepSpec:
     """A one-parameter family of runs derived from a base scenario:
     ``base`` is a ``Scenario``, ``values`` a non-empty list or tuple of
-    numbers (not bools) and ``parallelism`` an integer >= 1."""
+    distinct numbers (not bools), stored as floats, and ``parallelism``
+    an integer >= 1. Building the sweep builds, and so checks, each point."""
 
     base: Scenario
     axis: str
@@ -120,46 +119,42 @@ class SweepSpec:
         _expect(ok, "$.axis", self.axis, f"one of {list(_PARAM_NAMES)}", "sweep")
         ok = isinstance(self.values, (list, tuple)) and len(self.values) > 0
         _expect(ok, "$.values", self.values, "a non-empty array", "sweep")
+        values: dict[float, None] = {}
         for i, value in enumerate(self.values):
             _expect(_is_number(value), f"$.values[{i}]", value, "a number", "sweep")
+            try:
+                value = float(value)
+            except OverflowError as exc:  # an integer beyond the float range
+                raise ConfigurationError(f"invalid sweep at $.values[{i}]: {exc}") from exc
+            ok = value not in values
+            _expect(ok, f"$.values[{i}]", value, "distinct from the values before it", "sweep")
+            values[value] = None
+        object.__setattr__(self, "values", tuple(values))
         n = self.parallelism
         ok = isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
         _expect(ok, "$.parallelism", n, "an integer >= 1", "sweep")
-        labels: dict[str, float] = {}
-        for value in self.values:
-            label = self.point_label(value)
-            if label in labels:
-                raise ConfigurationError(
-                    f"sweep values {labels[label]!r} and {value!r} share the point "
-                    f"name {label}"
-                )
-            labels[label] = value
-            try:
-                self._point_params(value)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"sweep point {label}: {exc}") from exc
+        self.scenarios()
 
     def point_label(self, value: float) -> str:
-        """``{axis}={value:g}``: the suffix of a point's scenario name,
-        its directory and its failure line."""
-        return f"{self.axis}={value:g}"
-
-    def _point_params(self, value: float) -> ModelParams:
-        params = replace(self.base.params, **{self.axis: value})
-        if self.axis == "V0" and self.base.params.Vm == self.base.params.V0:
-            # a swept V0 drags a defaulted Vm along with it
-            params = replace(params, Vm=value)
-        return params
+        """``{axis}={value:g}`` at the least precision p >= 6 that reads back
+        as ``value`` (NaN, which never does, keeps ``{value:g}``): the suffix
+        of a point's scenario name, its directory and its failure line."""
+        digits = (f"{value:.{p}g}" for p in range(6, 18))
+        return f"{self.axis}=" + next((s for s in digits if float(s) == value), f"{value:g}")
 
     def scenarios(self) -> list[Scenario]:
-        return [
-            replace(
-                self.base,
-                name=f"{self.base.name}_{self.point_label(value)}",
-                params=self._point_params(value),
-            )
-            for value in self.values
-        ]
+        base, points = self.base, []
+        for value in self.values:
+            label = self.point_label(value)
+            swept = {self.axis: value}
+            if self.axis == "V0" and base.params.Vm == base.params.V0:
+                swept["Vm"] = value  # a swept V0 drags a defaulted Vm along with it
+            try:
+                params = replace(base.params, **swept)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"sweep point {label}: {exc}") from exc
+            points.append(replace(base, name=f"{base.name}_{label}", params=params))
+        return points
 
 
 def _check_object(raw, path: str, keys, required=(), numbers=False, what: str = "scenario"):
@@ -254,25 +249,21 @@ def load_scenario(path: str) -> Scenario:
     return scenario_from_dict(_read_object(path, "scenario"))
 
 
-def _sweep_values(raw) -> tuple[float, ...]:
-    """A sweep's values: an array of numbers, or ``count`` points
-    geometrically spaced from ``from`` to ``to``."""
+def _sweep_values(raw):
+    """A sweep's values: an array, or ``count`` points geometrically
+    spaced from ``from`` to ``to``. ``SweepSpec`` checks the array's items."""
     if isinstance(raw, list):
-        for i, value in enumerate(raw):
-            _expect(_is_number(value), f"$.values[{i}]", value, "a number", "sweep")
-    else:
-        _expect(isinstance(raw, dict), "$.values", raw, "an array or an object", "sweep")
-        keys = ("from", "to", "count")
-        _check_object(raw, "$.values", keys, keys, numbers=True, what="sweep")
-        for key in ("from", "to"):
-            _expect(raw[key] > 0, f"$.values.{key}", raw[key], "positive", "sweep")
-        count = raw["count"]
-        ok = _is_integer(count) and 2 <= count <= _MAX_COUNT
-        _expect(ok, "$.values.count", count, f"an integer in [2, {_MAX_COUNT}]", "sweep")
+        return raw
+    _expect(isinstance(raw, dict), "$.values", raw, "an array or an object", "sweep")
+    keys = ("from", "to", "count")
+    _check_object(raw, "$.values", keys, keys, numbers=True, what="sweep")
+    for key in ("from", "to"):
+        _expect(raw[key] > 0, f"$.values.{key}", raw[key], "positive", "sweep")
+    count = raw["count"]
+    ok = _is_integer(count) and 2 <= count <= _MAX_COUNT
+    _expect(ok, "$.values.count", count, f"an integer in [2, {_MAX_COUNT}]", "sweep")
     try:
-        if isinstance(raw, dict):
-            raw = np.geomspace(raw["from"], raw["to"], int(raw["count"]))
-        return tuple(float(v) for v in raw)
+        return tuple(np.geomspace(raw["from"], raw["to"], int(count)).tolist())
     except OverflowError as exc:  # a JSON integer beyond the float range
         raise ConfigurationError(f"invalid sweep at $.values: {exc}") from exc
 

@@ -124,9 +124,12 @@ class TestRun:
         assert "n_bins must be >= 1 and at most 1000000, got 1000000000000" in proc.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("transient", ["NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "transient", ["NaN", "Infinity", pytest.param("1" + "0" * 400, id="huge-integer")]
+    )
     def test_non_finite_transient_exits_2_before_any_output(self, tmp_path, capsys, transient):
-        # Python's json reads NaN; it used to run and write "transient": NaN into run.json
+        # Python's json reads NaN; it used to run and write "transient": NaN into
+        # run.json, as it did an integer with no float value
         sc = tmp_path / "t.json"
         sc.write_text(
             '{"name": "t", "transient": %s, "settings": {"t_end": 1.0}, '
@@ -328,6 +331,14 @@ class TestSweep:
         assert len(lines) == 3
         assert "IntegrationBlowupError" in lines[2]
         assert "failed" in capsys.readouterr().err
+
+    def test_values_alike_at_six_digits_run_as_two_points(self, tmp_path, capsys):
+        sw = self._sweep_file(tmp_path, [1.0000001, 1.0000002])
+        out = tmp_path / "out"
+        assert main(["sweep", sw, "--out", str(out)]) == 0
+        points = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert points == ["e=1.0000001", "e=1.0000002"]
+        assert len((out / "summary.csv").read_text().splitlines()) == 3
 
     def test_point_label_names_directory_scenario_and_failure_line(self, tmp_path, capsys):
         sw = self._sweep_file(tmp_path, [1e8], axis="b")

@@ -49,6 +49,29 @@ def _state(p, cohorts=(), primary=None, I=0.0, t=0.0, born=None, exited=0.0):
     )
 
 
+_HUGE = 10**400  # an integer with no float value
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ModelParams(b=_HUGE), ConfigurationError, "parameter b must be finite"),
+        (lambda: ModelParams(V0=_HUGE), ConfigurationError, "parameter V0 must be finite"),
+        (lambda: SolverSettings(t_end=_HUGE), ConfigurationError, "t_end must be finite"),
+        (
+            lambda: Cohort(birth_time=0.0, weight=_HUGE, state=TumorState(V=0.5, K=1.0)),
+            InvalidStateError,
+            "cohort weight must be >= 0",
+        ),
+        (lambda: TumorState(V=_HUGE, K=1.0), InvalidStateError, "TumorState.V must be finite"),
+    ],
+    ids=["ModelParams.b", "ModelParams.V0", "SolverSettings.t_end", "Cohort.weight", "TumorState.V"],
+)
+def test_an_integer_beyond_the_float_range_gets_its_field_message(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 class TestInitialState:
     def test_starts_at_birth_state_with_no_inhibitor(self):
         p = ModelParams()

@@ -323,7 +323,7 @@ class TestRunSweep:
         rows = run_sweep(sw, out_dir=str(tmp_path), jobs=1)
         assert all(r["error"] is None for r in rows)
         for sc, value in zip(sw.scenarios(), values):
-            point_dir = tmp_path / f"{axis}={value:g}"
+            point_dir = tmp_path / sw.point_label(value)
             meta = json.loads((point_dir / f"{sc.name}_run.json").read_text())
             assert scenario_to_dict(scenario_from_dict(meta["scenario"])) == scenario_to_dict(sc)
 

@@ -1,8 +1,11 @@
 import json
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from metasim import ConfigurationError, ModelParams
 from metasim.scenarios import (
@@ -391,11 +394,45 @@ class TestSweepSpec:
             SweepSpec(base=Scenario(name="b"), axis="alpha", values=(0.5, 1.5))
 
     def test_values_sharing_a_point_name_rejected(self):
-        # both format as e=1 and would write into one point directory
-        with pytest.raises(ConfigurationError, match=r"1\.0000001 and 1\.0000002"):
-            SweepSpec(base=Scenario(name="b"), axis="e", values=(1.0000001, 1.0000002))
-        with pytest.raises(ConfigurationError, match="e=2"):
+        # only equal values share a name, and would write into one point directory
+        with pytest.raises(ConfigurationError, match=r"\$\.values\[2\]: 2\.0 is not distinct"):
             SweepSpec(base=Scenario(name="b"), axis="e", values=(2.0, 0.5, 2.0))
+
+    @pytest.mark.parametrize("values", [(1, 1.0), (0.0, -0.0)], ids=["1,1.0", "0.0,-0.0"])
+    def test_values_equal_under_eq_are_refused(self, values):
+        with pytest.raises(ConfigurationError, match=r"\$\.values\[1\]: .* is not distinct"):
+            SweepSpec(base=Scenario(name="b"), axis="m", values=values)
+
+    def test_point_label_gains_digits_only_when_it_must(self):
+        sw = SweepSpec(base=Scenario(name="b"), axis="e", values=(1.0000001, 1.0000002))
+        assert [sc.name for sc in sw.scenarios()] == ["b_e=1.0000001", "b_e=1.0000002"]
+        values = (0.5, 1.0, 100.0, 1e9, 1234567.0, 1 / 3)
+        assert [sw.point_label(v) for v in values] == [
+            "e=0.5", "e=1", "e=100", "e=1e+09", "e=1234567", "e=0.3333333333333333"
+        ]
+
+    @pytest.mark.parametrize("value", [10**400, Fraction(10**400, 3)], ids=["int", "Fraction"])
+    def test_value_beyond_the_float_range_is_refused(self, value):
+        with pytest.raises(ConfigurationError, match=r"invalid sweep at \$\.values\[1\]: "):
+            SweepSpec(base=Scenario(name="b"), axis="e", values=(0.5, value))
+
+    def test_fraction_value_sweeps_as_its_float(self):
+        sw = SweepSpec(base=Scenario(name="b"), axis="e", values=(Fraction(1, 3),))
+        assert sw.values == (1 / 3,)
+        assert sw.scenarios()[0].name == "b_e=0.3333333333333333"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_names_its_point(self, value):
+        with pytest.raises(ConfigurationError, match=f"sweep point e={value}: parameter e must"):
+            SweepSpec(base=Scenario(name="b"), axis="e", values=(value,))
+
+    @pytest.mark.parametrize("base", catalog(), ids=lambda sc: sc.name)
+    @given(value=st.floats(allow_nan=False))
+    def test_every_point_name_reads_back_as_its_value(self, base, value):
+        for axis in (f.name for f in fields(ModelParams)):
+            sw = SweepSpec(base=base, axis=axis, values=(getattr(base.params, axis),))
+            name, text = sw.point_label(value).split("=", 1)
+            assert (name, float(text)) == (axis, value)
 
     @pytest.mark.parametrize("axis,value", [("e", 0.1), ("b", 1e9), ("m", 1e-5)])
     def test_point_scenarios_round_trip(self, axis, value):
