@@ -121,7 +121,7 @@ class SystemState:
     def __post_init__(self):
         if not (is_finite(self.I) and self.I >= 0):
             raise InvalidStateError(f"inhibitor amount must be >= 0, got {self.I!r}")
-        if not (0 <= self.born_count < math.inf and 0 <= self.exited_count < math.inf):
+        if not all(is_finite(x) and x >= 0 for x in (self.born_count, self.exited_count)):
             raise InvalidStateError(
                 f"born_count and exited_count must be finite and >= 0, got "
                 f"{self.born_count!r} and {self.exited_count!r}"
@@ -385,7 +385,8 @@ class _Engine:
         h2, dt_, s6, two = self._consts
         h2f, s6f = 0.5 * dt, dt / 6.0
         V, K, w, _, P, beta = self.rows[:, :n]
-        kV1, kK1, kV2, kK2, kV3, kK3, kV4, kK4, Vs, Ks, tmp = self._scratch[:, :n]
+        *k4, Vs, Ks, tmp = self._scratch[:, :n]
+        kV, kK = k4[0::2], k4[1::2]  # each stage's slopes, one row each
 
         # A member's scalars (I, dI, B, and e, k, m) are floats at S = 1
         # and arrays over the members at S > 1, so one set of formulas
@@ -434,31 +435,24 @@ class _Engine:
 
         t_new = self.t + dt
         B0 = mm * sums(w, beta)
-        dI1 = stage(V, K, P, I0, kV1, kK1)
-        np.multiply(kV1, h2, Vs)
-        np.add(Vs, V, Vs)
-        np.multiply(kK1, h2, Ks)
-        np.add(Ks, K, Ks)
-        dI2 = stage(Vs, Ks, _pow23(Vs, kK2), I0 + h2f * dI1, kV2, kK2)
-        np.multiply(kV2, h2, Vs)
-        np.add(Vs, V, Vs)
-        np.multiply(kK2, h2, Ks)
-        np.add(Ks, K, Ks)
-        dI3 = stage(Vs, Ks, _pow23(Vs, kK3), I0 + h2f * dI2, kV3, kK3)
-        np.multiply(kV3, dt_, Vs)
-        np.add(Vs, V, Vs)
-        np.multiply(kK3, dt_, Ks)
-        np.add(Ks, K, Ks)
-        dI4 = stage(Vs, Ks, _pow23(Vs, kK4), I0 + dt * dI3, kV4, kK4)
+        dI = [stage(V, K, P, I0, kV[0], kK[0])]
+        # stage i + 1 sits at c = h/2, h/2, h along stage i's slope; c is
+        # a 0-d array for the ufuncs and a float for the inhibitor
+        for i, (c, cf) in enumerate(((h2, h2f), (h2, h2f), (dt_, dt))):
+            np.multiply(kV[i], c, Vs)
+            np.add(Vs, V, Vs)
+            np.multiply(kK[i], c, Ks)
+            np.add(Ks, K, Ks)
+            dI.append(stage(Vs, Ks, _pow23(Vs, kK[i + 1]), I0 + cf * dI[i], kV[i + 1], kK[i + 1]))
 
-        for kX1, kX2, kX3, kX4, X in ((kV1, kV2, kV3, kV4, V), (kK1, kK2, kK3, kK4, K)):
+        for (kX1, kX2, kX3, kX4), X in ((kV, V), (kK, K)):
             np.add(kX2, kX3, kX2)
             np.multiply(kX2, two, kX2)
             np.add(kX2, kX1, kX2)
             np.add(kX2, kX4, kX2)
             np.multiply(kX2, s6, kX2)
             np.add(X, kX2, X)
-        I_new = I0 + s6f * (dI1 + 2.0 * (dI2 + dI3) + dI4)
+        I_new = I0 + s6f * (dI[0] + 2.0 * (dI[1] + dI[2]) + dI[3])
 
         finite = self._finite[:n]
         all_finite = (np.logical_and.reduce(np.isfinite(V, finite))
@@ -678,8 +672,10 @@ def step(s: SystemState, p: ModelParams, dt: float, weight_floor: float = 0.0) -
     rounded increments and can end ulps off ``n * dt`` (1 000 steps of
     0.01 from t = 0 end at 9.999999999999831).
     """
-    if not (math.isfinite(dt) and dt > 0):
+    if not (is_finite(dt) and dt > 0):
         raise ConfigurationError(f"dt must be > 0, got {dt!r}")
+    if not (is_finite(weight_floor) and weight_floor >= 0):
+        raise ConfigurationError(f"weight_floor must be finite and >= 0, got {weight_floor!r}")
     if s.V0 != p.V0:
         raise InvalidStateError(
             f"state was built for V0={s.V0}, parameters have V0={p.V0}"

@@ -45,12 +45,6 @@ def is_finite(value) -> bool:
         return False
 
 
-def _require_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise InvalidStateError(f"{name} must be finite, got {value!r}")
-    return float(value)
-
-
 def _require_nonnegative(name: str, value: float) -> None:
     if not (is_finite(value) and value >= 0):
         raise ConfigurationError(f"parameter {name} must be finite and >= 0, got {value!r}")
@@ -218,10 +212,9 @@ def growth_field(s: TumorState, I: float, p: ModelParams) -> tuple[float, float]
     model. dK balances stimulation b*V against local inhibition
     b*V**(2/3)*K and systemic inhibition e*I*K.
     """
-    I = _require_finite("I", I)
-    if I < 0:
-        raise InvalidStateError(f"inhibitor amount must be >= 0, got {I}")
-    return _field(s.V, s.K, p.b, p.e * I)
+    if not (is_finite(I) and I >= 0):
+        raise InvalidStateError(f"inhibitor amount must be finite and >= 0, got {I!r}")
+    return _field(s.V, s.K, p.b, p.e * float(I))
 
 
 def _field(V: float, K: float, b: float, eI: float) -> tuple[float, float]:
@@ -249,12 +242,11 @@ def emission_rate(V: float, p: ModelParams) -> float:
 
     Zero below the emission threshold Vm (no access to circulation).
     """
-    V = _require_finite("V", V)
-    if V <= 0:
-        raise InvalidStateError(f"volume must be > 0, got {V}")
+    if not (is_finite(V) and V > 0):
+        raise InvalidStateError(f"volume must be finite and > 0, got {V!r}")
     if V < p.Vm:
         return 0.0
-    return p.m * V**p.alpha
+    return p.m * float(V) ** p.alpha
 
 
 def birth_state(p: ModelParams) -> TumorState:

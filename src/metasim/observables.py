@@ -101,7 +101,10 @@ def histogram(s: SystemState, n_bins: int = 40) -> VolumeHistogram:
 def _window(times: np.ndarray, transient: float) -> np.ndarray:
     """Mask of the sample times at or past ``transient``; fewer than 3
     of them cannot be analysed."""
-    mask = times >= transient
+    try:
+        mask = times >= transient
+    except OverflowError:
+        raise ConfigurationError(f"transient {transient!r} has no float value") from None
     if int(mask.sum()) < 3:
         raise ConfigurationError(
             f"window beyond transient={transient:g} holds fewer than 3 samples"

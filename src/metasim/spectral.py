@@ -60,7 +60,7 @@ from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NoRootError, NotLinearError
 from ._dop853 import Dop853
-from .model import ModelParams, TumorState, _field
+from .model import ModelParams, TumorState, _field, is_finite
 
 __all__ = [
     "SpectralResult",
@@ -169,7 +169,7 @@ def _flow_for(p: ModelParams) -> _Flow:
 def characteristic_flow(tau: float, p: ModelParams) -> TumorState:
     """State reached at time tau by a tumor growing from (V0, K0) with
     no inhibitor; the flow the spectral equation integrates along."""
-    if not (math.isfinite(tau) and tau >= 0):
+    if not (is_finite(tau) and tau >= 0):
         raise ConfigurationError(f"tau must be >= 0, got {tau!r}")
     V, K = _flow_for(p).at(tau)
     return TumorState(V=V, K=K)
@@ -404,7 +404,10 @@ def fit_growth_rate(times, M, window: tuple[float, float]) -> float:
     if times.shape != M.shape:
         raise ConfigurationError("times and M must have matching shapes")
     t_lo, t_hi = window
-    mask = (times >= t_lo) & (times <= t_hi)
+    try:
+        mask = (times >= t_lo) & (times <= t_hi)
+    except OverflowError:
+        raise ConfigurationError(f"window {window!r} has a bound with no float value") from None
     if int(mask.sum()) < 10:
         raise ConfigurationError(
             f"window [{t_lo:g}, {t_hi:g}] holds fewer than 10 samples"

@@ -16,11 +16,11 @@ _W, _H = 800, 500
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi], at most n of them."""
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions covering [lo, hi], at most six of them."""
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -39,15 +39,8 @@ def _fmt(x: float) -> str:
     return f"{x:g}"
 
 
-def line_chart(
-    x,
-    y,
-    title: str,
-    x_label: str = "t",
-    y_label: str = "",
-    log_y: bool = False,
-) -> str:
-    """Render one series as an SVG document string."""
+def line_chart(x, y, title: str, y_label: str = "", log_y: bool = False) -> str:
+    """Render one series against time as an SVG document string."""
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
     if len(xs) != len(ys) or not xs:
@@ -116,7 +109,7 @@ def line_chart(
     )
     parts.append(
         f'<text x="{_W / 2:.0f}" y="{_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
+        f'font-family="sans-serif" font-size="13">t</text>'
     )
     if y_label:
         parts.append(

@@ -13,7 +13,13 @@ from metasim import (
     ModelParams,
     SolverSettings,
     SystemState,
+    Trajectory,
     TumorState,
+    characteristic_flow,
+    emission_rate,
+    fit_growth_rate,
+    growth_field,
+    oscillation_metrics,
 )
 from metasim.engine import (
     _emission_weights,
@@ -64,8 +70,52 @@ _HUGE = 10**400  # an integer with no float value
             "cohort weight must be >= 0",
         ),
         (lambda: TumorState(V=_HUGE, K=1.0), InvalidStateError, "TumorState.V must be finite"),
+        (
+            lambda: step(initial_state(ModelParams()), ModelParams(), _HUGE),
+            ConfigurationError,
+            "dt must be > 0",
+        ),
+        (
+            lambda: _state(ModelParams(), born=_HUGE),
+            InvalidStateError,
+            "born_count and exited_count must be finite and >= 0",
+        ),
+        (
+            lambda: emission_rate(_HUGE, ModelParams()),
+            InvalidStateError,
+            "volume must be finite and > 0",
+        ),
+        (
+            lambda: growth_field(TumorState(0.1, 0.2), _HUGE, ModelParams()),
+            InvalidStateError,
+            "inhibitor amount must be finite and >= 0",
+        ),
+        (lambda: characteristic_flow(_HUGE, ModelParams()), ConfigurationError, "tau must be >= 0"),
+        (
+            lambda: oscillation_metrics(Trajectory(np.arange(50.0), *[np.ones(50)] * 7), _HUGE),
+            ConfigurationError,
+            "transient 1000.* has no float value",
+        ),
+        (
+            lambda: fit_growth_rate(np.arange(50.0), np.ones(50), (0, _HUGE)),
+            ConfigurationError,
+            "has a bound with no float value",
+        ),
     ],
-    ids=["ModelParams.b", "ModelParams.V0", "SolverSettings.t_end", "Cohort.weight", "TumorState.V"],
+    ids=[
+        "ModelParams.b",
+        "ModelParams.V0",
+        "SolverSettings.t_end",
+        "Cohort.weight",
+        "TumorState.V",
+        "step.dt",
+        "SystemState.born_count",
+        "emission_rate.V",
+        "growth_field.I",
+        "characteristic_flow.tau",
+        "oscillation_metrics.transient",
+        "fit_growth_rate.window",
+    ],
 )
 def test_an_integer_beyond_the_float_range_gets_its_field_message(build, error, message):
     with pytest.raises(error, match=message):
@@ -203,6 +253,14 @@ class TestStep:
             step(initial_state(p), p, 0.0)
         with pytest.raises(ConfigurationError):
             step(initial_state(p), p, math.nan)
+
+    @pytest.mark.parametrize(
+        "floor", [-1.0, math.nan, math.inf, _HUGE], ids=["-1.0", "nan", "inf", "10**400"]
+    )
+    def test_bad_weight_floor_rejected(self, floor):
+        p = ModelParams()
+        with pytest.raises(ConfigurationError, match="weight_floor must be finite and >= 0"):
+            step(initial_state(p), p, 1e-2, weight_floor=floor)
 
     def test_domain_edge_mismatch_rejected(self):
         s = initial_state(ModelParams())

@@ -130,6 +130,13 @@ class TestGrowthField:
         with pytest.raises(InvalidStateError):
             growth_field(TumorState(0.1, 0.2), -1e-9, ModelParams())
 
+    @pytest.mark.parametrize("I", [-1e-9, math.nan, math.inf])
+    def test_bad_inhibitor_message_names_both_conditions(self, I):
+        with pytest.raises(
+            InvalidStateError, match=rf"inhibitor amount must be finite and >= 0, got {I!r}"
+        ):
+            growth_field(TumorState(0.1, 0.2), I, ModelParams())
+
 
 class TestEmissionRate:
     def test_base_rate_at_unit_volume(self):
@@ -163,6 +170,11 @@ class TestEmissionRate:
         p = ModelParams(Vm=0.0)
         lo, hi = sorted((V1, V2))
         assert emission_rate(lo, p) <= emission_rate(hi, p) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("V", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_volume_message_names_both_conditions(self, V):
+        with pytest.raises(InvalidStateError, match=rf"volume must be finite and > 0, got {V!r}"):
+            emission_rate(V, ModelParams())
 
 
 class TestBirthState:
