@@ -26,6 +26,8 @@ SciPy's table, which the tests match bit for bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from operator import itemgetter
 
 import numpy as np
 
@@ -212,8 +214,8 @@ class Dop853:
     """Adaptive DOP853 integration of (V, K)' = field(V, K) from t = 0.
 
     Each ``step`` is one attempt. An accepted one advances ``t`` and
-    records the step's dense output, which ``sample`` evaluates; ``steps``
-    counts the accepted ones.
+    records the step's dense output, which ``sample`` and ``at``
+    evaluate; ``steps`` counts the accepted ones.
     """
 
     def __init__(self, field, V: float, K: float, tol: float):
@@ -475,6 +477,23 @@ class Dop853:
         # tau[-1] lies in the last step of the run
         K = _horner(table[3, -1:], table[11:18, -1:], 1, x[-1:])
         return V, float(K[0])
+
+    def at(self, tau: float) -> tuple[float, float]:
+        """The dense output's (V, K) at one time tau in [0, t], bit for bit
+        what ``sample`` gives, in scalar arithmetic: the step that holds tau
+        is the one before the first step starting at or after it."""
+        step = self._dense[bisect_left(self._dense, tau, 1, key=itemgetter(0)) - 1]
+        x = (tau - step[0]) / step[1]
+        return _horner_at(step[2], step[4:11], x), _horner_at(step[3], step[11:18], x)
+
+
+def _horner_at(start: float, c: tuple, x: float) -> float:
+    """``_horner`` at one time x, in Python floats."""
+    acc = c[6] * x
+    for r in range(5, -1, -1):
+        acc += c[r]
+        acc *= (1.0 - x) if r % 2 else x
+    return acc + start
 
 
 def _horner(start: np.ndarray, c: np.ndarray, counts, x: np.ndarray) -> np.ndarray:

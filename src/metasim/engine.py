@@ -78,7 +78,7 @@ class Cohort:
 
     def __post_init__(self):
         if not (is_finite(self.weight) and self.weight >= 0):
-            raise InvalidStateError(f"cohort weight must be >= 0, got {self.weight!r}")
+            raise InvalidStateError(f"cohort weight must be finite and >= 0, got {self.weight!r}")
         if not is_finite(self.birth_time):
             raise InvalidStateError(f"cohort birth_time must be finite, got {self.birth_time!r}")
 
@@ -120,7 +120,7 @@ class SystemState:
 
     def __post_init__(self):
         if not (is_finite(self.I) and self.I >= 0):
-            raise InvalidStateError(f"inhibitor amount must be >= 0, got {self.I!r}")
+            raise InvalidStateError(f"inhibitor amount must be finite and >= 0, got {self.I!r}")
         if not all(is_finite(x) and x >= 0 for x in (self.born_count, self.exited_count)):
             raise InvalidStateError(
                 f"born_count and exited_count must be finite and >= 0, got "
@@ -673,7 +673,7 @@ def step(s: SystemState, p: ModelParams, dt: float, weight_floor: float = 0.0) -
     0.01 from t = 0 end at 9.999999999999831).
     """
     if not (is_finite(dt) and dt > 0):
-        raise ConfigurationError(f"dt must be > 0, got {dt!r}")
+        raise ConfigurationError(f"dt must be finite and > 0, got {dt!r}")
     if not (is_finite(weight_floor) and weight_floor >= 0):
         raise ConfigurationError(f"weight_floor must be finite and >= 0, got {weight_floor!r}")
     if s.V0 != p.V0:

@@ -105,6 +105,8 @@ def _window(times: np.ndarray, transient: float) -> np.ndarray:
         mask = times >= transient
     except OverflowError:
         raise ConfigurationError(f"transient {transient!r} has no float value") from None
+    except TypeError:
+        raise ConfigurationError(f"transient must be a number, got {transient!r}") from None
     if int(mask.sum()) < 3:
         raise ConfigurationError(
             f"window beyond transient={transient:g} holds fewer than 3 samples"

@@ -11,7 +11,11 @@ The left side is strictly decreasing in lambda, so the root is unique;
 once bracketed it is found with Brent's method (scipy's brentq), which
 converges superlinearly and keeps the bracket. A root solve evaluates
 its function once per lambda: the bracketing, Brent's iterations and
-the residual at the root share the values.
+the residual at the root share the values. It brackets from what it
+already holds: a lower bound stepped up by 4e-8 of itself, the step
+growing eightfold, where the horizon walk (below) has one, and
+otherwise a lower end halved down from the upper one, a bracket one
+factor of two wide, and below 1e-9 halved on at most 200 times.
 
 The flow is integrated by an adaptive Dormand-Prince 8(5,3) pair
 (``_dop853``) at a tolerance of 1e-15; the most recently used
@@ -40,10 +44,13 @@ Until the emission onset lies among the nodes sampled so far it doubles
 the horizon, and a flow that settles at the fixed point (1, 1), or
 reaches the cap, before the onset has no root. From the onset on, it
 stops once the flow has settled, the cap is reached, or the part of the
-integral past the horizon can no longer move the root; beyond the
-horizon the tail integral (m / lambda) * exp(-lambda * tau_max) is
-added in closed form.
-A flow query reads the dense output; past the cap it returns the state
+integral past the horizon can no longer move the root, judged at the
+root lam_lo of the integral truncated there: a longer horizon only
+raises lam_lo, so each lam_lo is the lower bound the next root solve
+starts from. Beyond the horizon the tail integral
+(m / lambda) * exp(-lambda * tau_max) is added in closed form.
+A flow query reads the dense output at its one time in scalar
+arithmetic, as a sample of it would; past the cap it returns the state
 at the first doubled horizon where the flow has settled, and a flow
 that never settled is an error.
 """
@@ -79,9 +86,10 @@ _FLOW_TOL = 1e-15
 # bound on what the spectral integral past the horizon may add, a tenth
 # of the unit roundoff of its value 1 at the root
 _TAIL_TOL = 1e-17
-# lower end of a root bracket, halved while the function is not yet
-# positive there, at most 200 times (to about 6.2e-70: below about
-# 1e-154 the cell weights would divide by an underflowed lambda^2)
+# a root bracket's lower end, halving down while the function is not
+# yet positive there, goes on from here at most 200 times (to about
+# 6.2e-70: below about 1e-154 the cell weights would divide by an
+# underflowed lambda^2)
 _LAM_FLOOR = 1e-9
 _FLOW_CACHE_SIZE = 4
 # Brent's iteration bound: bisection alone narrows any bracket of
@@ -141,8 +149,7 @@ class _Flow:
         horizon = tau if tau < _TAU_MAX_CAP else _TAU_MAX_INITIAL
         while True:
             self._advance(horizon)
-            V, K = self._ode.sample(np.array([horizon]))
-            V = float(V[0])
+            V, K = self._ode.at(horizon)
             if horizon == tau or horizon >= _TAU_MAX_CAP or _settled(V, K):
                 break
             horizon = min(2.0 * horizon, _TAU_MAX_CAP)
@@ -170,7 +177,7 @@ def characteristic_flow(tau: float, p: ModelParams) -> TumorState:
     """State reached at time tau by a tumor growing from (V0, K0) with
     no inhibitor; the flow the spectral equation integrates along."""
     if not (is_finite(tau) and tau >= 0):
-        raise ConfigurationError(f"tau must be >= 0, got {tau!r}")
+        raise ConfigurationError(f"tau must be finite and >= 0, got {tau!r}")
     V, K = _flow_for(p).at(tau)
     return TumorState(V=V, K=K)
 
@@ -216,15 +223,16 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     # lower estimate lam_lo of lambda0, and the bound is taken there;
     # short of it, the horizon grows to the bound, at most doubling. A
     # longer horizon only raises lam_lo and lowers the bound, so a
-    # horizon that reached the bound needs no second solve. Va and beta
-    # hold the volumes and emission rates at the grid nodes 0 to the
-    # horizon's, node i at i * dtau, each computed once as the walk
-    # samples its node; the settle test reads the capacity the last
-    # node's sample gives.
+    # horizon that reached the bound needs no second solve, and each
+    # lam_lo is the lower bound that the next solve, and the final one,
+    # start their bracket from. Va and beta hold the volumes and emission
+    # rates at the grid nodes 0 to the horizon's, node i at i * dtau, each
+    # computed once as the walk samples its node; the settle test reads
+    # the capacity the last node's sample gives.
     flow = _flow_for(p)
     Va = np.array([p.V0])
     beta = p.m * Va**p.alpha
-    horizon, tau_star, tau_bound = _TAU_MAX_INITIAL, None, math.inf
+    horizon, tau_star, tau_bound, lam_lo = _TAU_MAX_INITIAL, None, math.inf, None
     while True:
         last = round(horizon / _DTAU)
         V, K = flow.volumes(Va.size, last)
@@ -254,10 +262,11 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
             if at_end or horizon >= tau_bound:
                 break
             # a truncated integral that stays <= 1 as lam -> 0 has no
-            # root to bound the horizon with, so the horizon just doubles
+            # root to bound the horizon with, so the horizon just doubles;
+            # once one has a root, every longer one has
             f = cache(lambda lam: integral(lam) - 1.0)
-            if f(_LAM_FLOOR) > 0.0:
-                lam_lo = _root(f, hi)[0]
+            if lam_lo is not None or f(_LAM_FLOOR) > 0.0:
+                lam_lo = _root(f, hi, lam_lo)[0]
                 C = p.m * max(1.0, peak)
                 tau_bound = float(math.ceil(math.log(C / (lam_lo * _TAIL_TOL)) / lam_lo))
             if horizon >= tau_bound:
@@ -286,7 +295,7 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
         quadrature = (4.0 * integral(lam, decay) - coarse(lam, decay[skip::2].copy())) / 3.0
         return quadrature + (p.m / lam) * math.exp(-lam * tau_max) - 1.0
 
-    root, value = _root(F, hi)
+    root, value = _root(F, hi, lam_lo)
     return SpectralResult(
         lambda0=root,
         tau_max=tau_max,
@@ -343,26 +352,43 @@ def _first_node(tau_star: float, h: float) -> int:
     return first + 1 if first * h <= tau_star else first
 
 
-def _root(f, hi: float) -> tuple[float, float]:
-    """Brent root of a function decreasing in lambda, and f there, after
-    bracketing it by doubling ``hi`` and halving the lower end from
-    ``_LAM_FLOOR`` at most 200 times, to about 6.2e-70. f is evaluated
-    once per lambda: the bracket ends and the root are values Brent's
-    method reads again."""
+def _root(f, hi: float, lo: float | None = None) -> tuple[float, float]:
+    """Brent root of a function decreasing in lambda, and f there.
+
+    A lower bound ``lo`` the caller holds, once f > 0 there, steps up by
+    4e-8 lo, the step growing eightfold, until f <= 0, which is the upper
+    end, or the step passes ``hi``. ``hi`` then doubles until f < 0
+    there, at most 200 times. Without a lower bound, or if f(lo) <= 0,
+    the lower end halves down from ``hi`` until f > 0, a bracket one
+    factor of two wide; past ``_LAM_FLOOR`` it halves on from there at
+    most 200 times, to about 6.2e-70. f is evaluated once per lambda:
+    the bracket ends and the root are values Brent's method reads again."""
     f = cache(f)
+    held = lo is not None and f(lo) > 0.0
+    if held:
+        step = 4e-8 * lo
+        while lo + step < hi and f(lo + step) > 0.0:
+            lo += step
+            step *= 8.0
+        hi = min(hi, lo + step)
     for _ in range(200):
         if f(hi) < 0.0:
             break
         hi *= 2.0
     else:
         raise NoRootError("failed to bracket the growth exponent from above")
-    lo = _LAM_FLOOR
-    for _ in range(201):
-        if f(lo) > 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise NoRootError("failed to bracket the growth exponent from below")
+    if not held:
+        lo = 0.5 * hi
+        while lo >= _LAM_FLOOR and f(lo) <= 0.0:
+            hi, lo = lo, 0.5 * lo
+        if lo < _LAM_FLOOR:
+            lo = _LAM_FLOOR
+            for _ in range(201):
+                if f(lo) > 0.0:
+                    break
+                hi, lo = lo, 0.5 * lo
+            else:
+                raise NoRootError("failed to bracket the growth exponent from below")
     root = _brent(f, lo, hi)
     return root, f(root)
 
@@ -403,11 +429,13 @@ def fit_growth_rate(times, M, window: tuple[float, float]) -> float:
     M = np.asarray(M, dtype=float)
     if times.shape != M.shape:
         raise ConfigurationError("times and M must have matching shapes")
-    t_lo, t_hi = window
     try:
+        t_lo, t_hi = window
         mask = (times >= t_lo) & (times <= t_hi)
     except OverflowError:
         raise ConfigurationError(f"window {window!r} has a bound with no float value") from None
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"window must be a pair of numbers, got {window!r}") from None
     if int(mask.sum()) < 10:
         raise ConfigurationError(
             f"window [{t_lo:g}, {t_hi:g}] holds fewer than 10 samples"

@@ -67,13 +67,13 @@ _HUGE = 10**400  # an integer with no float value
         (
             lambda: Cohort(birth_time=0.0, weight=_HUGE, state=TumorState(V=0.5, K=1.0)),
             InvalidStateError,
-            "cohort weight must be >= 0",
+            "cohort weight must be finite and >= 0",
         ),
         (lambda: TumorState(V=_HUGE, K=1.0), InvalidStateError, "TumorState.V must be finite"),
         (
             lambda: step(initial_state(ModelParams()), ModelParams(), _HUGE),
             ConfigurationError,
-            "dt must be > 0",
+            "dt must be finite and > 0",
         ),
         (
             lambda: _state(ModelParams(), born=_HUGE),
@@ -90,7 +90,11 @@ _HUGE = 10**400  # an integer with no float value
             InvalidStateError,
             "inhibitor amount must be finite and >= 0",
         ),
-        (lambda: characteristic_flow(_HUGE, ModelParams()), ConfigurationError, "tau must be >= 0"),
+        (
+            lambda: characteristic_flow(_HUGE, ModelParams()),
+            ConfigurationError,
+            "tau must be finite and >= 0",
+        ),
         (
             lambda: oscillation_metrics(Trajectory(np.arange(50.0), *[np.ones(50)] * 7), _HUGE),
             ConfigurationError,
@@ -118,6 +122,65 @@ _HUGE = 10**400  # an integer with no float value
     ],
 )
 def test_an_integer_beyond_the_float_range_gets_its_field_message(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+_TRAJ = Trajectory(np.arange(50.0), *[np.ones(50)] * 7)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: Cohort(birth_time=0.0, weight=math.nan, state=TumorState(V=0.5, K=1.0)),
+            InvalidStateError,
+            "cohort weight must be finite and >= 0, got nan",
+        ),
+        (
+            lambda: _state(ModelParams(), I=math.nan),
+            InvalidStateError,
+            "inhibitor amount must be finite and >= 0, got nan",
+        ),
+        (
+            lambda: step(initial_state(ModelParams()), ModelParams(), math.nan),
+            ConfigurationError,
+            "dt must be finite and > 0, got nan",
+        ),
+        (
+            lambda: characteristic_flow(math.nan, ModelParams()),
+            ConfigurationError,
+            "tau must be finite and >= 0, got nan",
+        ),
+        (
+            lambda: fit_growth_rate(np.arange(50.0), np.ones(50), (0, 1, 2)),
+            ConfigurationError,
+            r"window must be a pair of numbers, got \(0, 1, 2\)",
+        ),
+        (
+            lambda: fit_growth_rate(np.arange(50.0), np.ones(50), ("a", 1)),
+            ConfigurationError,
+            r"window must be a pair of numbers, got \('a', 1\)",
+        ),
+        (
+            lambda: oscillation_metrics(_TRAJ, "a"),
+            ConfigurationError,
+            "transient must be a number, got 'a'",
+        ),
+    ],
+    ids=[
+        "Cohort.weight",
+        "SystemState.I",
+        "step.dt",
+        "characteristic_flow.tau",
+        "fit_growth_rate.window-length",
+        "fit_growth_rate.window-bound",
+        "oscillation_metrics.transient",
+    ],
+)
+def test_a_bad_argument_gets_its_field_message_and_error_type(build, error, message):
+    # a NaN names both conditions, as growth_field and emission_rate do;
+    # an argument of the wrong shape or type is a ConfigurationError
     with pytest.raises(error, match=message):
         build()
 

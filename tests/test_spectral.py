@@ -474,6 +474,78 @@ class TestEachValueOnce:
         assert root == pytest.approx(0.25, rel=1e-15, abs=0)
         assert value == 0.25 / root - 1.0
 
+    @pytest.mark.parametrize(
+        "c, hi, lo",
+        [
+            (0.25, 1.0, 0.25 * (1.0 - 1e-8)),
+            (0.25, 1.0, 0.3),
+            (0.25, 1e-2, 1e-3),
+            (0.25, 1.0, None),
+            (1e-12, 1e-6, None),
+            (1e-12, 1e-6, 1e-9),
+        ],
+        ids=[
+            "hint-below-the-root",
+            "hint-above-the-root",
+            "step-up-passes-hi",
+            "no-hint",
+            "root-below-the-floor",
+            "root-below-the-floor-hint-above",
+        ],
+    )
+    def test_every_bracket_path_finds_the_root_once_per_lambda(self, c, hi, lo):
+        # the root of c / lam - 1 is c, whether the bracket comes from a
+        # lower bound stepped up, from halving down from hi, or from
+        # halving on past the floor
+        calls = Counter()
+
+        def f(lam):
+            calls[lam] += 1
+            return c / lam - 1.0
+
+        root, value = spectral._root(f, hi, lo)
+        assert set(calls.values()) == {1}
+        assert root == pytest.approx(c, rel=1e-15, abs=0)
+        assert value == c / root - 1.0
+
+    def test_a_hint_below_the_root_brackets_it_in_one_step(self):
+        # a lower bound 1e-8 below the root: f at the bound and one step up,
+        # 4e-8 of it, bracket the root, and hi is never read
+        calls = []
+
+        def f(lam):
+            calls.append(lam)
+            return 0.25 / lam - 1.0
+
+        lo = 0.25 * (1.0 - 1e-8)
+        spectral._root(f, 1.0, lo)
+        assert calls[:2] == [lo, lo + 4e-8 * lo]
+        assert 1.0 not in calls
+        assert len(calls) <= 6
+
+    @pytest.mark.parametrize("params, most", [(dict(), 10), (dict(b=0.1), 23)])
+    def test_a_cold_solve_takes_no_more_evaluations_than_recorded(self, params, most, monkeypatch):
+        # distinct lambdas over every root solve of one cold solve: the
+        # bracket from a bound the walk holds took 12 and 34 from [1e-9, hi]
+        counts = []
+        root = spectral._root
+
+        def counting(f, hi, lo=None):
+            seen = Counter()
+
+            def counted(lam):
+                seen[lam] += 1
+                return f(lam)
+
+            counts.append(seen)
+            return root(counted, hi, lo)
+
+        monkeypatch.setattr(spectral, "_root", counting)
+        spectral._flow.cache_clear()
+        malthus_exponent(ModelParams(e=0.0, **params))
+        assert set().union(*(seen.values() for seen in counts)) == {1}
+        assert 0 < sum(map(len, counts)) <= most
+
     @pytest.mark.parametrize("params", [dict(), dict(b=0.1), dict(Vm=0.5), dict(b=0.01, m=0.01)])
     def test_a_solve_evaluates_each_integral_once_per_lambda(self, params, monkeypatch):
         # the walk's check at the bracket floor, the lower-estimate solve,
@@ -581,6 +653,29 @@ class TestFlowIntegrator:
         alone = [ode.sample(np.array([tau])) for tau in taus]
         assert (alone[0][0][0], alone[0][1]) == steps[0][2:4]
         assert [(v[0], k) for v, k in alone] == expected
+
+    def test_one_time_is_the_sample_in_scalar_arithmetic(self):
+        # every node of the b = 0.2 flow a cold solve leaves, to its frozen
+        # horizon of 114, read one time at a time: against the oracle's
+        # scalar form on the step that ends at or after the node, against
+        # one sample of all volumes, and against the sample of every
+        # 1000th node alone, which gives its capacity too
+        p = ModelParams(e=0.0, b=0.2)
+        spectral._flow.cache_clear()
+        res = malthus_exponent(p)
+        ode = spectral._flow_for(p)._ode
+        nodes = np.arange(round(res.tau_max / spectral._DTAU) + 1) * spectral._DTAU
+        assert nodes.size == 57_001
+        ends = [step[0] for step in ode._dense[1:]] + [ode.t]
+        scalar = [ode.at(tau) for tau in nodes]
+        assert scalar == [
+            dop853_dense_at(ode._dense[bisect.bisect_left(ends, tau)], tau) for tau in nodes
+        ]
+        assert np.array_equal(ode.sample(nodes)[0], [V for V, _ in scalar])
+        for i in range(0, nodes.size, 1000):
+            V, K = ode.sample(nodes[i : i + 1])
+            assert (V[0], K) == scalar[i]
+        assert scalar[0] == ode._dense[0][2:4]
 
     @pytest.mark.parametrize("b", [0.1, 5.0])
     def test_nodes_do_not_depend_on_how_the_flow_was_extended(self, b, monkeypatch):
