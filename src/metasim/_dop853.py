@@ -453,13 +453,11 @@ class Dop853:
             )
         )
 
-    def sample(self, tau: np.ndarray) -> tuple[np.ndarray, float]:
+    def sample(self, tau: np.ndarray) -> np.ndarray:
         """The dense output's volume at the ascending times tau in [0, t],
-        and its capacity at the last of them, each from the first step
-        that ends at or after the time: a time on a step end is read from
-        the step that ends there, and tau = 0 gives the start state
-        exactly. The capacity is the same sequence of operations on that
-        one time, so a single time yields the full state."""
+        each from the first step that ends at or after the time: a time on
+        a step end is read from the step that ends there, and tau = 0
+        gives the start volume exactly."""
         if self._table.shape[1] != self.steps:
             self._table = np.array(self._dense).T
             self._ends = np.append(self._table[0][1:], self.t)
@@ -473,10 +471,7 @@ class Dop853:
         # each table row is repeated once per time, one row at a time, so
         # the temporaries stay a few arrays of the size of tau
         x = (tau - table[0].repeat(counts)) / table[1].repeat(counts)
-        V = _horner(table[2], table[4:11], counts, x)
-        # tau[-1] lies in the last step of the run
-        K = _horner(table[3, -1:], table[11:18, -1:], 1, x[-1:])
-        return V, float(K[0])
+        return _horner(table[2], table[4:11], counts, x)
 
     def at(self, tau: float) -> tuple[float, float]:
         """The dense output's (V, K) at one time tau in [0, t], bit for bit

@@ -32,6 +32,12 @@ the newborn keeps ``**``.
 One engine integrates S >= 1 parameter sets at once (``simulate_ensemble``;
 ``simulate`` is S = 1): a step's NumPy calls run once over the rows of
 every member, and each member's numbers are those of its solo run.
+
+Every run starts from one ``SystemState``: by default ``initial_state``,
+the one place a scenario's ``Cohort`` records become a state, or any
+state on the run's dt grid, such as an earlier run's final state. The
+run counts its steps from that state's step index, so a run continued
+from where another stopped takes the steps the single run would.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ class Cohort:
             raise InvalidStateError(f"cohort birth_time must be finite, got {self.birth_time!r}")
 
 
-# What ensemble members share besides the settings and initial cohorts.
+# What ensemble members share besides the settings and start state.
 shared_params = attrgetter("V0", "K0", "Vm", "alpha")
 _COHORT_ARRAYS = ("V", "K", "w", "birth_t")
 _TWO_THIRDS = 2.0 / 3.0
@@ -330,9 +336,14 @@ class _Engine:
 
     def __init__(self, params, state: SystemState, weight_floor: float = 0.0):
         """``params`` is one ``ModelParams`` or a sequence of them; every
-        member starts from ``state``."""
+        member starts from ``state``, which must be built for their V0."""
         if isinstance(params, ModelParams):
             params = (params,)
+        for p in params:
+            if state.V0 != p.V0:
+                raise InvalidStateError(
+                    f"state was built for V0={state.V0}, parameters have V0={p.V0}"
+                )
         self.members = [_Member(p, state, j) for j, p in enumerate(params)]
         self.failed: list[_Member] = []
         self.weight_floor = weight_floor
@@ -670,16 +681,14 @@ def step(s: SystemState, p: ModelParams, dt: float, weight_floor: float = 0.0) -
     The new state's time is ``s.t + dt``, not pinned to a grid as
     ``simulate`` pins step i to ``i * dt``: a loop of n calls sums n
     rounded increments and can end ulps off ``n * dt`` (1 000 steps of
-    0.01 from t = 0 end at 9.999999999999831).
+    0.01 from t = 0 end at 9.999999999999831). Each call builds an engine
+    from the state, so to go on for many steps from a state, pass it to
+    ``simulate``, which also samples the run.
     """
     if not (is_finite(dt) and dt > 0):
         raise ConfigurationError(f"dt must be finite and > 0, got {dt!r}")
     if not (is_finite(weight_floor) and weight_floor >= 0):
         raise ConfigurationError(f"weight_floor must be finite and >= 0, got {weight_floor!r}")
-    if s.V0 != p.V0:
-        raise InvalidStateError(
-            f"state was built for V0={s.V0}, parameters have V0={p.V0}"
-        )
     eng = _Engine(p, s, weight_floor=weight_floor)
     with np.errstate(all="ignore"):
         eng.step(dt)
@@ -728,25 +737,47 @@ class Trajectory:
             raise ConfigurationError("M and N must be nonnegative")
 
 
+def _start_index(state: SystemState, settings: SolverSettings) -> int:
+    """Step index i0 = round(t / dt) of a run's start state, refused
+    unless it lies on the dt grid, before t_end and within the step-count
+    cap of it."""
+    t, dt, t_end = state.t, settings.dt, settings.t_end
+    if not t < t_end:
+        raise ConfigurationError(f"the start state's t={t!r} is not before t_end={t_end!r}")
+    if (t_end - t) / dt > _MAX_STEPS:
+        raise ConfigurationError(
+            f"the start state's t={t!r} is over {_MAX_STEPS} steps before t_end"
+        )
+    i0 = round(t / dt)
+    if not math.isclose(i0 * dt, t, rel_tol=1e-9):
+        raise ConfigurationError(f"the start state's t={t!r} is not on the dt={dt!r} grid")
+    return i0
+
+
 def simulate(
     p: ModelParams,
     settings: SolverSettings,
-    initial_cohorts: tuple[Cohort, ...] = (),
+    state: SystemState | None = None,
 ) -> tuple[Trajectory, SystemState]:
-    """Run from t = 0 to t_end, sampling the macroscopic series on the way.
+    """Run from ``state`` (by default ``initial_state(p)``) to t_end,
+    sampling the macroscopic series on the way.
 
-    Returns (trajectory, final_state). Samples are taken every
-    ``settings.sample_every`` (in whole steps) from t = 0, as rows of one
-    buffer whose columns become the series; ``diagnostics`` holds the
-    peak and final live counts, the smallest birth denominator, the
-    largest conservation gap over the samples and the pruned weight.
-    This is the one-member ``simulate_ensemble``.
+    The start state lies on the dt grid at step i0 = round(t / dt), and
+    the run's i-th step ends at exactly (i0 + i) * dt. Returns
+    (trajectory, final_state). The first sample is the start state, the
+    others fall every ``settings.sample_every`` (in whole steps) counted
+    from t = 0, as rows of one buffer whose columns become the series.
+    ``diagnostics`` holds the peak and final live counts, the smallest
+    birth denominator, the largest conservation gap over the samples and
+    the pruned weight. This is the one-member ``simulate_ensemble``.
 
-    Raises IntegrationBlowupError if the state leaves the finite domain,
+    Raises ConfigurationError for a start state off the grid or not
+    before t_end, InvalidStateError for one built for another V0, and
+    IntegrationBlowupError if the state leaves the finite domain,
     carrying the time of the failed step, the check that tripped and the
     last recorded sample.
     """
-    (out,) = simulate_ensemble((p,), settings, initial_cohorts)
+    (out,) = simulate_ensemble((p,), settings, state)
     if isinstance(out, IntegrationBlowupError):
         raise out
     return out
@@ -755,37 +786,43 @@ def simulate(
 def simulate_ensemble(
     params,
     settings: SolverSettings,
-    initial_cohorts: tuple[Cohort, ...] = (),
+    state: SystemState | None = None,
 ) -> list:
     """``simulate`` of several parameter sets at once, as one engine.
 
-    ``params`` is a sequence of ``ModelParams`` that share V0, K0, Vm and
-    alpha; they may differ in b, e, k and m. Every member starts from
-    ``initial_cohorts`` and runs on ``settings``. Returns, in ``params``
-    order, each member's ``(trajectory, final_state)`` or the
-    ``IntegrationBlowupError`` (with ``last_sample``) that ended it; a
-    member that fails leaves the ensemble and the others go on. Each
-    member's numbers are those of its own ``simulate`` bit for bit.
-    Raises ConfigurationError if the members do not share the birth
-    state and emission law; any other error belongs to no one member
-    and propagates.
+    ``params`` is a non-empty sequence of ``ModelParams`` that share V0,
+    K0, Vm and alpha; they may differ in b, e, k and m. Every member
+    starts from ``state`` (by default ``initial_state(params[0])``) and
+    runs on ``settings``. Returns, in ``params`` order, each member's
+    ``(trajectory, final_state)`` or the ``IntegrationBlowupError`` (with
+    ``last_sample``) that ended it; a member that fails leaves the
+    ensemble and the others go on. Each member's numbers are those of its
+    own ``simulate`` bit for bit. Raises ConfigurationError if there are
+    no members or they do not share the birth state and emission law, and
+    refuses the start state as ``simulate`` does; any other error belongs
+    to no one member and propagates.
     """
     params = tuple(params)
+    if not params:
+        raise ConfigurationError("an ensemble needs at least one member")
     if len(set(map(shared_params, params))) != 1:
         raise ConfigurationError("an ensemble needs members that share V0, K0, Vm and alpha")
+    if state is None:
+        state = initial_state(params[0])
     n_steps = settings.n_steps
     every = _steps_per_sample(settings)
+    i0 = _start_index(state, settings)
 
-    eng = _Engine(params, initial_state(params[0], initial_cohorts), settings.weight_floor)
+    eng = _Engine(params, state, settings.weight_floor)
     out: list = [None] * len(params)
 
-    samples = np.empty((len(params), n_steps // every + 1, 9))
+    samples = np.empty((len(params), n_steps // every - i0 // every + 1, 9))
     for j in range(len(params)):
         samples[j, 0] = eng.sample_row(j)
     row = 1
     dt = settings.dt
     with np.errstate(all="ignore"):
-        for i in range(n_steps):
+        for i in range(i0, n_steps):
             eng.step(dt)
             eng.t = (i + 1) * dt  # pin to the exact grid against drift
             if eng.failed:

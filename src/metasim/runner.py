@@ -139,12 +139,13 @@ def compute_metrics(sc: Scenario, traj: Trajectory) -> dict:
     return doc
 
 
-def _check_run(sc: Scenario, outputs) -> None:
+def _check_run(sc: Scenario, outputs) -> SystemState:
     """Reject a run that could not start, or a requested output it could
     not build: the initial cohorts must lie in the domain, metrics need 3
-    samples past the transient on ``simulate``'s grid, the histogram bins."""
+    samples past the transient on ``simulate``'s grid, the histogram bins.
+    Returns the run's start state."""
     try:
-        initial_state(sc.params, sc.initial_cohorts)
+        state = initial_state(sc.params, sc.initial_cohorts)
     except InvalidStateError as exc:
         raise ConfigurationError(f"initial_cohorts: {exc}") from exc
     if "metrics" in outputs:
@@ -153,6 +154,7 @@ def _check_run(sc: Scenario, outputs) -> None:
         _window(grid, sc.resolved_transient)
     if "histogram" in outputs:
         _check_bins(sc.params.V0, sc.n_bins)
+    return state
 
 
 def run_scenario(sc: Scenario, out_dir: str = ".") -> RunResult:
@@ -162,11 +164,11 @@ def run_scenario(sc: Scenario, out_dir: str = ".") -> RunResult:
     diagnostic ``{name}_error.json`` is written and the blowup is
     re-raised for the caller to handle.
     """
-    _check_run(sc, sc.outputs)
+    state = _check_run(sc, sc.outputs)
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
     try:
-        traj, final = simulate(sc.params, sc.settings, sc.initial_cohorts)
+        traj, final = simulate(sc.params, sc.settings, state)
     except IntegrationBlowupError as exc:
         _write_error(sc, out_dir, exc)
         raise
@@ -312,9 +314,8 @@ def _sweep_chunk(chunk: list) -> list[dict]:
     scs = [sc for sc, _, _ in chunk]
     t_start = time.perf_counter()
     try:
-        outcomes = simulate_ensemble(
-            [sc.params for sc in scs], scs[0].settings, scs[0].initial_cohorts
-        )
+        state = initial_state(scs[0].params, scs[0].initial_cohorts)
+        outcomes = simulate_ensemble([sc.params for sc in scs], scs[0].settings, state)
     except Exception as exc:
         if len(chunk) > 1:
             return [row for task in chunk for row in _sweep_chunk([task])]

@@ -140,7 +140,8 @@ class _Flow:
         """Volumes at the grid nodes ``first`` to ``last``, node i at i *
         dtau, and the capacity at node ``last``, as ``at`` reads it."""
         self._advance(last * _DTAU)
-        return self._ode.sample(np.arange(first, last + 1) * _DTAU)
+        V = self._ode.sample(np.arange(first, last + 1) * _DTAU)
+        return V, self._ode.at(last * _DTAU)[1]
 
     def at(self, tau: float) -> tuple[float, float]:
         """State at tau from the dense output, so a node maps to itself.
@@ -228,7 +229,7 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     # start their bracket from. Va and beta hold the volumes and emission
     # rates at the grid nodes 0 to the horizon's, node i at i * dtau, each
     # computed once as the walk samples its node; the settle test reads
-    # the capacity the last node's sample gives.
+    # the capacity at the last node, as a flow query there gives it.
     flow = _flow_for(p)
     Va = np.array([p.V0])
     beta = p.m * Va**p.alpha

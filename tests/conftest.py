@@ -1,6 +1,6 @@
 import pytest
 
-from metasim.engine import _Engine, simulate_ensemble
+from metasim.engine import _Engine, initial_state, simulate_ensemble
 from metasim.runner import _group_key
 from metasim.scenarios import catalog
 
@@ -20,7 +20,8 @@ def catalog_runs():
         groups.setdefault(_group_key(sc), []).append(sc)
     runs = {}
     for scs in groups.values():
-        out = simulate_ensemble([sc.params for sc in scs], scs[0].settings, scs[0].initial_cohorts)
+        state = initial_state(scs[0].params, scs[0].initial_cohorts)
+        out = simulate_ensemble([sc.params for sc in scs], scs[0].settings, state)
         for sc, result in zip(scs, out):
             if isinstance(result, Exception):
                 raise result

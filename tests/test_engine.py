@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -549,7 +550,7 @@ class TestSimulate:
         settings = SolverSettings(
             dt=dt, t_end=t_end, sample_every=every * dt, weight_floor=weight_floor
         )
-        traj, final = simulate(p, settings, cohorts)
+        traj, final = simulate(p, settings, initial_state(p, cohorts))
         states = [initial_state(p, cohorts)]
         for _ in range(settings.n_steps):
             states.append(step(states[-1], p, dt, weight_floor=weight_floor))
@@ -817,7 +818,10 @@ class TestEnsemble:
             _GROUPABLE
         )
         settings = SolverSettings(t_end=20.0)
-        solo = [simulate(sc.params, settings, sc.initial_cohorts) for sc in group]
+        solo = [
+            simulate(sc.params, settings, initial_state(sc.params, sc.initial_cohorts))
+            for sc in group
+        ]
         return group, settings, solo
 
     @pytest.mark.parametrize(
@@ -852,9 +856,9 @@ class TestEnsemble:
         )
         settings = SolverSettings(t_end=15.0, weight_floor=weight_floor)
         members = [ModelParams(e=e, m=m, **params) for e, m in ((0.3, 1.0), (2.0, 3.0), (8.0, 0.5))]
-        out = simulate_ensemble(members, settings, cohorts)
+        out = simulate_ensemble(members, settings, initial_state(members[0], cohorts))
         for p, member in zip(members, out):
-            _assert_same_run(member, simulate(p, settings, cohorts))
+            _assert_same_run(member, simulate(p, settings, initial_state(p, cohorts)))
         assert any(member[0].diagnostics["pruned_weight"] > 0 for member in out)
 
     def test_a_failing_member_leaves_and_the_others_go_on(self):
@@ -913,5 +917,90 @@ class TestEnsemble:
         other = ModelParams(**{field: {"V0": 0.05, "K0": 0.3, "Vm": 0.2, "alpha": 0.5}[field]})
         with pytest.raises(ConfigurationError):
             simulate_ensemble([ModelParams(), other], SolverSettings(t_end=1.0))
-        with pytest.raises(ConfigurationError):
+
+    def test_an_empty_ensemble_is_refused_as_such(self):
+        with pytest.raises(ConfigurationError, match="an ensemble needs at least one member"):
             simulate_ensemble([], SolverSettings(t_end=1.0))
+
+
+# The compensation term of the born and exited sums is not part of a
+# SystemState, so a run continued from a state restarts those sums from
+# their rounded value: each may move by a few ulps, and nothing else may.
+_RESTART_RTOL = 4 * np.finfo(float).eps
+
+
+def _assert_continues(whole, first, rest):
+    """``rest``, continued from ``first``'s final state, gives ``whole``:
+    every series with ``rest``'s start sample dropped, and the final
+    state; born and exited within ``_RESTART_RTOL``."""
+    (tw, fw), (t1, _), (t2, f2) = whole, first, rest
+    for name in _SERIES:
+        joined = np.concatenate((getattr(t1, name), getattr(t2, name)[1:]))
+        if name in ("born", "exited"):
+            np.testing.assert_allclose(joined, getattr(tw, name), rtol=_RESTART_RTOL, atol=0)
+        else:
+            assert np.array_equal(joined, getattr(tw, name), equal_nan=True), name
+    for name in ("t", "primary", "I", "V0"):
+        assert getattr(f2, name) == getattr(fw, name), name
+    for name in ("V", "K", "w", "birth_t"):
+        assert np.array_equal(getattr(f2, name), getattr(fw, name)), name
+    for name in ("born_count", "exited_count"):
+        assert getattr(f2, name) == pytest.approx(getattr(fw, name), rel=_RESTART_RTOL, abs=0)
+
+
+class TestStartState:
+    """``simulate`` and ``simulate_ensemble`` run from any state on the
+    dt grid: a run split into two calls is the single run."""
+
+    @hsettings(max_examples=25, deadline=None)
+    @given(st.integers(1, 499), st.floats(0.5, 20.0), st.sampled_from([0.0, 1e-3]))
+    def test_a_split_run_is_the_single_run(self, k, e, weight_floor):
+        p = ModelParams(e=e)
+        dt = 1e-2
+        settings = SolverSettings(dt=dt, t_end=5.0, sample_every=0.1, weight_floor=weight_floor)
+        first = simulate(p, replace(settings, t_end=k * dt))
+        rest = simulate(p, settings, first[1])
+        assert rest[0].times[0] == first[1].t == k * dt
+        _assert_continues(simulate(p, settings), first, rest)
+
+    def test_an_ensemble_continues_as_each_member_alone(self):
+        p = ModelParams()
+        _, state = simulate(p, SolverSettings(t_end=10.0))
+        settings = SolverSettings(t_end=20.0, weight_floor=1e-3)
+        members = [ModelParams(e=1.0), ModelParams(e=5.0, m=2.0)]
+        out = simulate_ensemble(members, settings, state)
+        for q, member in zip(members, out):
+            assert member[0].times[0] == 10.0
+            _assert_same_run(member, simulate(q, settings, state))
+
+    def test_a_step_loop_state_snaps_to_the_grid(self):
+        # 1 000 public steps of 0.01 end ulps short of t = 10; the run
+        # from there pins its steps to (1 000 + i) * dt
+        p = ModelParams()
+        s = initial_state(p)
+        for _ in range(1000):
+            s = step(s, p, 1e-2)
+        assert s.t != 10.0
+        traj, final = simulate(p, SolverSettings(t_end=11.0), s)
+        assert traj.times[0] == s.t
+        assert np.array_equal(traj.times[1:], np.arange(1010, 1101, 10) * 1e-2)
+        assert final.t == 11.0
+
+    @pytest.mark.parametrize(
+        "t, V0, error, message",
+        [
+            (0.005, 0.1, ConfigurationError, "is not on the dt=0.01 grid"),
+            (1.0, 0.1, ConfigurationError, "is not before t_end=1.0"),
+            (2.5, 0.1, ConfigurationError, "is not before t_end=1.0"),
+            (-2e5, 0.1, ConfigurationError, "over 20000000 steps before t_end"),
+            (0.5, 0.05, InvalidStateError, "state was built for V0=0.05"),
+        ],
+        ids=["off-grid", "at-t-end", "past-t-end", "past-the-cap", "other-V0"],
+    )
+    def test_a_bad_start_is_refused_before_the_first_step(self, no_steps, t, V0, error, message):
+        p = ModelParams()
+        state = _state(ModelParams(V0=V0, K0=0.2), [(1.0, 0.5, 1.0)], t=t)
+        with pytest.raises(error, match=message):
+            simulate(p, SolverSettings(t_end=1.0), state)
+        with pytest.raises(error, match=message):
+            simulate_ensemble([p, ModelParams(e=2.0)], SolverSettings(t_end=1.0), state)

@@ -39,8 +39,8 @@ def _grid(p: ModelParams, tau_max: float) -> np.ndarray:
 
 def _capacities(p: ModelParams, tau_max: float) -> np.ndarray:
     """The dense output's capacities at the same nodes, each from the
-    step that holds it in scalar Horner form: the sample reads only the
-    last node's, and matches this form bit for bit
+    step that holds it in scalar Horner form: a solve reads only the
+    last node's, by ``at``, which matches this form bit for bit
     (``test_sample_is_each_steps_scalar_horner_form``)."""
     ode = spectral._flow_for(p)._ode
     ends = [step[0] for step in ode._dense[1:]] + [ode.t]
@@ -646,20 +646,20 @@ class TestFlowIntegrator:
             for tau in (step[0] + 0.3 * step[1], step[0] + 0.7 * step[1], end):
                 taus.append(tau)
                 expected.append(dop853_dense_at(step, tau))
-        # the capacity comes with the last time of a sample, so each time
-        # is also sampled on its own
-        V, _ = ode.sample(np.array(taus))
+        # each time is also sampled on its own, and its capacity read
+        # by the one-time query
+        V = ode.sample(np.array(taus))
         assert np.array_equal(V, [e[0] for e in expected])
-        alone = [ode.sample(np.array([tau])) for tau in taus]
-        assert (alone[0][0][0], alone[0][1]) == steps[0][2:4]
-        assert [(v[0], k) for v, k in alone] == expected
+        alone = [(ode.sample(np.array([tau]))[0], ode.at(tau)[1]) for tau in taus]
+        assert alone[0] == steps[0][2:4]
+        assert alone == expected
 
     def test_one_time_is_the_sample_in_scalar_arithmetic(self):
         # every node of the b = 0.2 flow a cold solve leaves, to its frozen
         # horizon of 114, read one time at a time: against the oracle's
-        # scalar form on the step that ends at or after the node, against
-        # one sample of all volumes, and against the sample of every
-        # 1000th node alone, which gives its capacity too
+        # scalar form on the step that ends at or after the node, volume
+        # and capacity, against one sample of all volumes, and against
+        # the sample of every 1000th node alone
         p = ModelParams(e=0.0, b=0.2)
         spectral._flow.cache_clear()
         res = malthus_exponent(p)
@@ -671,10 +671,9 @@ class TestFlowIntegrator:
         assert scalar == [
             dop853_dense_at(ode._dense[bisect.bisect_left(ends, tau)], tau) for tau in nodes
         ]
-        assert np.array_equal(ode.sample(nodes)[0], [V for V, _ in scalar])
+        assert np.array_equal(ode.sample(nodes), [V for V, _ in scalar])
         for i in range(0, nodes.size, 1000):
-            V, K = ode.sample(nodes[i : i + 1])
-            assert (V[0], K) == scalar[i]
+            assert ode.sample(nodes[i : i + 1])[0] == scalar[i][0]
         assert scalar[0] == ode._dense[0][2:4]
 
     @pytest.mark.parametrize("b", [0.1, 5.0])
@@ -756,8 +755,8 @@ class TestFlowCache:
         assert again is not first
         assert again._ode._dense == first._ode._dense
         nodes = np.arange(25_001) * spectral._DTAU
-        for a, b in zip(again._ode.sample(nodes), first._ode.sample(nodes)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(again._ode.sample(nodes), first._ode.sample(nodes))
+        assert again._ode.at(nodes[-1]) == first._ode.at(nodes[-1])
 
     def test_sets_that_differ_off_the_flow_share_it(self):
         # the flow depends on b, V0 and K0 only, so the key holds no more
