@@ -43,7 +43,6 @@ from where another stopped takes the steps the single run would.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
@@ -225,18 +224,17 @@ class _Member:
     inhibitor ``I``, the compensated born and exited weights, its row
     count ``n`` (primary included), and the diagnostics ``simulate``
     reports: the peak row count, the smallest birth denominator and the
-    weight pruned by the floor. ``b`` is ``p.b`` as a 0-d array, the
-    cheaper ufunc operand. ``index`` is its position in ``params``, its
-    row of the samples and slot of the output; a step sets ``newborn``,
-    its column of ``rows`` or None, or ``error``, the blowup that ends it."""
+    weight pruned by the floor. ``index`` is its position in ``params``,
+    its row of the samples and slot of the output; a step sets
+    ``newborn``, its column of ``rows`` or None, or ``error``, the blowup
+    that ends it."""
 
-    __slots__ = ("p", "b", "I", "born", "exited", "n", "peak_n", "min_denom", "pruned",
+    __slots__ = ("p", "I", "born", "exited", "n", "peak_n", "min_denom", "pruned",
                  "index", "error", "newborn")
 
     def __init__(self, p: ModelParams, state: SystemState, index: int):
         self.p, self.index = p, index
         self.error = self.newborn = None
-        self.b = np.array(p.b)
         self.I = state.I
         self.born = _Accumulator(state.born_count)
         self.exited = _Accumulator(state.exited_count)
@@ -284,13 +282,12 @@ class _Member:
         self.I += h2 * w_new * p.V0
         return _column(p, Vn, Kn, w_new, t + h2)
 
-    def book_exits(self, ws: list, Vs: list):
-        """Book removed rows, in row order, as exited, and those still
-        inside the domain (below the weight floor) as pruned."""
-        for x, v in zip(ws, Vs):
-            self.exited.add(x)
-            if v >= self.p.V0:
-                self.pruned += x
+    def book_exit(self, w: float, V: float):
+        """Book a removed row of weight ``w`` as exited, and as pruned too
+        if it is still inside the domain (below the weight floor)."""
+        self.exited.add(w)
+        if V >= self.p.V0:
+            self.pruned += w
 
 
 class _Engine:
@@ -305,14 +302,16 @@ class _Engine:
     exit, get pruned, or count toward M, N and the exported state.
 
     The elementwise work of a step runs once over all rows, with b and
-    e·I as per-row arrays when S > 1. Every weighted sum is one
-    ``np.dot`` over one member's segment, the call a one-member engine
+    e·I as per-row arrays when S > 1. Every weighted sum is one BLAS dot
+    (``ndarray.dot``) of a member's segment of w, sliced once per step,
+    with the same segment of another row: the call a one-member engine
     makes on the same values, so each member's numbers are those of its
-    solo run bit for bit. A step adds each member's newborn at the end
-    of its segment, and one removal pass drops every cohort row (the
-    newborns included) that left the domain or lies below the weight
-    floor (see ``_remove``). A member fails a step when its rows or
-    inhibitor go non-finite, it reaches the birth-term limit or its
+    solo run bit for bit. The members' b, e, k and m are built once per
+    member set (``_set_members``). A step adds each member's newborn at
+    the end of its segment, and one removal pass drops every cohort row
+    (the newborns included) that left the domain or lies below the
+    weight floor (see ``_remove``). A member fails a step when its rows
+    or inhibitor go non-finite, it reaches the birth-term limit or its
     newborn's step fails; it then moves from ``members`` to ``failed``
     (which the caller clears) with its ``IntegrationBlowupError`` as its
     ``error``, and the others go on.
@@ -321,11 +320,11 @@ class _Engine:
     and ``beta``, the emission rate per unit m (see
     ``_emission_weights``); P and beta are set wherever V is, so a step
     computes each once, and the attributes of those names are views of
-    the rows. ``_scratch`` (11 x capacity) holds the stage buffers,
-    ``_finite`` a boolean one and, at S > 1, ``_spare`` the block the
-    removal pass copies into, so the hot loop allocates little; the
-    capacity doubles on demand, and ``_resize`` alone allocates them.
-    The stages run on 1-D rows, which measured faster than 2-D views.
+    the rows. ``_scratch`` (11 x capacity) holds the stage buffers and,
+    at S > 1, ``_spare`` the block the removal pass copies into, so the
+    hot loop allocates little; the capacity doubles on demand, and
+    ``_resize`` alone allocates them. The stages run on 1-D rows, which
+    measured faster than 2-D views.
 
     Callers enter ``np.errstate(all="ignore")`` around ``step``: a
     diverging stage state leaves inf or nan in its rows, which the check
@@ -344,7 +343,7 @@ class _Engine:
                 raise InvalidStateError(
                     f"state was built for V0={state.V0}, parameters have V0={p.V0}"
                 )
-        self.members = [_Member(p, state, j) for j, p in enumerate(params)]
+        self._set_members([_Member(p, state, j) for j, p in enumerate(params)])
         self.failed: list[_Member] = []
         self.weight_floor = weight_floor
         self.t = state.t
@@ -360,6 +359,17 @@ class _Engine:
         self._eI = np.empty(())
         self._dt = None
 
+    def _set_members(self, members: list):
+        """Make ``members`` the engine's members, with their b, e, k and
+        m as a step reads them: floats for one member (b a 0-d array, the
+        cheaper ufunc operand), arrays over the members for several."""
+        self.members = members
+        if len(members) == 1:
+            p = members[0].p
+            self._bekm = (np.array(p.b), p.e, p.k, p.m)
+        else:
+            self._bekm = tuple(np.array([getattr(m.p, f) for m in members]) for f in "bekm")
+
     # -- storage -----------------------------------------------------
 
     def _resize(self, cap: int):
@@ -370,7 +380,6 @@ class _Engine:
         self._bind(rows)
         self._spare = np.empty((6, cap)) if len(self.members) > 1 else None
         self._scratch = np.empty((11, cap))
-        self._finite = np.empty(cap, dtype=bool)
 
     def _bind(self, rows: np.ndarray):
         self.rows = rows
@@ -398,35 +407,36 @@ class _Engine:
         V, K, w, _, P, beta = self.rows[:, :n]
         *k4, Vs, Ks, tmp = self._scratch[:, :n]
         kV, kK = k4[0::2], k4[1::2]  # each stage's slopes, one row each
+        b, e, k, mm = self._bekm
 
         # A member's scalars (I, dI, B, and e, k, m) are floats at S = 1
         # and arrays over the members at S > 1, so one set of formulas
-        # serves both; only these helpers differ.
+        # serves both; only these helpers differ. ``sums(y)`` is each
+        # member's w . y.
         if len(ms) == 1:
-            (m,) = ms
-            b, e, k, mm, I0 = m.b, m.p.e, m.p.k, m.p.m, m.I
+            I0 = ms[0].I
             eI = self._eI
 
             def per_row(x):
                 eI[()] = x
                 return eI
 
-            def sums(x, y):
-                return float(np.dot(x, y))
+            def sums(y):
+                return float(w.dot(y))
 
             def each(x):
                 return (x,)
         else:
             counts = np.array([m.n for m in ms])
-            b, e, k, mm = (np.array([getattr(m.p, f) for m in ms]) for f in "bekm")
             b = b.repeat(counts)
             I0 = np.array([m.I for m in ms])
+            segs = [(w[a:z], a, z) for a, z in spans]
 
             def per_row(x):
                 return x.repeat(counts)
 
-            def sums(x, y):
-                return np.array([np.dot(x[a:z], y[a:z]) for a, z in spans])
+            def sums(y):
+                return np.array([x.dot(y[a:z]) for x, a, z in segs])
 
             def each(x):
                 return x.tolist()
@@ -442,10 +452,10 @@ class _Engine:
             np.multiply(outK, b, outK)
             np.multiply(Kc, per_row(e * Ic), tmp)
             np.subtract(outK, tmp, outK)
-            return sums(w, Vc) - k * Ic
+            return sums(Vc) - k * Ic
 
         t_new = self.t + dt
-        B0 = mm * sums(w, beta)
+        B0 = mm * sums(beta)
         dI = [stage(V, K, P, I0, kV[0], kK[0])]
         # stage i + 1 sits at c = h/2, h/2, h along stage i's slope; c is
         # a 0-d array for the ufuncs and a float for the inhibitor
@@ -465,18 +475,16 @@ class _Engine:
             np.add(X, kX2, X)
         I_new = I0 + s6f * (dI[0] + 2.0 * (dI[1] + dI[2]) + dI[3])
 
-        finite = self._finite[:n]
-        all_finite = (np.logical_and.reduce(np.isfinite(V, finite))
-                      and np.logical_and.reduce(np.isfinite(K, finite)))
+        all_finite = _rows_finite(V, K)
         _pow23(V, P)
         _emission_weights(ms[0].p, V, P, beta)  # V0, Vm and alpha are shared
-        B = B0 + mm * sums(w, beta)
+        B = B0 + mm * sums(beta)
 
         for m, (a, z), I, I1, Bj in zip(ms, spans, each(I0), each(I_new), each(B)):
             m.I = I1
             try:
                 if not (math.isfinite(I1) and V[a] > 0 and K[a] > 0
-                        and (all_finite or _all_finite(V[a:z], K[a:z]))):
+                        and (all_finite or _rows_finite(V[a:z], K[a:z]))):
                     raise IntegrationBlowupError(t_new, reason="non-finite-state")
                 m.newborn = m.give_birth(self.t, dt, I, Bj)
             except IntegrationBlowupError as exc:
@@ -496,7 +504,7 @@ class _Engine:
         rows go to the spare block, which then becomes ``rows``."""
         ms = self.members
         V0, floor = ms[0].p.V0, self.weight_floor
-        births = sum(m.newborn is not None for m in ms)
+        births = len(ms) - [m.newborn for m in ms].count(None)
         if self.n + births > self.V.size:
             self._resize(2 * (self.n + births))
         n = self.n
@@ -505,40 +513,45 @@ class _Engine:
             drop |= self.w[:n] < floor
         for a, _ in spans:
             drop[a] = False  # the primaries stay
-        gone = np.flatnonzero(drop).tolist() if np.logical_or.reduce(drop) else []
-        ws, Vs = (self.w[gone].tolist(), self.V[gone].tolist()) if gone else ([], [])
+        gone = drop.nonzero()[0]
+        ws, Vs = self.w[gone].tolist(), self.V[gone].tolist()
+        gone = gone.tolist()
+        gone.append(n)  # past every segment: the walks below stop on it
         src = self.rows
         dst = src if len(ms) == 1 else self._spare
         at = g = 0
         for m, (a, z) in zip(ms, spans):
-            h = bisect_left(gone, z, g)  # gone[g:h] lie in this segment
-            if m.error is None:
-                start, cut = at, a
-                for x in gone[g:h] + [z]:
-                    if dst is not src or at != cut:
-                        dst[:, at : at + x - cut] = src[:, cut:x]
-                    at += x - cut
-                    cut = x + 1
-                out_w, out_V = ws[g:h], Vs[g:h]
-                if m.newborn is not None:
-                    Vn, _, w_new, *_ = m.newborn
-                    if Vn < V0 or w_new < floor:
-                        out_w.append(w_new)
-                        out_V.append(Vn)
-                    else:
-                        dst[:, at] = m.newborn
-                        at += 1
-                if out_w:
-                    m.book_exits(out_w, out_V)
-                m.n = at - start
-                m.peak_n = max(m.peak_n, m.n)
-            g = h
+            if m.error is not None:
+                while gone[g] < z:
+                    g += 1
+                continue
+            start, cut = at, a
+            while True:
+                x = min(gone[g], z)  # the next dropped row, or the end
+                if dst is not src or at != cut:
+                    dst[:, at : at + x - cut] = src[:, cut:x]
+                at += x - cut
+                if x == z:
+                    break
+                m.book_exit(ws[g], Vs[g])
+                cut = x + 1
+                g += 1
+            nb = m.newborn
+            if nb is not None:
+                if nb[0] < V0 or nb[2] < floor:
+                    m.book_exit(nb[2], nb[0])
+                else:
+                    dst[:, at] = nb
+                    at += 1
+            m.n = at - start
+            if m.n > m.peak_n:
+                m.peak_n = m.n
         if dst is not src:
             self._bind(dst)
             self._spare = src
         self.n = at
         if self.failed:
-            self.members = [m for m in ms if m.error is None]
+            self._set_members([m for m in ms if m.error is None])
 
     # -- observation: cohort rows only -------------------------------
 
@@ -591,7 +604,7 @@ def _emission_weights(p: ModelParams, V: np.ndarray, P: np.ndarray, out: np.ndar
         np.copyto(out, P)
     else:
         np.power(V, p.alpha, out)
-    out[V < p.Vm] = 0.0
+    np.copyto(out, 0.0, where=V < p.Vm)
     return out
 
 
@@ -614,8 +627,12 @@ def _volume_sum(w: np.ndarray, V: np.ndarray) -> float:
     return float(np.dot(w, V))
 
 
-def _all_finite(V: np.ndarray, K: np.ndarray) -> bool:
-    return bool(np.isfinite(V).all() and np.isfinite(K).all())
+def _rows_finite(V: np.ndarray, K: np.ndarray) -> bool:
+    """Whether every entry of V and K is finite, in one dot: a nan or
+    inf in any row makes V . K non-finite. So can an overflow of finite
+    rows, so a non-finite dot takes the exact elementwise test. The dot
+    may overflow: callers run it under ``np.errstate``, as a step does."""
+    return math.isfinite(V.dot(K)) or bool(np.isfinite(V).all() and np.isfinite(K).all())
 
 
 def initial_state(p: ModelParams, initial_cohorts: tuple[Cohort, ...] = ()) -> SystemState:

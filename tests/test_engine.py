@@ -26,6 +26,7 @@ from metasim.engine import (
     _emission_weights,
     _Engine,
     _pow23,
+    _rows_finite,
     birth_rate,
     inhibitor_rate,
     initial_state,
@@ -788,6 +789,55 @@ class TestCarriedPower:
         assert gated.any() and not eng.beta[: eng.n][gated].any()
 
 
+def _masked_beta(p, V):
+    """beta(V) / m by a boolean-mask assignment, the form the engine's
+    ``np.copyto(..., where=V < Vm)`` must equal."""
+    out = _pow23_of(V) if p.alpha == 2.0 / 3.0 else np.power(V, p.alpha)
+    out[V < p.Vm] = 0.0
+    return out
+
+
+class TestEmissionWeights:
+    """The gate at Vm zeroes beta below it and leaves every other entry
+    the power law, bit for bit, as a boolean-mask assignment does."""
+
+    @pytest.mark.parametrize("alpha", [2.0 / 3.0, 0.5])
+    @pytest.mark.parametrize("Vm", [0.0, 0.1, 0.5])  # none gated, Vm = V0, Vm > V0
+    def test_gate_equals_the_masked_form(self, alpha, Vm):
+        p = ModelParams(alpha=alpha, Vm=Vm)
+        # V straddles Vm: down to V0, exactly Vm and its float neighbours
+        V = np.concatenate((
+            np.geomspace(p.V0, 3.0, 50),
+            [Vm, np.nextafter(Vm, 0.0), np.nextafter(Vm, 1.0), 0.5 * Vm, 2.0 * Vm + p.V0],
+        ))
+        got = _beta_of(p, V)
+        assert got.tobytes() == _masked_beta(p, V).tobytes()
+        assert (got[V < Vm] == 0.0).all() and (got[V > Vm] > 0.0).all()
+        cohorts = [(0.01 * (i + 1), v, 1.0) for i, v in enumerate(V) if v >= p.V0]
+        s = _state(p, cohorts, primary=TumorState(max(Vm, p.V0), 1.0))
+        rows_V, rows_w = np.append(s.primary.V, s.V), np.append(1.0, s.w)
+        assert birth_rate(s, p) == p.m * float(np.dot(rows_w, _masked_beta(p, rows_V)))
+
+
+class TestRowsFinite:
+    """The step's finite check is one dot V . K, exact when it overflows."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_a_non_finite_entry_anywhere_is_caught(self, bad, n):
+        with np.errstate(all="ignore"):
+            for i in range(n):
+                X, Y = np.full(n, 1.5), np.full(n, 0.5)
+                X[i] = bad
+                assert not _rows_finite(X, Y) and not _rows_finite(Y, X), (n, i)
+
+    def test_finite_rows_whose_dot_overflows_are_finite(self):
+        V = np.full(5, 1e200)
+        with np.errstate(all="ignore"):
+            assert not math.isfinite(V.dot(V))
+            assert _rows_finite(V, V) and _rows_finite(V, -V)
+
+
 _SERIES = ("times", "M", "N", "I", "Vp", "born", "exited", "largest_V")
 _GROUPABLE = (
     "base", "b-x10", "m-x10", "e-x10", "b-x0.1", "m-x0.1", "e-x0.1", "bursts", "complex-periodic"
@@ -887,6 +937,37 @@ class TestEnsemble:
             False, True, False, True, True, False
         ]
         assert out[1].t == pytest.approx(1e-2) and out[1].last_sample["t"] == 0.0
+
+    def test_the_members_left_after_a_failure_step_as_their_solo_runs(self):
+        # the second of four fails in the first step; the member arrays
+        # the engine steps with are rebuilt for the three that stay
+        members = [ModelParams(e=0.5), ModelParams(b=1e9), ModelParams(e=3.0, m=2.0),
+                   ModelParams(b=2.0, k=0.5)]
+        s = initial_state(members[0])
+        eng = _Engine(members, s)
+        solos = [_Engine(q, s) for q in members]
+        with np.errstate(all="ignore"):
+            eng.step(1e-2)
+        (failed,) = eng.failed
+        assert failed.index == 1 and failed.error.reason == "non-finite-state"
+        eng.failed.clear()
+        stay = [members[i] for i in (0, 2, 3)]
+        assert [m.p for m in eng.members] == stay
+        for got, f in zip(eng._bekm, "bekm"):
+            assert got.tolist() == [getattr(q, f) for q in stay], f
+        solos = [solos[i] for i in (0, 2, 3)]
+        for i in range(300):
+            with np.errstate(all="ignore"):
+                for e in solos if i == 0 else (eng, *solos):
+                    e.step(1e-2)
+            for j, (solo, (a, z)) in enumerate(zip(solos, eng.spans())):
+                assert np.array_equal(eng.rows[:, a:z], solo.rows[:, : solo.n]), (i, j)
+                assert eng.sample_row(j) == solo.sample_row(), (i, j)
+        assert not eng.failed and len(eng.members) == 3
+        out = simulate_ensemble(members, SolverSettings(t_end=3.0))
+        assert isinstance(out[1], IntegrationBlowupError)
+        for i in (0, 2, 3):
+            _assert_same_run(out[i], simulate(members[i], SolverSettings(t_end=3.0)))
 
     def test_members_equal_solo_across_a_capacity_doubling(self):
         # three members of 1364 cohorts fill 4095 of 4096 rows, so the
