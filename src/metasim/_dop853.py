@@ -228,7 +228,7 @@ class Dop853:
         # per accepted step: its start, width, initial state and the seven
         # dense-output coefficients of each component (a step ends where
         # the next starts); _table is the transpose and _ends the step ends,
-        # both rebuilt once steps moves
+        # brought up to date once steps moves: _table by the new steps only
         self._dense: list[tuple] = []
         self._table = np.empty((18, 0))
         self._ends = np.empty(0)
@@ -458,8 +458,9 @@ class Dop853:
         each from the first step that ends at or after the time: a time on
         a step end is read from the step that ends there, and tau = 0
         gives the start volume exactly."""
-        if self._table.shape[1] != self.steps:
-            self._table = np.array(self._dense).T
+        known = self._table.shape[1]
+        if known != self.steps:
+            self._table = np.concatenate((self._table, np.array(self._dense[known:]).T), axis=1)
             self._ends = np.append(self._table[0][1:], self.t)
         # the steps from the one that holds tau[0] to the one that holds
         # tau[-1]; tau is sorted, so the times each holds are one run of it,

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 
 from .errors import (
     ConfigurationError,
@@ -36,6 +37,9 @@ EXIT_BLOWUP = 3
 EXIT_IO = 4
 
 
+# built once per process: parse_args leaves the parser as it was, and a
+# parser is a reference cycle the size of its actions
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metasim",

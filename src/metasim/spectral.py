@@ -39,7 +39,11 @@ cells start on every second fine node, so I_2h reads every second value
 of I_h's. One walk sets the horizon: it starts at 50 and samples the
 nodes one horizon at a time, up to a cap of 900, and computes beta on
 each batch of nodes as it samples them; the rules of every horizon
-slice the one beta array.
+slice the one beta array. That array is the one node-sized array the
+walk keeps: a batch of volumes lives only while the onset search and
+the running maximum of the volume read it, and each rule holds its
+slopes and cell starts (the coarse rule also its cell-start rates, a
+contiguous copy at half the size).
 Until the emission onset lies among the nodes sampled so far it doubles
 the horizon, and a flow that settles at the fixed point (1, 1), or
 reaches the cap, before the onset has no root. From the onset on, it
@@ -183,9 +187,12 @@ def characteristic_flow(tau: float, p: ModelParams) -> TumorState:
     return TumorState(V=V, K=K)
 
 
-def _emission_threshold_time(flow: _Flow, Vm: float, Va: np.ndarray) -> float | None:
+def _emission_threshold_time(
+    flow: _Flow, Vm: float, Va: np.ndarray, start: int = 0
+) -> float | None:
     """First time the flow volume reaches Vm within the grid volumes Va,
-    or None if it does not.
+    node start + i at (start + i) * dtau, or None if it does not; the
+    nodes before ``start`` lie below Vm.
 
     V is strictly increasing along the flow for V0 < K0, so the
     crossing is unique. It is bracketed on the grid and solved on the
@@ -194,7 +201,7 @@ def _emission_threshold_time(flow: _Flow, Vm: float, Va: np.ndarray) -> float | 
     hits = Va >= Vm
     if not hits.any():
         return None
-    i = int(np.argmax(hits))
+    i = start + int(np.argmax(hits))
     if i == 0:
         return 0.0
     return _brent(lambda tau: flow.at(tau)[0] - Vm, (i - 1) * _DTAU, i * _DTAU)
@@ -226,27 +233,33 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     # longer horizon only raises lam_lo and lowers the bound, so a
     # horizon that reached the bound needs no second solve, and each
     # lam_lo is the lower bound that the next solve, and the final one,
-    # start their bracket from. Va and beta hold the volumes and emission
-    # rates at the grid nodes 0 to the horizon's, node i at i * dtau, each
-    # computed once as the walk samples its node; the settle test reads
-    # the capacity at the last node, as a flow query there gives it.
+    # start their bracket from. beta holds the emission rates at the grid
+    # nodes 0 to the horizon's, node i at i * dtau, each computed once as
+    # the walk samples its node; a batch of volumes V is read by the
+    # onset search and by top, the running maximum of V over the
+    # quadrature nodes, and then dropped. The settle test reads the
+    # capacity at the last node, as a flow query there gives it.
     flow = _flow_for(p)
-    Va = np.array([p.V0])
-    beta = p.m * Va**p.alpha
+    # node 0's rate; every rate, and the onset's, comes from an array, so
+    # each rounds as every other node's
+    beta = p.m * np.array([p.V0]) ** p.alpha
     horizon, tau_star, tau_bound, lam_lo = _TAU_MAX_INITIAL, None, math.inf, None
     while True:
-        last = round(horizon / _DTAU)
-        V, K = flow.volumes(Va.size, last)
-        Va = np.concatenate((Va, V))
+        last, start = round(horizon / _DTAU), beta.size
+        V, K = flow.volumes(start, last)
         beta = np.concatenate((beta, p.m * V**p.alpha))
         at_end = horizon >= _TAU_MAX_CAP or _settled(float(V[-1]), K)
         if tau_star is None:
-            tau_star = _emission_threshold_time(flow, p.Vm, Va)
+            # node 0 holds V0; the nodes of earlier batches lie below Vm
+            if p.V0 >= p.Vm:
+                tau_star = 0.0
+            else:
+                tau_star = _emission_threshold_time(flow, p.Vm, V, start)
             if tau_star is not None:
                 onset = p.Vm if tau_star > 0 else p.V0
-                # a one-element array, so it rounds as every other node's
                 beta_star = p.m * np.array([onset]) ** p.alpha
                 first = _first_node(tau_star, _DTAU)
+                top = onset
         if tau_star is None:
             if at_end:
                 raise NoRootError(
@@ -254,11 +267,12 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
                     "no births occur"
                 )
         else:
-            integral, betas = _truncated_integral(beta, beta_star, tau_star)
+            integral, tau_lo = _truncated_integral(beta, beta_star, tau_star)
             # F -> +inf as lam -> 0+ and F < 0 once lam exceeds the
             # emission-rate ceiling along the flow, m * max(V)^alpha over
-            # the quadrature nodes
-            peak = float(np.max(Va[first:], initial=onset)) ** p.alpha
+            # the quadrature nodes: the crossing and the nodes from first on
+            top = float(np.max(V[max(first - start, 0) :], initial=top))
+            peak = top**p.alpha
             hi = 1.5 * p.m * peak + 1e-6
             if at_end or horizon >= tau_bound:
                 break
@@ -272,6 +286,9 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
                 tau_bound = float(math.ceil(math.log(C / (lam_lo * _TAIL_TOL)) / lam_lo))
             if horizon >= tau_bound:
                 break
+        # this horizon's rule keeps its slopes, its cell starts and, through
+        # its slices, this beta: let them go before the next batch is read
+        integral = f = tau_lo = None
         horizon = min(2.0 * horizon, tau_bound, _TAU_MAX_CAP)
 
     # the tail past the horizon as if the flow sat at (1, 1), where
@@ -283,16 +300,15 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     # even node, so both end at tau_max.
     tau_max = last * _DTAU
     coarse = _truncated_integral(beta, beta_star, tau_star, 2)[0]
-    # one exponential per F: the coarse cells start on every second fine
-    # cell start, as i * (2 dtau) == (2 i) * dtau in floating point; a
-    # contiguous copy of those values rounds the coarse rule's dot
-    # products as an exponential of its own did
-    tau_lo = np.arange(first, last) * _DTAU
+    # one exponential per F, on the fine rule's cell starts tau_lo: the
+    # coarse cells start on every second fine cell start, as i * (2 dtau)
+    # == (2 i) * dtau in floating point; a contiguous copy of those values
+    # rounds the coarse rule's dot products as an exponential of its own did
     skip = 2 * _first_node(tau_star, 2 * _DTAU) - first
     assert skip >= 0, f"the coarse rule starts before the fine one ({skip})"
 
     def F(lam: float) -> float:
-        decay = np.exp(-lam * tau_lo)
+        decay = _decay(lam, tau_lo)
         quadrature = (4.0 * integral(lam, decay) - coarse(lam, decay[skip::2].copy())) / 3.0
         return quadrature + (p.m / lam) * math.exp(-lam * tau_max) - 1.0
 
@@ -300,14 +316,15 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     return SpectralResult(
         lambda0=root,
         tau_max=tau_max,
-        quadrature_nodes=int(betas.size),
+        # the crossing and the grid nodes from `first` to `last`
+        quadrature_nodes=last - first + 2,
         residual=float(abs(value)),
     )
 
 
 def _truncated_integral(beta: np.ndarray, beta_star: np.ndarray, tau_star: float, stride: int = 1):
     """The spectral integral over [tau_star, (beta.size - 1) * dtau] as a
-    function of lambda, with the emission rates at its quadrature nodes.
+    function of lambda, with the starts of its grid cells.
 
     beta holds the emission rates at the grid nodes, node i at i * dtau,
     and beta_star (one element) the rate at the crossing time. The
@@ -315,36 +332,46 @@ def _truncated_integral(beta: np.ndarray, beta_star: np.ndarray, tau_star: float
     node past it up to the last, which ``stride`` divides. The function
     takes exp(-lambda * tau) at the starts of the grid cells, the nodes
     from ``_first_node`` up to the last but one, as ``decay`` when the
-    caller has it.
+    caller has it. The rates are read through slices of beta: only the
+    slopes, and at a stride the cell-start rates, are arrays of their own.
     """
     last, off = divmod(beta.size - 1, stride)
     assert off == 0, f"node {beta.size - 1} is off the stride-{stride} grid"
     h = _DTAU * stride
     first = _first_node(tau_star, h)
-    betas = np.concatenate((beta_star, beta[::stride][first:]))
+    nodes = beta[::stride][first:]
     # the first cell runs from the crossing to node `first` (there is none
     # when the crossing rounds onto the last node); every later cell is a
-    # grid cell of width h, starting at tau_lo
-    beta0, d0, slope0 = float(betas[0]), 0.0, 0.0
-    if betas.size > 1:
+    # grid cell of width h, starting at tau_lo. einsum rounds a strided
+    # operand otherwise than a contiguous one, so the coarse rule's
+    # cell-start rates are a contiguous copy
+    beta0, d0, slope0 = float(beta_star[0]), 0.0, 0.0
+    if nodes.size:
         d0 = first * h - tau_star
-        slope0 = float(betas[1] - beta0) / d0
-    beta_lo = betas[1:-1]
-    slope = np.diff(betas[1:]) / h
+        slope0 = float(nodes[0] - beta0) / d0
+    beta_lo = np.ascontiguousarray(nodes[:-1])
+    slope = np.diff(nodes)
+    slope /= h
     tau_lo = np.arange(first, last) * h
 
     def integral(lam: float, decay: np.ndarray | None = None) -> float:
         i0, i1 = _cell_weights(lam, h)
         j0, j1 = _cell_weights(lam, d0)
         if decay is None:
-            decay = np.exp(-lam * tau_lo)
+            decay = _decay(lam, tau_lo)
         # einsum, not a BLAS dot: a threaded BLAS wakes its workers on
         # every dot, which measured 8 ms per call on a 2-vCPU host
         cells = i0 * np.einsum("i,i", decay, beta_lo) + i1 * np.einsum("i,i", decay, slope)
         first_cell = math.exp(-lam * tau_star) * (beta0 * j0 + slope0 * j1)
         return first_cell + cells
 
-    return integral, betas
+    return integral, tau_lo
+
+
+def _decay(lam: float, tau: np.ndarray) -> np.ndarray:
+    """exp(-lam * tau), computed in one buffer."""
+    decay = np.multiply(tau, -lam)
+    return np.exp(decay, out=decay)
 
 
 def _first_node(tau_star: float, h: float) -> int:
@@ -396,16 +423,25 @@ def _root(f, hi: float, lo: float | None = None) -> tuple[float, float]:
 
 def _brent(f, lo: float, hi: float) -> float:
     """Brent root of f on [lo, hi], to a relative stop: a small root keeps its digits."""
-    root, info = brentq(
-        f,
-        lo,
-        hi,
-        xtol=np.finfo(float).tiny,
-        rtol=4.0 * np.finfo(float).eps,
-        maxiter=_BRENT_MAXITER,
-        full_output=True,
-        disp=False,
-    )
+    # brentq wraps its function in scipy's _wrap_nan_raise, whose closure
+    # refers to itself: a reference cycle that lives until the cyclic
+    # collector runs. It gets a one-slot holder, emptied on return, so the
+    # cycle keeps a few small objects alive and not f, nor the arrays and
+    # the flow that f's closure holds.
+    slot = [f]
+    try:
+        root, info = brentq(
+            lambda x: slot[0](x),
+            lo,
+            hi,
+            xtol=np.finfo(float).tiny,
+            rtol=4.0 * np.finfo(float).eps,
+            maxiter=_BRENT_MAXITER,
+            full_output=True,
+            disp=False,
+        )
+    finally:
+        slot.clear()
     if not info.converged:
         raise NoRootError(
             f"Brent's method found no root on [{lo:g}, {hi:g}] "

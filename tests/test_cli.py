@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from metasim import cli
 from metasim.cli import main
 from metasim.errors import IntegrationBlowupError
 from metasim.runner import run_scenario
@@ -430,6 +431,18 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_two_calls_share_one_parser_and_print_the_same_json(self, tmp_path, capsys):
+        sc = _write(tmp_path / "lin.json", {"name": "lin", "params": {"e": 0.0}})
+        cli._build_parser.cache_clear()
+        printed = []
+        for _ in range(2):
+            assert main(["lambda0", sc]) == 0
+            printed.append(capsys.readouterr().out)
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert printed[0] == printed[1]
+        assert json.loads(printed[0])["name"] == "lin"
 
     def test_module_entrypoint_runs(self):
         proc = subprocess.run(

@@ -1,5 +1,7 @@
 import bisect
+import gc
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -300,13 +302,17 @@ class TestQuadratureGrid:
 
     def test_coarse_grid_ends_at_the_horizon(self, params, tau_max, nodes):
         # the extrapolated rule needs the quadrature on every second node
-        # to cover the same [tau_star, tau_max] as the one on every node
+        # to cover the same [tau_star, tau_max] as the one on every node:
+        # each rule's nodes are the crossing, its cell starts and the last
+        # node, and the last coarse cell (width 2 dtau) starts where the
+        # fine rule's last but one does
         p = ModelParams(e=0.0, **params)
         beta, beta_star = _rates(p, _grid(p, tau_max), 0.0)
         _, fine = spectral._truncated_integral(beta, beta_star, 0.0)
         _, coarse = spectral._truncated_integral(beta, beta_star, 0.0, 2)
-        assert fine.size == nodes
-        assert (coarse.size, coarse[-1]) == ((nodes + 1) // 2, fine[-1])
+        assert fine.size + 2 == nodes
+        assert fine[-1] + spectral._DTAU == tau_max
+        assert (coarse.size + 2, coarse[-1]) == ((nodes + 1) // 2, fine[-2])
 
     def test_footprint_frozen_and_residual_tight(self, params, tau_max, nodes):
         res = malthus_exponent(ModelParams(e=0.0, **params))
@@ -554,7 +560,7 @@ class TestEachValueOnce:
         truncated = spectral._truncated_integral
 
         def counting(*args, **kwargs):
-            integral, betas = truncated(*args, **kwargs)
+            integral, tau_lo = truncated(*args, **kwargs)
             seen = Counter()
             counts.append(seen)
 
@@ -562,7 +568,7 @@ class TestEachValueOnce:
                 seen[lam, decay is None] += 1
                 return integral(lam, decay)
 
-            return counted, betas
+            return counted, tau_lo
 
         monkeypatch.setattr(spectral, "_truncated_integral", counting)
         spectral._flow.cache_clear()
@@ -693,6 +699,11 @@ class TestFlowIntegrator:
         assert np.array_equal(V, np.concatenate([part[0] for part in parts]))
         assert K == parts[-1][1]
         assert straight._ode._dense == stepwise._ode._dense
+        # the sample table, grown by the steps each call added, is the one
+        # built from all steps at once
+        ode = stepwise._ode
+        assert ode._table.shape == (18, ode.steps)
+        assert ode._table.tobytes() == np.array(ode._dense).T.tobytes()
         # the capacity at the end of every range, as the settle test reads it
         for (first, last), (_, K) in zip(ranges, parts):
             assert straight.volumes(first, last)[1] == K
@@ -745,6 +756,30 @@ class TestFlowCache:
         assert spectral._flow_for(p) is kept
         spectral._flow_for(ModelParams(e=0.0, b=9.0))
         assert spectral._flow_for(p) is kept
+
+    @pytest.mark.parametrize("params", [dict(), dict(b=0.1)])
+    def test_a_cold_solve_leaves_no_arrays_in_cycles(self, params):
+        # scipy's brentq leaves a reference cycle per call; it may hold a
+        # few small objects, not the solve's functions and their node
+        # arrays (about 2.5 MiB at b = 0.1 when it held them)
+        p = ModelParams(e=0.0, **params)
+        spectral._flow.cache_clear()
+        gc.collect()
+        enabled, tracing = gc.isenabled(), tracemalloc.is_tracing()
+        gc.disable()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            malthus_exponent(p)
+            live = tracemalloc.get_traced_memory()[0]
+            gc.collect()
+            in_cycles = live - tracemalloc.get_traced_memory()[0]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert in_cycles < 64 * 1024
 
     def test_evicted_flow_rebuilds_identically(self):
         p = ModelParams(e=0.0)
