@@ -92,6 +92,12 @@ class Cohort:
 shared_params = attrgetter("V0", "K0", "Vm", "alpha")
 _COHORT_ARRAYS = ("V", "K", "w", "birth_t")
 _TWO_THIRDS = 2.0 / 3.0
+# OpenBLAS 0.3.31 (Haswell kernel) splits a dot of more than 10 000 terms
+# over its threads, which changes its rounding; a weighted sum adds dots of
+# at most this many. The split point is a kernel detail, not a documented
+# limit, so the block sits below it to leave headroom for other OpenBLAS
+# builds; rows between the two take two dots where one would do.
+_DOT_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,16 +308,16 @@ class _Engine:
     exit, get pruned, or count toward M, N and the exported state.
 
     The elementwise work of a step runs once over all rows, with b and
-    e·I as per-row arrays when S > 1. Every weighted sum is one BLAS dot
-    (``ndarray.dot``) of a member's segment of w, sliced once per step,
-    with the same segment of another row: the call a one-member engine
-    makes on the same values, so each member's numbers are those of its
-    solo run bit for bit. The members' b, e, k and m are built once per
-    member set (``_set_members``). A step adds each member's newborn at
-    the end of its segment, and one removal pass drops every cohort row
-    (the newborns included) that left the domain or lies below the
-    weight floor (see ``_remove``). A member fails a step when its rows
-    or inhibitor go non-finite, it reaches the birth-term limit or its
+    e·I as per-row arrays when S > 1. Every weighted sum is a ``_dot``
+    (one BLAS dot up to ``_DOT_BLOCK`` rows) of a member's segment of w,
+    sliced once per step, with the same segment of another row: the call
+    a one-member engine makes on the same values, so each member's
+    numbers are those of its solo run bit for bit. The members' b, e, k
+    and m are built once per member set (``_set_members``). A step adds
+    each member's newborn at the end of its segment, and one removal
+    pass drops every cohort row (the newborns included) that left the
+    domain or lies below the weight floor (see ``_remove``). A member
+    fails a step when its rows or inhibitor go non-finite, it reaches the birth-term limit or its
     newborn's step fails; it then moves from ``members`` to ``failed``
     (which the caller clears) with its ``IntegrationBlowupError`` as its
     ``error``, and the others go on.
@@ -422,7 +428,7 @@ class _Engine:
                 return eI
 
             def sums(y):
-                return float(w.dot(y))
+                return _dot(w, y)
 
             def each(x):
                 return (x,)
@@ -436,7 +442,7 @@ class _Engine:
                 return x.repeat(counts)
 
             def sums(y):
-                return np.array([x.dot(y[a:z]) for x, a, z in segs])
+                return np.array([_dot(x, y[a:z]) for x, a, z in segs])
 
             def each(x):
                 return x.tolist()
@@ -598,7 +604,7 @@ def _emission_weights(p: ModelParams, V: np.ndarray, P: np.ndarray, out: np.ndar
 
     ``P`` = V^(2/3) for the default alpha, a ``np.power`` for any other,
     zeroed below the threshold Vm. The population emission rate of a set
-    of rows is m * sum(w * beta), one ``np.dot``.
+    of rows is m * sum(w * beta), one ``_dot``.
     """
     if p.alpha == _TWO_THIRDS:
         np.copyto(out, P)
@@ -621,18 +627,30 @@ def _column(p: ModelParams, V: float, K: float, w: float, birth_t: float) -> tup
     return V, K, w, birth_t, P, beta
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y as BLAS dots of at most ``_DOT_BLOCK`` terms added in order,
+    so its bits do not depend on the OpenBLAS thread count; rows that fit
+    one block take one dot."""
+    if x.size <= _DOT_BLOCK:
+        return float(x.dot(y))
+    total = 0.0
+    for a in range(0, x.size, _DOT_BLOCK):
+        total += float(x[a : a + _DOT_BLOCK].dot(y[a : a + _DOT_BLOCK]))
+    return total
+
+
 def _volume_sum(w: np.ndarray, V: np.ndarray) -> float:
     """Weighted volume sum(w * V): the burden M over cohort rows, the
     inhibitor production over all rows."""
-    return float(np.dot(w, V))
+    return _dot(w, V)
 
 
 def _rows_finite(V: np.ndarray, K: np.ndarray) -> bool:
-    """Whether every entry of V and K is finite, in one dot: a nan or
+    """Whether every entry of V and K is finite, in one ``_dot``: a nan or
     inf in any row makes V . K non-finite. So can an overflow of finite
     rows, so a non-finite dot takes the exact elementwise test. The dot
     may overflow: callers run it under ``np.errstate``, as a step does."""
-    return math.isfinite(V.dot(K)) or bool(np.isfinite(V).all() and np.isfinite(K).all())
+    return math.isfinite(_dot(V, K)) or bool(np.isfinite(V).all() and np.isfinite(K).all())
 
 
 def initial_state(p: ModelParams, initial_cohorts: tuple[Cohort, ...] = ()) -> SystemState:
@@ -683,7 +701,7 @@ def birth_rate(s: SystemState, p: ModelParams) -> float:
     """Population emission rate: new metastases shed per unit time by
     the primary and every live cohort together."""
     V, w = _all_rows(s)
-    return p.m * float(np.dot(w, _emission_weights(p, V, _pow23(V, np.empty_like(V)), np.empty_like(V))))
+    return p.m * _dot(w, _emission_weights(p, V, _pow23(V, np.empty_like(V)), np.empty_like(V)))
 
 
 def step(s: SystemState, p: ModelParams, dt: float, weight_floor: float = 0.0) -> SystemState:

@@ -37,18 +37,19 @@ which cancels the grid-squared term; the equation is solved once with
 it. Its left side takes one exponential for both rules: the coarse
 cells start on every second fine node, so I_2h reads every second value
 of I_h's. One walk sets the horizon: it starts at 50 and samples the
-nodes one horizon at a time, up to a cap of 900, and computes beta on
-each batch of nodes as it samples them; the rules of every horizon
-slice the one beta array. That array is the one node-sized array the
-walk keeps: a batch of volumes lives only while the onset search and
-the running maximum of the volume read it, and each rule holds its
-slopes and cell starts (the coarse rule also its cell-start rates, a
-contiguous copy at half the size).
-Until the emission onset lies among the nodes sampled so far it doubles
-the horizon, and a flow that settles at the fixed point (1, 1), or
-reaches the cap, before the onset has no root. From the onset on, it
-stops once the flow has settled, the cap is reached, or the part of the
-integral past the horizon can no longer move the root, judged at the
+nodes one horizon at a time, node 0 with the first, up to a cap of 900,
+and computes beta on each batch of nodes as it samples them; the rules
+of every horizon slice the one beta array. That array is the one
+node-sized array the walk keeps: a batch of volumes lives only while the
+onset search and the running maximum of the volume read it, and each
+rule holds its slopes (the coarse rule also its cell-start rates, a
+contiguous copy at half the size) and is handed its exponentials.
+One test finds the emission onset, the first node at or above Vm. Until
+it lies among the nodes sampled so far the walk doubles the horizon,
+and a flow that settles at the fixed point (1, 1), or reaches the cap,
+before the onset has no root. From the onset on, it stops once the
+flow has settled, the cap is reached, or the part of the integral past
+the horizon can no longer move the root, judged at the
 root lam_lo of the integral truncated there: a longer horizon only
 raises lam_lo, so each lam_lo is the lower bound the next root solve
 starts from. Beyond the horizon the tail integral
@@ -192,7 +193,8 @@ def _emission_threshold_time(
 ) -> float | None:
     """First time the flow volume reaches Vm within the grid volumes Va,
     node start + i at (start + i) * dtau, or None if it does not; the
-    nodes before ``start`` lie below Vm.
+    nodes before ``start`` lie below Vm. Node 0 holds V0, so V0 >= Vm
+    gives 0.
 
     V is strictly increasing along the flow for V0 < K0, so the
     crossing is unique. It is bracketed on the grid and solved on the
@@ -240,9 +242,7 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     # quadrature nodes, and then dropped. The settle test reads the
     # capacity at the last node, as a flow query there gives it.
     flow = _flow_for(p)
-    # node 0's rate; every rate, and the onset's, comes from an array, so
-    # each rounds as every other node's
-    beta = p.m * np.array([p.V0]) ** p.alpha
+    beta = np.empty(0)
     horizon, tau_star, tau_bound, lam_lo = _TAU_MAX_INITIAL, None, math.inf, None
     while True:
         last, start = round(horizon / _DTAU), beta.size
@@ -250,11 +250,8 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
         beta = np.concatenate((beta, p.m * V**p.alpha))
         at_end = horizon >= _TAU_MAX_CAP or _settled(float(V[-1]), K)
         if tau_star is None:
-            # node 0 holds V0; the nodes of earlier batches lie below Vm
-            if p.V0 >= p.Vm:
-                tau_star = 0.0
-            else:
-                tau_star = _emission_threshold_time(flow, p.Vm, V, start)
+            # the nodes of earlier batches lie below Vm
+            tau_star = _emission_threshold_time(flow, p.Vm, V, start)
             if tau_star is not None:
                 onset = p.Vm if tau_star > 0 else p.V0
                 beta_star = p.m * np.array([onset]) ** p.alpha
@@ -279,15 +276,15 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
             # a truncated integral that stays <= 1 as lam -> 0 has no
             # root to bound the horizon with, so the horizon just doubles;
             # once one has a root, every longer one has
-            f = cache(lambda lam: integral(lam) - 1.0)
+            f = cache(lambda lam: integral(lam, _decay(lam, tau_lo)) - 1.0)
             if lam_lo is not None or f(_LAM_FLOOR) > 0.0:
                 lam_lo = _root(f, hi, lam_lo)[0]
                 C = p.m * max(1.0, peak)
                 tau_bound = float(math.ceil(math.log(C / (lam_lo * _TAIL_TOL)) / lam_lo))
             if horizon >= tau_bound:
                 break
-        # this horizon's rule keeps its slopes, its cell starts and, through
-        # its slices, this beta: let them go before the next batch is read
+        # this horizon's rule keeps its slopes and, through its slices, this
+        # beta, and f its cell starts: let them go before the next batch is read
         integral = f = tau_lo = None
         horizon = min(2.0 * horizon, tau_bound, _TAU_MAX_CAP)
 
@@ -331,8 +328,8 @@ def _truncated_integral(beta: np.ndarray, beta_star: np.ndarray, tau_star: float
     quadrature nodes are the crossing time, then every ``stride``-th grid
     node past it up to the last, which ``stride`` divides. The function
     takes exp(-lambda * tau) at the starts of the grid cells, the nodes
-    from ``_first_node`` up to the last but one, as ``decay`` when the
-    caller has it. The rates are read through slices of beta: only the
+    from ``_first_node`` up to the last but one, as ``decay``, and keeps
+    no cell starts. The rates are read through slices of beta: only the
     slopes, and at a stride the cell-start rates, are arrays of their own.
     """
     last, off = divmod(beta.size - 1, stride)
@@ -354,11 +351,9 @@ def _truncated_integral(beta: np.ndarray, beta_star: np.ndarray, tau_star: float
     slope /= h
     tau_lo = np.arange(first, last) * h
 
-    def integral(lam: float, decay: np.ndarray | None = None) -> float:
+    def integral(lam: float, decay: np.ndarray) -> float:
         i0, i1 = _cell_weights(lam, h)
         j0, j1 = _cell_weights(lam, d0)
-        if decay is None:
-            decay = _decay(lam, tau_lo)
         # einsum, not a BLAS dot: a threaded BLAS wakes its workers on
         # every dot, which measured 8 ms per call on a 2-vCPU host
         cells = i0 * np.einsum("i,i", decay, beta_lo) + i1 * np.einsum("i,i", decay, slope)

@@ -1,8 +1,18 @@
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from metasim.engine import _Engine, initial_state, simulate_ensemble
 from metasim.runner import _group_key
 from metasim.scenarios import catalog
+
+
+def _integrate(scs: list) -> list:
+    """Scenarios that share everything but b, e, k and m, as one ensemble."""
+    state = initial_state(scs[0].params, scs[0].initial_cohorts)
+    return simulate_ensemble([sc.params for sc in scs], scs[0].settings, state)
 
 
 @pytest.fixture(scope="session")
@@ -14,19 +24,26 @@ def catalog_runs():
     Scenarios that share everything but b, e, k and m integrate as one
     ``simulate_ensemble``, as a sweep's points do; every member is its
     solo ``simulate`` bit for bit (``test_engine.py::TestEnsemble``).
+    The groups are independent, so they run on up to two processes, the
+    most members times steps first; a run's numbers do not depend on the
+    process it runs in. The workers are spawned, not forked: this
+    process already runs BLAS threads.
     """
+    scenarios = catalog()
     groups = {}
-    for sc in catalog():
+    for sc in scenarios:
         groups.setdefault(_group_key(sc), []).append(sc)
+    work = sorted(groups.values(), key=lambda scs: len(scs) * scs[0].settings.n_steps, reverse=True)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(min(2, os.cpu_count() or 1), mp_context=spawn) as pool:
+        done = list(pool.map(_integrate, work))
     runs = {}
-    for scs in groups.values():
-        state = initial_state(scs[0].params, scs[0].initial_cohorts)
-        out = simulate_ensemble([sc.params for sc in scs], scs[0].settings, state)
+    for scs, out in zip(work, done):
         for sc, result in zip(scs, out):
             if isinstance(result, Exception):
                 raise result
             runs[sc.name] = (sc, *result)
-    return runs
+    return {sc.name: runs[sc.name] for sc in scenarios}
 
 
 @pytest.fixture()

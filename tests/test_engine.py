@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -251,6 +254,44 @@ class TestRates:
         assert birth_rate(s, p) == 0.0
         s2 = _state(p, [(4.0, 0.5, 1.0)])
         assert birth_rate(s2, p) == pytest.approx(4.0 * 0.5 ** (2.0 / 3.0), rel=1e-14, abs=0)
+
+    def test_sums_over_many_rows_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a dot of more than 10 000 terms over its threads,
+        # which rounds it otherwise; 12 000 rows run in two processes, as
+        # the state's own sums, as five steps of one run and as five steps
+        # of a two-member ensemble (a 12 000-row segment each)
+        code = (
+            "from dataclasses import replace\n"
+            "import numpy as np\n"
+            "from metasim import ModelParams, SystemState, TumorState\n"
+            "from metasim.engine import SolverSettings, birth_rate, simulate,"
+            " simulate_ensemble, total_burden\n"
+            "p = ModelParams()\n"
+            "settings = SolverSettings(dt=1e-2, t_end=0.05, sample_every=1e-2)\n"
+            "for seed in range(4):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    V = 0.1 + rng.random(12_000)\n"
+            "    s = SystemState(t=0.0, primary=TumorState(0.1, 0.2), I=0.0, V=V,"
+            " K=V + 1.0, w=1e-3 * rng.random(12_000), birth_t=np.zeros(12_000),"
+            " born_count=0.0, exited_count=0.0, V0=0.1)\n"
+            "    print(total_burden(s).hex(), birth_rate(s, p).hex())\n"
+            "    runs = [simulate(p, settings, s)]\n"
+            "    runs += simulate_ensemble([p, replace(p, b=2.0 * p.b)], settings, s)\n"
+            "    for traj, _ in runs:\n"
+            "        print(traj.M[-1].hex(), traj.N[-1].hex(), traj.I[-1].hex())\n"
+        )
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout.split()
+            for threads in ("1", "2")
+        ]
+        assert len(outs[0]) == 4 * (2 + 3 * 3)
+        assert outs[0] == outs[1]
 
 
 class TestStep:

@@ -229,6 +229,25 @@ class TestMalthusExponent:
         tau_star = spectral._emission_threshold_time(spectral._flow_for(p), Vm, Va)
         assert characteristic_flow(tau_star, p).V == pytest.approx(Vm, rel=0, abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "params, below, at",
+        [(dict(), 0.05, 0.1), (dict(V0=0.3, K0=0.5), 0.2, 0.3)],
+    )
+    def test_a_threshold_below_v0_is_the_threshold_at_v0(self, params, below, at):
+        # emission starts at node 0 either way, at the rate of V0
+        spectral._flow.cache_clear()
+        gated = malthus_exponent(ModelParams(e=0.0, Vm=below, **params))
+        spectral._flow.cache_clear()
+        assert gated == malthus_exponent(ModelParams(e=0.0, Vm=at, **params))
+
+    @pytest.mark.parametrize("Vm", [0.05, 0.1])
+    def test_onset_at_node_0_when_v0_reaches_the_threshold(self, Vm):
+        p = ModelParams(e=0.0)
+        flow = spectral._flow_for(p)
+        Va = flow.volumes(0, 10)[0]
+        assert Va[0] == p.V0
+        assert spectral._emission_threshold_time(flow, Vm, Va, 0) == 0.0
+
     def test_emission_threshold_shrinks_exponent(self):
         free = malthus_exponent(ModelParams(e=0.0)).lambda0
         gated = malthus_exponent(ModelParams(e=0.0, Vm=0.5)).lambda0
@@ -397,15 +416,27 @@ class TestHorizon:
         Va = _grid(p, res.tau_max)
         tau_star = spectral._emission_threshold_time(spectral._flow_for(p), p.Vm, Va)
         beta, beta_star = _rates(p, Va, tau_star)
-        fine = spectral._truncated_integral(beta, beta_star, tau_star)[0]
-        coarse = spectral._truncated_integral(beta, beta_star, tau_star, 2)[0]
+        fine, fine_lo = spectral._truncated_integral(beta, beta_star, tau_star)
+        coarse, coarse_lo = spectral._truncated_integral(beta, beta_star, tau_star, 2)
 
         def F(lam):
-            quadrature = (4.0 * fine(lam) - coarse(lam)) / 3.0
+            fine_lam = fine(lam, spectral._decay(lam, fine_lo))
+            quadrature = (4.0 * fine_lam - coarse(lam, spectral._decay(lam, coarse_lo))) / 3.0
             return quadrature + (p.m / lam) * math.exp(-lam * res.tau_max) - 1.0
 
         assert F(res.lambda0 * (1 - 1e-12)) > 0 > F(res.lambda0 * (1 + 1e-12))
         assert res.residual == pytest.approx(abs(F(res.lambda0)), rel=0, abs=1e-16)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_a_rule_keeps_no_cell_starts(self, stride):
+        # the caller hands a rule its exponentials, so the cell starts it
+        # returns are the only copy
+        p = ModelParams(e=0.0)
+        beta, beta_star = _rates(p, _grid(p, 50.0), 0.0)
+        integral, tau_lo = spectral._truncated_integral(beta, beta_star, 0.0, stride)
+        held = [cell.cell_contents for cell in integral.__closure__]
+        assert all(x is not tau_lo for x in held)
+        assert not any(np.array_equal(x, tau_lo) for x in held if isinstance(x, np.ndarray))
 
     def test_every_horizon_is_an_even_node(self):
         # the walk's horizons are 50 * 2^k, an integer decay bound, or the cap
@@ -564,8 +595,8 @@ class TestEachValueOnce:
             seen = Counter()
             counts.append(seen)
 
-            def counted(lam, decay=None):
-                seen[lam, decay is None] += 1
+            def counted(lam, decay):
+                seen[lam] += 1
                 return integral(lam, decay)
 
             return counted, tau_lo
