@@ -21,6 +21,9 @@ so the stage times C are not needed. Every weighted sum is written out
 term by term in ascending j, so it rounds as a loop over the row's
 nonzero entries would; ``tests/oracles.py`` holds such a loop over
 SciPy's table, which the tests match bit for bit.
+
+The dense output is one tuple per accepted step, read through one search
+and one Horner form: by ``sample`` in arrays, by ``at`` in floats, same bits.
 """
 
 from __future__ import annotations
@@ -214,8 +217,8 @@ class Dop853:
     """Adaptive DOP853 integration of (V, K)' = field(V, K) from t = 0.
 
     Each ``step`` is one attempt. An accepted one advances ``t`` and
-    records the step's dense output, which ``sample`` and ``at``
-    evaluate; ``steps`` counts the accepted ones.
+    appends the step's dense output to ``_dense``, the one record that
+    ``sample`` and ``at`` evaluate; ``steps`` counts the accepted ones.
     """
 
     def __init__(self, field, V: float, K: float, tol: float):
@@ -226,12 +229,9 @@ class Dop853:
         self.h = self._initial_step()
         self._rejected = False
         # per accepted step: its start, width, initial state and the seven
-        # dense-output coefficients of each component (a step ends where
-        # the next starts); _table is the transpose and _ends the step ends,
-        # brought up to date once steps moves: _table by the new steps only
+        # dense-output coefficients of each component; a step ends where
+        # the next starts, and the last at t
         self._dense: list[tuple] = []
-        self._table = np.empty((18, 0))
-        self._ends = np.empty(0)
 
     @property
     def steps(self) -> int:
@@ -453,53 +453,51 @@ class Dop853:
             )
         )
 
+    def _holding(self, tau: float) -> int:
+        """Index of the step that holds tau: the first step that ends at or
+        after it, so a time on a step end is read from the step that ends
+        there, and tau = 0 from the first step."""
+        return bisect_left(self._dense, tau, 1, key=itemgetter(0)) - 1
+
     def sample(self, tau: np.ndarray) -> np.ndarray:
         """The dense output's volume at the ascending times tau in [0, t],
-        each from the first step that ends at or after the time: a time on
-        a step end is read from the step that ends there, and tau = 0
-        gives the start volume exactly."""
-        known = self._table.shape[1]
-        if known != self.steps:
-            self._table = np.concatenate((self._table, np.array(self._dense[known:]).T), axis=1)
-            self._ends = np.append(self._table[0][1:], self.t)
+        each from the step that holds it (see ``_holding``); tau = 0 gives
+        the start volume exactly."""
         # the steps from the one that holds tau[0] to the one that holds
-        # tau[-1]; tau is sorted, so the times each holds are one run of it,
-        # counted by one search per step end
-        lo, hi = np.searchsorted(self._ends, (tau[0], tau[-1]))
-        table, ends = self._table[:, lo : hi + 1], self._ends[lo : hi + 1]
-        held = np.searchsorted(tau, ends, side="right")
-        counts = held - np.concatenate(([0], held[:-1]))
-        # each table row is repeated once per time, one row at a time, so
-        # the temporaries stay a few arrays of the size of tau
-        x = (tau - table[0].repeat(counts)) / table[1].repeat(counts)
-        return _horner(table[2], table[4:11], counts, x)
+        # tau[-1], as rows; tau is sorted, so the times each holds are one
+        # run of it, counted by one search per step end short of the last
+        lo, hi = self._holding(tau[0]), self._holding(tau[-1])
+        rows = np.array(self._dense[lo : hi + 1]).T
+        held = np.searchsorted(tau, rows[0][1:], side="right")
+        counts = np.diff(held, prepend=0, append=tau.size)
+        # each row is repeated once per time as it is read, so the
+        # temporaries stay a few arrays of the size of tau
+        x = (tau - rows[0].repeat(counts)) / rows[1].repeat(counts)
+        return _horner((c.repeat(counts) for c in _V_TERMS(rows)), x)
 
     def at(self, tau: float) -> tuple[float, float]:
         """The dense output's (V, K) at one time tau in [0, t], bit for bit
-        what ``sample`` gives, in scalar arithmetic: the step that holds tau
-        is the one before the first step starting at or after it."""
-        step = self._dense[bisect_left(self._dense, tau, 1, key=itemgetter(0)) - 1]
+        what ``sample`` gives, in scalar arithmetic."""
+        step = self._dense[self._holding(tau)]
         x = (tau - step[0]) / step[1]
-        return _horner_at(step[2], step[4:11], x), _horner_at(step[3], step[11:18], x)
+        return _horner(_V_TERMS(step), x), _horner(_K_TERMS(step), x)
 
 
-def _horner_at(start: float, c: tuple, x: float) -> float:
-    """``_horner`` at one time x, in Python floats."""
-    acc = c[6] * x
-    for r in range(5, -1, -1):
-        acc += c[r]
-        acc *= (1.0 - x) if r % 2 else x
-    return acc + start
+# a step's dense-output coefficients c6, ..., c0 and its start value, as
+# _horner reads them: for V, then for K
+_V_TERMS = itemgetter(10, 9, 8, 7, 6, 5, 4, 2)
+_K_TERMS = itemgetter(17, 16, 15, 14, 13, 12, 11, 3)
 
 
-def _horner(start: np.ndarray, c: np.ndarray, counts, x: np.ndarray) -> np.ndarray:
-    """One component of the dense output at the times x (as fractions of
-    their steps), each step's row of ``start`` and ``c`` repeated
-    ``counts`` times: scipy's nested form, c6, then * x, + c5, * (1 - x),
-    + c4, ..."""
+def _horner(terms, x):
+    """One component of the dense output at x, the time as a fraction of
+    its step. ``terms`` yields c6, ..., c0 and then the step's start
+    value, floats for one time or arrays for many, read in scipy's
+    nested form: c6, then * x, + c5, * (1 - x), + c4, ..."""
+    terms = iter(terms)
     y = 1.0 - x
-    acc = c[6].repeat(counts) * x
-    for r in range(5, -1, -1):
-        acc += c[r].repeat(counts)
-        acc *= y if r % 2 else x
-    return acc + start.repeat(counts)
+    acc = next(terms) * x
+    for factor in (y, x, y, x, y, x):
+        acc += next(terms)
+        acc *= factor
+    return acc + next(terms)

@@ -48,7 +48,13 @@ from .engine import (
     simulate,
     simulate_ensemble,
 )
-from .errors import ConfigurationError, IntegrationBlowupError, InvalidStateError, NoRootError
+from .errors import (
+    ConfigurationError,
+    IntegrationBlowupError,
+    InvalidStateError,
+    MetasimError,
+    NoRootError,
+)
 from .observables import _check_bins, _window, histogram, oscillation_metrics
 from .scenarios import Scenario, SweepSpec, scenario_to_dict
 from .spectral import malthus_exponent
@@ -142,8 +148,9 @@ def compute_metrics(sc: Scenario, traj: Trajectory) -> dict:
 def _check_run(sc: Scenario, outputs) -> SystemState:
     """Reject a run that could not start, or a requested output it could
     not build: the initial cohorts must lie in the domain, metrics need 3
-    samples past the transient on ``simulate``'s grid, the histogram bins.
-    Returns the run's start state."""
+    samples past the transient on ``simulate``'s grid, the histogram bins,
+    and then, for e = 0, metrics need a lambda0 solve that ends in a root
+    or in NoRootError (reported as null). Returns the run's start state."""
     try:
         state = initial_state(sc.params, sc.initial_cohorts)
     except InvalidStateError as exc:
@@ -154,6 +161,14 @@ def _check_run(sc: Scenario, outputs) -> SystemState:
         _window(grid, sc.resolved_transient)
     if "histogram" in outputs:
         _check_bins(sc.params.V0, sc.n_bins)
+    if "metrics" in outputs and sc.params.e == 0.0:
+        # the flow is cached, so the metrics' own solve later reuses it
+        try:
+            malthus_exponent(sc.params)
+        except NoRootError:
+            pass
+        except MetasimError as exc:
+            raise ConfigurationError(f"metrics need lambda0: {exc}") from exc
     return state
 
 

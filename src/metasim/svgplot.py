@@ -9,6 +9,7 @@ ticks, optionally with a log-scaled y axis.
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = ["line_chart"]
 
@@ -18,21 +19,20 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 def _ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi], at most six of them."""
-    if hi <= lo:
-        return [lo]
     raw = (hi - lo) / 5
+    if not sys.float_info.min <= raw < math.inf:
+        # no range, or one that no float stride can step
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             stride = mult * mag
             break
-    first = math.ceil(lo / stride) * stride
-    out = []
-    v = first
-    while v <= hi + 1e-9 * stride:
-        out.append(0.0 if abs(v) < 1e-12 * stride else v)
-        v += stride
-    return out or [lo]
+    # tick k sits at k * stride, so no tick waits on a sum that a stride
+    # below half an ulp of lo would never move
+    first = math.ceil(lo / stride)
+    last = min(math.floor(hi / stride + 1e-9), first + 5)
+    return [k * stride for k in range(first, last + 1)] or [lo]
 
 
 def _fmt(x: float) -> str:
@@ -58,8 +58,10 @@ def line_chart(x, y, title: str, y_label: str = "", log_y: bool = False) -> str:
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
-        y_lo -= 0.5
-        y_hi += 0.5
+        # wide enough to show against |y| however large
+        half = 0.5 * max(1.0, abs(y_lo))
+        y_lo -= half
+        y_hi += half
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

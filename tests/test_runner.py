@@ -33,6 +33,14 @@ def _scenario(name="r", outputs=None, **params):
     )
 
 
+S1200 = {
+    "name": "s1200",
+    "params": {"e": 0, "b": 1200},
+    "settings": {"t_end": 1.0, "dt": 0.0005, "sample_every": 0.01},
+    "transient": 0.2,
+}
+
+
 class TestRunScenario:
     def test_output_subset_respected(self, tmp_path):
         result = run_scenario(_scenario(outputs=["timeseries"]), out_dir=str(tmp_path))
@@ -67,6 +75,9 @@ class TestRunScenario:
             # and a fractional or bool one; the Python API takes both
             (Scenario(name="bins", n_bins=2.5), "n_bins must be an integer, got 2.5"),
             (Scenario(name="bins", n_bins=True), "n_bins must be an integer, got True"),
+            # an uncoupled run's metrics hold lambda0, and this flow is too
+            # stiff for the spectral solver
+            (S1200, "metrics need lambda0: the growth flow for b=1200 takes more"),
         ],
     )
     def test_configuration_errors_raise_before_the_run(self, tmp_path, no_steps, raw, message):
@@ -88,6 +99,27 @@ class TestRunScenario:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [f"{sc.name}_run.json", f"{sc.name}_timeseries.csv"]
         assert result.metrics is None
+
+    def test_a_flat_series_far_from_zero_keeps_every_plot(self, tmp_path):
+        # N stays at 1e16, where a pad of 0.5 either side rounds away
+        sc = scenario_from_dict(
+            {
+                "name": "heavy",
+                "params": {"m": 0.0, "e": 0.0},
+                "initial_cohorts": [{"weight": 1e16, "V": 0.5, "K": 1.0}],
+                "settings": {"t_end": 5.0},
+                "transient": 1.0,
+            }
+        )
+        result = run_scenario(sc, out_dir=str(tmp_path))
+        assert len(result.files) == 8
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"heavy_{suffix}"
+            for suffix in (
+                "timeseries.csv", "histogram.csv", "metrics.json", "run.json",
+                "M.svg", "N.svg", "I.svg", "Vp.svg",
+            )
+        )
 
     def test_window_check_counts_the_simulated_grid(self, tmp_path):
         sc = _scenario(outputs=["metrics"])
@@ -191,6 +223,16 @@ class TestRunSweep:
             "r_e=0.5_run.json",
             "r_e=0.5_timeseries.csv",
         ]
+
+    def test_a_point_whose_lambda0_fails_is_refused_before_any_directory(
+        self, tmp_path, no_steps
+    ):
+        base = S1200 | {"outputs": ["timeseries"]}
+        sw = SweepSpec(base=scenario_from_dict(base), axis="b", values=(1.0, 1200.0))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigurationError, match="sweep point b=1200: metrics need lambda0"):
+            run_sweep(sw, out_dir=str(out))
+        assert not out.exists()
 
     def test_failed_point_recorded_in_row(self, tmp_path):
         sw = SweepSpec(base=_scenario(), axis="b", values=(1.0, 1e9), parallelism=1)

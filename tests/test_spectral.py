@@ -690,6 +690,9 @@ class TestFlowIntegrator:
         alone = [(ode.sample(np.array([tau]))[0], ode.at(tau)[1]) for tau in taus]
         assert alone[0] == steps[0][2:4]
         assert alone == expected
+        # every step start, the previous step's end, and t: the one-time
+        # query reads the same step as the sample, volume included
+        assert [ode.at(tau) for tau in taus] == expected
 
     def test_one_time_is_the_sample_in_scalar_arithmetic(self):
         # every node of the b = 0.2 flow a cold solve leaves, to its frozen
@@ -713,6 +716,14 @@ class TestFlowIntegrator:
             assert ode.sample(nodes[i : i + 1])[0] == scalar[i][0]
         assert scalar[0] == ode._dense[0][2:4]
 
+    def test_the_steps_are_recorded_once(self):
+        # the dense output is one list of per-step tuples that both reads
+        # evaluate; neither leaves an array behind on the integrator
+        ode, _ = _integrate(1.0, 50.0)
+        ode.sample(np.linspace(0.0, ode.t, 1001))
+        ode.at(0.5 * ode.t)
+        assert [name for name, v in vars(ode).items() if isinstance(v, np.ndarray)] == []
+
     @pytest.mark.parametrize("b", [0.1, 5.0])
     def test_nodes_do_not_depend_on_how_the_flow_was_extended(self, b, monkeypatch):
         # steps are never clipped to a target, so a node is the same
@@ -730,11 +741,6 @@ class TestFlowIntegrator:
         assert np.array_equal(V, np.concatenate([part[0] for part in parts]))
         assert K == parts[-1][1]
         assert straight._ode._dense == stepwise._ode._dense
-        # the sample table, grown by the steps each call added, is the one
-        # built from all steps at once
-        ode = stepwise._ode
-        assert ode._table.shape == (18, ode.steps)
-        assert ode._table.tobytes() == np.array(ode._dense).T.tobytes()
         # the capacity at the end of every range, as the settle test reads it
         for (first, last), (_, K) in zip(ranges, parts):
             assert straight.volumes(first, last)[1] == K

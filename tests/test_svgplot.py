@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from metasim import svgplot
 from metasim.svgplot import line_chart
 
 
@@ -25,8 +29,10 @@ def test_log_scale_handles_nonpositive_values():
 
 
 def test_constant_series_renders():
-    svg = line_chart([0.0, 1.0], [2.0, 2.0], "flat")
-    assert "<polyline" in svg
+    # 0.5 either side of 1e16 rounds back to 1e16, so the pad scales with |y|
+    for level in (2.0, 1e16):
+        svg = line_chart([0.0, 1.0], [level, level], "flat")
+        assert "<polyline" in svg
 
 
 def test_empty_or_mismatched_rejected():
@@ -34,3 +40,33 @@ def test_empty_or_mismatched_rejected():
         line_chart([], [], "empty")
     with pytest.raises(ValueError):
         line_chart([0.0, 1.0], [1.0], "bad")
+
+
+def test_ticks_of_a_range_about_one_ulp_wide_are_bounded():
+    # a stride below half an ulp of the start never moved a running sum,
+    # which then grew the tick list until memory ran out; the child runs
+    # the module on its own, without NumPy, under an address-space cap
+    child = f"""
+import importlib.util, resource
+cap = 256 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+spec = importlib.util.spec_from_file_location("svgplot", {svgplot.__file__!r})
+svgplot = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(svgplot)
+print(len(svgplot._ticks(1.0, 1.0 + 2.0**-52)), len(svgplot._ticks(1e16, 1e16 + 2.0)))
+svgplot.line_chart([0, 1, 2], [1.0, 1.0 + 2.0**-52, 1.0], "t")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = [int(n) for n in proc.stdout.split()]
+    assert len(counts) == 2 and 1 <= min(counts) and max(counts) <= 6, counts
+
+
+@pytest.mark.parametrize(
+    "y", [[0.0, 2e-323, 0.0], [0.0, 1.79e308], [1.5e308, 1.5e308], [-1e308, 1e308]]
+)
+def test_extreme_ranges_render(y):
+    # subnormal and overflowing ranges leave one tick, not an exception
+    assert "<polyline" in line_chart(range(len(y)), y, "edge")
