@@ -570,7 +570,7 @@ class _Engine:
         a, z = self.spans()[j]
         V, w = self.V[a + 1 : z], self.w[a + 1 : z]
         largest = float(V.max()) if V.size else math.nan
-        return (self.t, _volume_sum(w, V), float(w.sum()), m.I, self.V[a],
+        return (self.t, _dot(w, V), float(w.sum()), m.I, self.V[a],
                 m.born.value, m.exited.value, largest, m.n - 1)
 
     def to_state(self, j: int = 0) -> SystemState:
@@ -639,12 +639,6 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return total
 
 
-def _volume_sum(w: np.ndarray, V: np.ndarray) -> float:
-    """Weighted volume sum(w * V): the burden M over cohort rows, the
-    inhibitor production over all rows."""
-    return _dot(w, V)
-
-
 def _rows_finite(V: np.ndarray, K: np.ndarray) -> bool:
     """Whether every entry of V and K is finite, in one ``_dot``: a nan or
     inf in any row makes V . K non-finite. So can an overflow of finite
@@ -682,7 +676,7 @@ def total_burden(s: SystemState) -> float:
 
     The primary tumor is excluded; it is tracked separately.
     """
-    return _volume_sum(s.w, s.V)
+    return _dot(s.w, s.V)
 
 
 def _all_rows(s: SystemState) -> tuple[np.ndarray, np.ndarray]:
@@ -694,7 +688,7 @@ def inhibitor_rate(s: SystemState, p: ModelParams) -> float:
     """Rate of change of the inhibitor amount: production by the whole
     tumor bulk (primary plus metastases) minus first-order clearance."""
     V, w = _all_rows(s)
-    return _volume_sum(w, V) - p.k * s.I
+    return _dot(w, V) - p.k * s.I
 
 
 def birth_rate(s: SystemState, p: ModelParams) -> float:

@@ -6,7 +6,7 @@ One scenario run emits, per requested output kind:
 - ``{name}_histogram.csv`` with columns ``bin_lo,bin_hi,mass``
 - ``{name}_metrics.json`` with keys ``peaks, mean_period, amplitude,
   min_after_transient, largest_volume`` and, for the uncoupled model
-  (e = 0), ``lambda0``
+  (e = 0), ``lambda0``: the root the pre-run check solved (``_check_run``)
 - ``{name}_{M,N,I,Vp}.svg`` line plots (best-effort; never gates success)
 
 plus ``{name}_run.json`` metadata. Numbers in CSV files are written as
@@ -20,9 +20,10 @@ its own subdirectory, and assembles ``summary.csv`` with one row per
 value; failed runs carry their error in-row and never abort the sweep.
 Points that differ only in b, e, k or m integrate together as one
 ``simulate_ensemble``, split into at most one chunk per worker, and each
-point's numbers are those of its solo run. A failed run or point
-leaves ``{name}_error.json`` (see ``_write_error``); a point's is best
-effort, and its row keeps the error that failed it.
+point's numbers are those of its solo run; its lambda0 is solved once,
+before any worker starts. A failed run or point leaves
+``{name}_error.json`` (see ``_write_error``); a point's is best effort,
+and its row keeps the error that failed it.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ def _window_largest_volume(traj: Trajectory, transient: float) -> float | None:
     return float(window.max()) if window.size else None
 
 
-def compute_metrics(sc: Scenario, traj: Trajectory) -> dict:
-    """Metrics document for one finished trajectory."""
+def compute_metrics(sc: Scenario, traj: Trajectory, lambda0: float | None) -> dict:
+    """Metrics document for one finished trajectory; for e = 0 it reports
+    ``lambda0``, the root ``_check_run`` solved (None: no root)."""
     om = oscillation_metrics(traj, sc.resolved_transient)
     doc = {
         "peaks": [
@@ -138,19 +140,17 @@ def compute_metrics(sc: Scenario, traj: Trajectory) -> dict:
         "largest_volume": _window_largest_volume(traj, sc.resolved_transient),
     }
     if sc.params.e == 0.0:
-        try:
-            doc["lambda0"] = malthus_exponent(sc.params).lambda0
-        except NoRootError:
-            doc["lambda0"] = None
+        doc["lambda0"] = lambda0
     return doc
 
 
-def _check_run(sc: Scenario, outputs) -> SystemState:
+def _check_run(sc: Scenario, outputs) -> tuple[SystemState, float | None]:
     """Reject a run that could not start, or a requested output it could
     not build: the initial cohorts must lie in the domain, metrics need 3
     samples past the transient on ``simulate``'s grid, the histogram bins,
     and then, for e = 0, metrics need a lambda0 solve that ends in a root
-    or in NoRootError (reported as null). Returns the run's start state."""
+    or in NoRootError. Returns the run's start state and the lambda0 its
+    metrics report: None for no root, for e != 0 or for no metrics."""
     try:
         state = initial_state(sc.params, sc.initial_cohorts)
     except InvalidStateError as exc:
@@ -161,15 +161,15 @@ def _check_run(sc: Scenario, outputs) -> SystemState:
         _window(grid, sc.resolved_transient)
     if "histogram" in outputs:
         _check_bins(sc.params.V0, sc.n_bins)
+    lambda0 = None
     if "metrics" in outputs and sc.params.e == 0.0:
-        # the flow is cached, so the metrics' own solve later reuses it
         try:
-            malthus_exponent(sc.params)
+            lambda0 = malthus_exponent(sc.params).lambda0
         except NoRootError:
             pass
         except MetasimError as exc:
             raise ConfigurationError(f"metrics need lambda0: {exc}") from exc
-    return state
+    return state, lambda0
 
 
 def run_scenario(sc: Scenario, out_dir: str = ".") -> RunResult:
@@ -179,7 +179,7 @@ def run_scenario(sc: Scenario, out_dir: str = ".") -> RunResult:
     diagnostic ``{name}_error.json`` is written and the blowup is
     re-raised for the caller to handle.
     """
-    state = _check_run(sc, sc.outputs)
+    state, lambda0 = _check_run(sc, sc.outputs)
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
     try:
@@ -187,7 +187,7 @@ def run_scenario(sc: Scenario, out_dir: str = ".") -> RunResult:
     except IntegrationBlowupError as exc:
         _write_error(sc, out_dir, exc)
         raise
-    return _write_run(sc, traj, final, out_dir, time.perf_counter() - t_start, 1)
+    return _write_run(sc, traj, final, out_dir, time.perf_counter() - t_start, 1, lambda0)
 
 
 def _write_error(sc: Scenario, out_dir: str, exc: Exception):
@@ -210,11 +210,13 @@ def _write_run(
     out_dir: str,
     runtime_s: float,
     ensemble_size: int,
+    lambda0: float | None,
 ) -> RunResult:
     """Write the artifacts ``sc.outputs`` request and ``{name}_run.json``
     for one finished integration: ``runtime_s`` is the wall time of the
-    integration that produced it, shared by ``ensemble_size`` members."""
-    metrics = compute_metrics(sc, traj) if "metrics" in sc.outputs else None
+    integration that produced it, shared by ``ensemble_size`` members,
+    with the ``lambda0`` of its ``_check_run``."""
+    metrics = compute_metrics(sc, traj, lambda0) if "metrics" in sc.outputs else None
     files = []
 
     def path_of(suffix: str) -> str:
@@ -302,14 +304,14 @@ def _point_row(task, outcome, runtime_s: float, ensemble_size: int) -> dict:
     """Write one point's artifacts from its integration outcome, a
     ``(trajectory, final_state)`` or the exception that ended it, and
     return its summary row. Any failure stays in the point's own row."""
-    sc, value, out_dir = task
+    sc, value, out_dir, lambda0 = task
     try:
         os.makedirs(out_dir, exist_ok=True)
         if isinstance(outcome, Exception):
             raise outcome
-        result = _write_run(sc, *outcome, out_dir, runtime_s, ensemble_size)
+        result = _write_run(sc, *outcome, out_dir, runtime_s, ensemble_size, lambda0)
         # the summary row needs the metrics even when the point's outputs omit them
-        metrics = result.metrics or compute_metrics(sc, result.trajectory)
+        metrics = result.metrics or compute_metrics(sc, result.trajectory, lambda0)
     except Exception as exc:  # any failure stays in its own row
         try:
             _write_error(sc, out_dir, exc)
@@ -326,7 +328,7 @@ def _sweep_chunk(chunk: list) -> list[dict]:
     """Summary rows of sweep points that share ``_group_key``, integrated
     as one ensemble. An error the ensemble cannot attribute to one member
     reruns each point solo, so one point never aborts another."""
-    scs = [sc for sc, _, _ in chunk]
+    scs = [sc for sc, *_ in chunk]
     t_start = time.perf_counter()
     try:
         state = initial_state(scs[0].params, scs[0].initial_cohorts)
@@ -353,7 +355,7 @@ def _chunks(tasks: list, jobs: int) -> list[list[int]]:
     over the chunks, where contiguous chunks would put the dearest
     points together."""
     groups: dict[tuple, list[int]] = {}
-    for i, (sc, _, _) in enumerate(tasks):
+    for i, (sc, *_) in enumerate(tasks):
         groups.setdefault(_group_key(sc), []).append(i)
     chunks = []
     for idx in groups.values():
@@ -369,25 +371,24 @@ def run_sweep(sw: SweepSpec, out_dir: str = ".", jobs: int | None = None) -> lis
     the metrics its summary row needs, are checked before any directory
     is made; a failure raises ConfigurationError naming the point, and
     so does a ``jobs`` (default ``sw.parallelism``) not an integer >= 1.
-    Points that share ``_group_key`` integrate as one ensemble per chunk
-    (see ``_chunks``), one chunk per pool task. Failures during a run
-    are recorded in-row; the caller decides what an all-failed sweep
-    means.
+    A point's task carries the lambda0 its check solved. Points that
+    share ``_group_key`` integrate as one ensemble per chunk (see
+    ``_chunks``), one chunk per pool task. Failures during a run are
+    recorded in-row; the caller decides what an all-failed sweep means.
     """
-    tasks = [
-        (sc, value, os.path.join(out_dir, sw.point_label(value)))
-        for sc, value in zip(sw.scenarios(), sw.values)
-    ]
     workers = sw.parallelism if jobs is None else jobs
     if isinstance(workers, bool) or not isinstance(workers, Integral):
         raise ConfigurationError(f"jobs must be an integer, got {workers!r}")
     if workers < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {workers}")
-    for sc, value, _ in tasks:
+    tasks = []
+    for sc, value in zip(sw.scenarios(), sw.values):
+        label = sw.point_label(value)
         try:
-            _check_run(sc, {"metrics", *sc.outputs})
+            _, lambda0 = _check_run(sc, {"metrics", *sc.outputs})
         except ConfigurationError as exc:
-            raise ConfigurationError(f"sweep point {sw.point_label(value)}: {exc}") from exc
+            raise ConfigurationError(f"sweep point {label}: {exc}") from exc
+        tasks.append((sc, value, os.path.join(out_dir, label), lambda0))
     os.makedirs(out_dir, exist_ok=True)
     chunks = _chunks(tasks, workers)
     work = [[tasks[i] for i in idx] for idx in chunks]

@@ -19,6 +19,7 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 def _ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi], at most six of them."""
+    lo, hi = max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
     raw = (hi - lo) / 5
     if not sys.float_info.min <= raw < math.inf:
         # no range, or one that no float stride can step
@@ -53,8 +54,10 @@ def line_chart(x, y, title: str, y_label: str = "", log_y: bool = False) -> str:
     else:
         ys_t = ys
 
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys_t), max(ys_t)
+    # an axis past 2**1012 is scaled by 2**-12 (exactly) so its spans stay finite
+    sx, sy = (1.0 if max(map(abs, v)) <= 2.0**1012 else 2.0**-12 for v in (xs, ys_t))
+    x_lo, x_hi = min(xs) * sx, max(xs) * sx
+    y_lo, y_hi = min(ys_t) * sy, max(ys_t) * sy
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -70,10 +73,10 @@ def line_chart(x, y, title: str, y_label: str = "", log_y: bool = False) -> str:
     plot_h = _H - _MT - _MB
 
     def px(v: float) -> float:
-        return _ML + plot_w * (v - x_lo) / (x_hi - x_lo)
+        return _ML + plot_w * (v * sx - x_lo) / (x_hi - x_lo)
 
     def py(v: float) -> float:
-        return _MT + plot_h * (1.0 - (v - y_lo) / (y_hi - y_lo))
+        return _MT + plot_h * (1.0 - (v * sy - y_lo) / (y_hi - y_lo))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -83,7 +86,7 @@ def line_chart(x, y, title: str, y_label: str = "", log_y: bool = False) -> str:
         f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
 
-    for tx in _ticks(x_lo, x_hi):
+    for tx in _ticks(x_lo / sx, x_hi / sx):
         X = px(tx)
         parts.append(
             f'<line x1="{X:.2f}" y1="{_MT}" x2="{X:.2f}" y2="{_H - _MB}" '
@@ -93,7 +96,7 @@ def line_chart(x, y, title: str, y_label: str = "", log_y: bool = False) -> str:
             f'<text x="{X:.2f}" y="{_H - _MB + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{_fmt(tx)}</text>'
         )
-    for ty in _ticks(y_lo, y_hi):
+    for ty in _ticks(y_lo / sy, y_hi / sy):
         Y = py(ty)
         label = f"1e{ty:g}" if log_y else _fmt(ty)
         parts.append(

@@ -220,7 +220,7 @@ class TestFindPeaks:
             Mw = traj.M[_window(traj.times, sc.resolved_transient)]
             p = 0.01 * float(Mw.max())
             np.testing.assert_array_equal(_find_peaks(Mw, p), _scipy_peaks(Mw, p), err_msg=name)
-            texts[name] = _json_text(compute_metrics(sc, traj))
+            texts[name] = _json_text(compute_metrics(sc, traj, None))
         monkeypatch.setattr("metasim.observables._find_peaks", _scipy_peaks)
         for name, (sc, traj, _) in catalog_runs.items():
-            assert _json_text(compute_metrics(sc, traj)) == texts[name], name
+            assert _json_text(compute_metrics(sc, traj, None)) == texts[name], name

@@ -17,7 +17,8 @@ from metasim import runner
 from metasim.engine import initial_state, step
 from metasim.model import _rk4_step, emission_rate
 from metasim.runner import run_scenario, run_sweep
-from metasim.scenarios import Scenario, SweepSpec, scenario_from_dict, scenario_to_dict
+from metasim.scenarios import Scenario, SweepSpec, catalog, scenario_from_dict, scenario_to_dict
+from metasim.spectral import malthus_exponent
 
 
 def _scenario(name="r", outputs=None, **params):
@@ -39,6 +40,27 @@ S1200 = {
     "settings": {"t_end": 1.0, "dt": 0.0005, "sample_every": 0.01},
     "transient": 0.2,
 }
+
+LIN_B_SWEEP = SweepSpec(
+    base=scenario_from_dict(
+        {"name": "lin", "params": {"e": 0}, "settings": {"t_end": 5.0}, "transient": 1.0}
+    ),
+    axis="b",
+    values=(0.2, 0.5, 1.0, 2.0, 5.0),
+)
+
+
+@pytest.fixture()
+def solves(monkeypatch):
+    """The parameter sets the runner solves lambda0 for, in call order."""
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return malthus_exponent(p)
+
+    monkeypatch.setattr(runner, "malthus_exponent", counting)
+    return calls
 
 
 class TestRunScenario:
@@ -368,6 +390,33 @@ class TestRunSweep:
             point_dir = tmp_path / sw.point_label(value)
             meta = json.loads((point_dir / f"{sc.name}_run.json").read_text())
             assert scenario_to_dict(scenario_from_dict(meta["scenario"])) == scenario_to_dict(sc)
+
+
+class TestOneLambda0Solve:
+    """The pre-run check's root is the one the metrics and the summary
+    row report: nothing solves lambda0 after the run."""
+
+    def test_a_run_with_every_output_solves_once(self, tmp_path, solves):
+        sc = next(sc for sc in catalog() if sc.name == "linear")
+        assert set(sc.outputs) == {"timeseries", "histogram", "metrics", "plots"}
+        result = run_scenario(sc, out_dir=str(tmp_path))
+        assert solves == [sc.params]
+        assert result.metrics["lambda0"] == malthus_exponent(sc.params).lambda0
+
+    def test_a_sweep_solves_once_per_point(self, tmp_path, solves):
+        rows = run_sweep(LIN_B_SWEEP, out_dir=str(tmp_path), jobs=1)
+        assert [r["error"] for r in rows] == [None] * len(LIN_B_SWEEP.values)
+        assert [p.b for p in solves] == list(LIN_B_SWEEP.values)
+
+    def test_a_point_reports_the_lambda0_of_its_reloaded_scenario(self, tmp_path):
+        sw = LIN_B_SWEEP
+        rows = run_sweep(sw, out_dir=str(tmp_path), jobs=1)
+        for sc, value, row in zip(sw.scenarios(), sw.values, rows):
+            point_dir = tmp_path / sw.point_label(value)
+            meta = json.loads((point_dir / f"{sc.name}_run.json").read_text())
+            doc = json.loads((point_dir / f"{sc.name}_metrics.json").read_text())
+            lambda0 = malthus_exponent(scenario_from_dict(meta["scenario"]).params).lambda0
+            assert doc["lambda0"] == row["lambda0"] == lambda0, value
 
 
 class TestAtomicArtifacts:

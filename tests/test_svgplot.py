@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -70,3 +71,19 @@ svgplot.line_chart([0, 1, 2], [1.0, 1.0 + 2.0**-52, 1.0], "t")
 def test_extreme_ranges_render(y):
     # subnormal and overflowing ranges leave one tick, not an exception
     assert "<polyline" in line_chart(range(len(y)), y, "edge")
+
+
+@pytest.mark.parametrize(
+    "x,y",
+    [
+        ([0.0, 1.0], [1.5e308, 1.5e308]),  # the flat pad passed the float maximum
+        ([0.0, 1.0], [-1.7e308, 1.7e308]),  # the span did
+        ([0.0, 1.7e308], [1.0, 2.0]),  # the plot width times the span did
+    ],
+)
+def test_finite_input_gives_finite_coordinates_and_labels(x, y):
+    svg = line_chart(x, y, "t")
+    assert re.search(r"\b(nan|inf)\b", svg) is None, svg
+    (points,) = re.findall(r'points="([^"]*)"', svg)
+    coords = [float(v) for pair in points.split() for v in pair.split(",")]
+    assert len(coords) == 4 and all(0 <= v <= 800 for v in coords), coords
