@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration or validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict, replace
@@ -119,7 +118,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_lambda0(args) -> int:
     sc = load_scenario(args.scenario)
     result = malthus_exponent(sc.params)
-    print(json.dumps({"name": sc.name, **asdict(result)}, indent=2))
+    sys.stdout.write(_json_text({"name": sc.name, **asdict(result)}))
     return EXIT_OK
 
 

@@ -150,9 +150,9 @@ class SystemState:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if (self.w < 0).any():
-            raise InvalidStateError(f"cohort weights must be >= 0, got {self.w.min()!r}")
+            raise InvalidStateError(f"cohort weights must be >= 0, got {float(self.w.min())!r}")
         if (self.K <= 0).any():
-            raise InvalidStateError(f"cohort K must be > 0, got {self.K.min()!r}")
+            raise InvalidStateError(f"cohort K must be > 0, got {float(self.K.min())!r}")
         if (self.V < self.V0).any():
             raise InvalidStateError(
                 f"cohort at V={self.V.min()} lies below the domain edge V0={self.V0}"
@@ -317,8 +317,10 @@ class _Engine:
     each member's newborn at the end of its segment, and one removal
     pass drops every cohort row (the newborns included) that left the
     domain or lies below the weight floor (see ``_remove``). A member
-    fails a step when its rows or inhibitor go non-finite, it reaches the birth-term limit or its
-    newborn's step fails; it then moves from ``members`` to ``failed``
+    fails a step when its rows or inhibitor go non-finite, its
+    inhibitor goes negative, its primary's V or any of its rows' K
+    leaves (0, inf), it reaches the birth-term limit or its newborn's
+    step fails; it then moves from ``members`` to ``failed``
     (which the caller clears) with its ``IntegrationBlowupError`` as its
     ``error``, and the others go on.
 
@@ -482,6 +484,7 @@ class _Engine:
         I_new = I0 + s6f * (dI[0] + 2.0 * (dI[1] + dI[2]) + dI[3])
 
         all_finite = _rows_finite(V, K)
+        all_K_positive = K.min() > 0.0
         _pow23(V, P)
         _emission_weights(ms[0].p, V, P, beta)  # V0, Vm and alpha are shared
         B = B0 + mm * sums(beta)
@@ -489,9 +492,12 @@ class _Engine:
         for m, (a, z), I, I1, Bj in zip(ms, spans, each(I0), each(I_new), each(B)):
             m.I = I1
             try:
-                if not (math.isfinite(I1) and V[a] > 0 and K[a] > 0
-                        and (all_finite or _rows_finite(V[a:z], K[a:z]))):
+                if not (math.isfinite(I1) and (all_finite or _rows_finite(V[a:z], K[a:z]))):
                     raise IntegrationBlowupError(t_new, reason="non-finite-state")
+                if not (I1 >= 0.0 and V[a] > 0.0 and (all_K_positive or K[a:z].min() > 0.0)):
+                    raise IntegrationBlowupError(
+                        t_new, f"state outside the domain at t={t_new:g}", reason="non-finite-state"
+                    )
                 m.newborn = m.give_birth(self.t, dt, I, Bj)
             except IntegrationBlowupError as exc:
                 m.error, m.newborn = exc, None

@@ -20,7 +20,8 @@ class IntegrationBlowupError(MetasimError):
 
     Carries the simulation time at which the blowup was detected and the
     ``reason``, which names the check that tripped: ``non-finite-state``
-    (the stepped rows or inhibitor), ``birth-term-limit`` (dt too large
+    (the stepped rows or inhibitor went non-finite or left the domain:
+    I < 0, or a primary V or a K <= 0), ``birth-term-limit`` (dt too large
     for the implicit birth weight) or ``newborn-step`` (the newborn's
     half step failed). ``simulate`` adds ``last_sample``, the last
     recorded row (t, M, N, I, Vp, n_live); it is None otherwise.

@@ -7,13 +7,14 @@ One scenario run emits, per requested output kind:
 - ``{name}_metrics.json`` with keys ``peaks, mean_period, amplitude,
   min_after_transient, largest_volume`` and, for the uncoupled model
   (e = 0), ``lambda0``: the root the pre-run check solved (``_check_run``)
-- ``{name}_{M,N,I,Vp}.svg`` line plots (best-effort; never gates success)
+- ``{name}_{M,N,I,Vp}.svg`` line plots
 
-plus ``{name}_run.json`` metadata. Numbers in CSV files are written as
-shortest round-trip decimal strings, so identical runs produce
-byte-identical files. Every file is built in memory, written to a
-temporary file in its directory and renamed into place, so an artifact
-is either complete or absent.
+plus ``{name}_run.json`` metadata. Each format has one writer:
+``_csv_text`` for CSV, with numbers as shortest round-trip decimals so
+identical runs produce byte-identical files, and ``_json_text`` for
+JSON. ``_write_named`` writes a run's file ``{name}_{suffix}`` by
+``_write_atomic``: to a temporary file in its directory, then renamed
+into place, so an artifact is either complete or absent.
 
 A sweep executes one run per axis value, writes each run's artifacts to
 its own subdirectory, and assembles ``summary.csv`` with one row per
@@ -63,6 +64,8 @@ from .svgplot import line_chart
 
 __all__ = ["RunResult", "run_scenario", "run_sweep", "SUMMARY_COLUMNS"]
 
+TIMESERIES_COLUMNS = ("t", "M", "N", "I", "Vp", "born_cum", "exited_cum")
+HISTOGRAM_COLUMNS = ("bin_lo", "bin_hi", "mass")
 SUMMARY_COLUMNS = (
     "value",
     "lambda0",
@@ -86,11 +89,6 @@ class RunResult:
     files: tuple[str, ...]
 
 
-def _dec(x: float) -> str:
-    """Shortest decimal string that round-trips to the same float."""
-    return repr(float(x))
-
-
 def _write_atomic(path: str, text: str):
     """Write ``text`` to ``path`` completely or not at all.
 
@@ -109,13 +107,31 @@ def _write_atomic(path: str, text: str):
         raise
 
 
+def _write_named(out_dir: str, name: str, suffix: str, text: str) -> str:
+    """Write ``text`` to ``{out_dir}/{name}_{suffix}`` atomically; returns the path."""
+    path = os.path.join(out_dir, f"{name}_{suffix}")
+    _write_atomic(path, text)
+    return path
+
+
 def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _csv_text(header: str, columns) -> str:
-    """CSV text of equal-length numeric columns, one decimal per cell."""
-    return header + "\n" + "".join(",".join(map(_dec, row)) + "\n" for row in zip(*columns))
+def _csv_text(header, rows) -> str:
+    """CSV text of ``header`` and ``rows``. A cell is a float, written as
+    its shortest round-trip decimal; a string, quoted as the csv module
+    quotes it; or None, written empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _columns(*arrays):
+    """Rows of equal-length float arrays, as Python floats."""
+    return zip(*(a.tolist() for a in arrays))
 
 
 def _window_largest_volume(traj: Trajectory, transient: float) -> float | None:
@@ -200,7 +216,7 @@ def _write_error(sc: Scenario, out_dir: str, exc: Exception):
     else:
         doc = {"name": sc.name, "error": "exception", "type": type(exc).__name__,
                "message": str(exc), "traceback": "".join(traceback.format_exception(exc))}
-    _write_atomic(os.path.join(out_dir, f"{sc.name}_error.json"), _json_text(doc))
+    _write_named(out_dir, sc.name, "error.json", _json_text(doc))
 
 
 def _write_run(
@@ -212,31 +228,22 @@ def _write_run(
     ensemble_size: int,
     lambda0: float | None,
 ) -> RunResult:
-    """Write the artifacts ``sc.outputs`` request and ``{name}_run.json``
-    for one finished integration: ``runtime_s`` is the wall time of the
+    """Build the artifacts ``sc.outputs`` request and ``{name}_run.json``
+    for one finished integration, then write each by ``_write_named``,
+    in that order: ``runtime_s`` is the wall time of the
     integration that produced it, shared by ``ensemble_size`` members,
     with the ``lambda0`` of its ``_check_run``."""
     metrics = compute_metrics(sc, traj, lambda0) if "metrics" in sc.outputs else None
-    files = []
-
-    def path_of(suffix: str) -> str:
-        return os.path.join(out_dir, f"{sc.name}_{suffix}")
-
+    texts = []
     if "timeseries" in sc.outputs:
-        p = path_of("timeseries.csv")
-        columns = (traj.times, traj.M, traj.N, traj.I, traj.Vp, traj.born, traj.exited)
-        _write_atomic(p, _csv_text("t,M,N,I,Vp,born_cum,exited_cum", columns))
-        files.append(p)
+        rows = _columns(traj.times, traj.M, traj.N, traj.I, traj.Vp, traj.born, traj.exited)
+        texts.append(("timeseries.csv", _csv_text(TIMESERIES_COLUMNS, rows)))
     if "histogram" in sc.outputs:
-        p = path_of("histogram.csv")
         h = histogram(final, sc.n_bins)
-        columns = (h.bin_edges[:-1], h.bin_edges[1:], h.mass)
-        _write_atomic(p, _csv_text("bin_lo,bin_hi,mass", columns))
-        files.append(p)
+        rows = _columns(h.bin_edges[:-1], h.bin_edges[1:], h.mass)
+        texts.append(("histogram.csv", _csv_text(HISTOGRAM_COLUMNS, rows)))
     if "metrics" in sc.outputs:
-        p = path_of("metrics.json")
-        _write_atomic(p, _json_text(metrics))
-        files.append(p)
+        texts.append(("metrics.json", _json_text(metrics)))
     if "plots" in sc.outputs:
         series = (
             ("M", traj.M, sc.log_scale),
@@ -245,15 +252,8 @@ def _write_run(
             ("Vp", traj.Vp, False),
         )
         for label, ys, ly in series:
-            try:
-                svg = line_chart(
-                    traj.times, ys, f"{sc.name}: {label}(t)", y_label=label, log_y=ly
-                )
-            except ValueError:
-                continue  # plots never gate the run
-            p = path_of(f"{label}.svg")
-            _write_atomic(p, svg)
-            files.append(p)
+            svg = line_chart(traj.times, ys, f"{sc.name}: {label}(t)", y_label=label, log_y=ly)
+            texts.append((f"{label}.svg", svg))
 
     run_meta = {
         "name": sc.name,
@@ -274,16 +274,13 @@ def _write_run(
         "note": "horizon, step size, and transient are tool defaults chosen "
         "for desk-scale runtime unless the scenario overrides them",
     }
-    p = path_of("run.json")
-    _write_atomic(p, _json_text(run_meta))
-    files.append(p)
-
+    texts.append(("run.json", _json_text(run_meta)))
     return RunResult(
         scenario=sc,
         trajectory=traj,
         final_state=final,
         metrics=metrics,
-        files=tuple(files),
+        files=tuple(_write_named(out_dir, sc.name, suffix, text) for suffix, text in texts),
     )
 
 
@@ -402,15 +399,6 @@ def run_sweep(sw: SweepSpec, out_dir: str = ".", jobs: int | None = None) -> lis
         for i, row in zip(idx, chunk_rows):
             rows[i] = row
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                "" if row[col] is None else (_dec(row[col]) if col != "error" else row[col])
-                for col in SUMMARY_COLUMNS
-            ]
-        )
-    _write_atomic(os.path.join(out_dir, "summary.csv"), buf.getvalue())
+    summary = _csv_text(SUMMARY_COLUMNS, ([row[col] for col in SUMMARY_COLUMNS] for row in rows))
+    _write_atomic(os.path.join(out_dir, "summary.csv"), summary)
     return rows

@@ -17,7 +17,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .engine import Cohort, SolverSettings
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidStateError
 from .model import ModelParams, TumorState, is_finite
 
 __all__ = [
@@ -201,9 +201,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             )
             for c in raw.get("initial_cohorts", ())
         )
-    except ConfigurationError:
-        raise
-    except Exception as exc:
+    except InvalidStateError as exc:
         raise ConfigurationError(f"invalid scenario content: {exc}") from exc
     return Scenario(**kwargs)
 

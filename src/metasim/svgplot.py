@@ -36,6 +36,19 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [k * stride for k in range(first, last + 1)] or [lo]
 
 
+def _axis(vs: list[float]) -> tuple[float, float, float]:
+    """Scale and range ``(s, lo, hi)`` of one axis, the range in scaled
+    units. Values past 2**1012 are scaled by 2**-12, exactly, so spans
+    stay finite; a flat range widens by 0.5 * max(1, |v|) each way, wide
+    enough to show against |v| however large."""
+    s = 1.0 if max(map(abs, vs)) <= 2.0**1012 else 2.0**-12
+    lo, hi = min(vs) * s, max(vs) * s
+    if hi == lo:
+        half = 0.5 * max(1.0, abs(lo))
+        lo, hi = lo - half, hi + half
+    return s, lo, hi
+
+
 def _fmt(x: float) -> str:
     return f"{x:g}"
 
@@ -54,17 +67,8 @@ def line_chart(x, y, title: str, y_label: str = "", log_y: bool = False) -> str:
     else:
         ys_t = ys
 
-    # an axis past 2**1012 is scaled by 2**-12 (exactly) so its spans stay finite
-    sx, sy = (1.0 if max(map(abs, v)) <= 2.0**1012 else 2.0**-12 for v in (xs, ys_t))
-    x_lo, x_hi = min(xs) * sx, max(xs) * sx
-    y_lo, y_hi = min(ys_t) * sy, max(ys_t) * sy
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        # wide enough to show against |y| however large
-        half = 0.5 * max(1.0, abs(y_lo))
-        y_lo -= half
-        y_hi += half
+    sx, x_lo, x_hi = _axis(xs)
+    sy, y_lo, y_hi = _axis(ys_t)
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from metasim import cli
+from metasim import cli, scenarios
 from metasim.cli import main
 from metasim.errors import IntegrationBlowupError
 from metasim.runner import run_scenario
@@ -24,6 +24,24 @@ HEAVY = {
     "initial_cohorts": [{"weight": 1e308, "V": 0.5, "K": 1.0}] * 2,
 }
 METRIC_KEYS = ["peaks", "mean_period", "amplitude", "min_after_transient", "largest_volume"]
+# coarse steps whose RK4 update overshoots the domain: the inhibitor in
+# the first two, the cohort's K in the third
+COARSE = {"dt": 0.25, "t_end": 1.0, "sample_every": 0.25}
+OVERSHOOT = {
+    "neg_I": {
+        "name": "neg_I", "params": {"b": 0.1, "e": 0.5, "k": 10}, "settings": COARSE,
+        "initial_cohorts": [{"weight": 1, "V": 4, "K": 0.5}], "outputs": ["timeseries"],
+    },
+    "neg_I_final": {
+        "name": "neg_I_final", "params": {"b": 0.1, "e": 0.5, "k": 10}, "settings": COARSE,
+        "initial_cohorts": [{"weight": 4, "V": 8, "K": 0.5}], "outputs": ["timeseries"],
+    },
+    "neg_K": {
+        "name": "neg_K", "params": {"b": 33, "e": 35, "k": 3, "m": 2.5},
+        "settings": {"dt": 0.07, "t_end": 0.07, "sample_every": 0.07},
+        "initial_cohorts": [{"weight": 0.45, "V": 2, "K": 0.8}], "outputs": ["timeseries"],
+    },
+}
 
 
 def _write(path, doc):
@@ -179,6 +197,33 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "cohort, message",
+        [
+            ({"weight": -1, "V": 0.5, "K": 1.0}, "cohort weight must be finite and >= 0, got -1"),
+            ({"weight": 1, "V": 0, "K": 1.0}, "TumorState.V must be finite and > 0, got 0"),
+        ],
+    )
+    def test_a_cohort_its_constructor_refuses_exits_2(self, tmp_path, capsys, cohort, message):
+        sc = _write(tmp_path / "sc.json", {"name": "c", "initial_cohorts": [cohort]})
+        out = tmp_path / "out"
+        assert main(["run", sc, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: invalid scenario content: {message}\n"
+        assert not out.exists()
+
+    def test_a_fault_in_a_constructor_is_not_called_invalid_content(
+        self, tmp_path, monkeypatch
+    ):
+        # only what the constructors raise for bad values becomes exit 2
+        def broken(**kwargs):
+            raise TypeError("a fault, not a bad value")
+
+        monkeypatch.setattr(scenarios, "TumorState", broken)
+        doc = {"name": "c", "initial_cohorts": [{"weight": 1, "V": 0.5, "K": 1}]}
+        sc = _write(tmp_path / "sc.json", doc)
+        with pytest.raises(TypeError, match="a fault, not a bad value"):
+            main(["run", sc, "--out", str(tmp_path / "out")])
+
     def test_missing_file_exits_4(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 4
 
@@ -197,6 +242,41 @@ class TestRun:
         doc = json.loads((out / "boom_error.json").read_text())
         assert doc["error"] == "integration-blowup"
         assert doc["t"] > 0
+
+
+class TestLeavingTheDomain:
+    """A step whose update leaves the domain (I < 0, or a K <= 0) fails
+    in that step as a blowup, owned by its member: the run does not go
+    on with a negative inhibitor, nor fail later at export."""
+
+    @pytest.mark.parametrize("name, t", [("neg_I", 0.25), ("neg_I_final", 0.25), ("neg_K", 0.07)])
+    def test_a_run_fails_in_the_step_that_leaves(self, tmp_path, capsys, name, t):
+        sc = _write(tmp_path / "sc.json", OVERSHOOT[name])
+        out = tmp_path / "out"
+        assert main(["run", sc, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: state outside the domain at t={t:g}\n"
+        assert sorted(p.name for p in out.iterdir()) == [f"{name}_error.json"]
+        doc = json.loads((out / f"{name}_error.json").read_text())
+        assert (doc["error"], doc["reason"]) == ("integration-blowup", "non-finite-state")
+        assert (doc["t"], doc["last_sample"]["t"]) == (t, 0.0)
+
+    def test_a_sweep_point_that_leaves_fails_alone_in_its_ensemble(self, tmp_path, capsys):
+        doc = {"base": OVERSHOOT["neg_I_final"], "axis": "k", "values": [10, 1]}
+        sw = _write(tmp_path / "sw.json", doc)
+        out = tmp_path / "out"
+        assert main(["sweep", sw, "--out", str(out)]) == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert lines[1] == "10.0,,,,,,,IntegrationBlowupError: state outside the domain at t=0.25"
+        assert lines[2].endswith(",")
+        err = json.loads((out / "k=10" / "neg_I_final_k=10_error.json").read_text())
+        assert err["reason"] == "non-finite-state"
+        meta = json.loads((out / "k=1" / "neg_I_final_k=1_run.json").read_text())
+        assert meta["ensemble_size"] == 2
+        solo = _write(tmp_path / "solo.json", meta["scenario"])
+        assert main(["run", solo, "--out", str(tmp_path / "solo")]) == 0
+        name = "neg_I_final_k=1_timeseries.csv"
+        assert (out / "k=1" / name).read_bytes() == (tmp_path / "solo" / name).read_bytes()
 
 
 class TestLambda0:

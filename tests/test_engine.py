@@ -353,6 +353,36 @@ class TestStep:
             step(initial_state(p), p, 1e-2)
         assert exc.value.t == pytest.approx(1e-2)
 
+    @pytest.mark.parametrize(
+        "p, cohort, dt",
+        [
+            (ModelParams(b=0.1, e=0.5, k=10.0), (1.0, 4.0, 0.5), 0.25),  # I < 0
+            (ModelParams(b=33.0, e=35.0, k=3.0, m=2.5), (0.45, 2.0, 0.8), 0.07),  # K < 0
+        ],
+        ids=["inhibitor", "cohort-K"],
+    )
+    def test_a_step_that_leaves_the_domain_fails_as_a_blowup(self, p, cohort, dt):
+        # the step that overshoots fails, not the export of the state after it
+        with pytest.raises(IntegrationBlowupError, match="state outside the domain") as exc:
+            step(_state(p, [cohort]), p, dt)
+        assert (exc.value.t, exc.value.reason) == (dt, "non-finite-state")
+
+    def test_a_newborn_whose_step_fails_is_a_newborn_step_blowup(self):
+        # from I > 0, the newborn's half step takes K below 0 and the
+        # field's log fails; the stepped rows stay in the domain
+        p = ModelParams(b=0.4, e=30.0, k=4.0)
+        s = _state(p, primary=TumorState(3.0, 0.04), I=1.0)
+        with pytest.raises(IntegrationBlowupError) as exc:
+            step(s, p, 0.125)
+        assert (exc.value.t, exc.value.reason) == (0.125, "newborn-step")
+        assert isinstance(exc.value.__cause__, ValueError)
+        settings = SolverSettings(dt=0.125, t_end=1.0, sample_every=0.125)
+        with pytest.raises(IntegrationBlowupError) as exc:
+            simulate(p, settings, s)
+        assert (exc.value.t, exc.value.reason) == (0.125, "newborn-step")
+        first = {"t": 0.0, "M": 0.0, "N": 0.0, "I": 1.0, "Vp": 3.0, "n_live": 0}
+        assert exc.value.last_sample == first
+
     def test_bad_dt_rejected(self):
         p = ModelParams()
         with pytest.raises(ConfigurationError):
@@ -978,6 +1008,20 @@ class TestEnsemble:
             False, True, False, True, True, False
         ]
         assert out[1].t == pytest.approx(1e-2) and out[1].last_sample["t"] == 0.0
+
+    def test_a_member_failing_in_a_step_where_its_cohorts_exit_leaves_the_rest_whole(self):
+        # the m = 500 member fails the birth-term limit in the first step,
+        # in which its cohort at V = 0.1001 falls below V0: the removal
+        # pass skips that dropped row of the failed member unbooked
+        p, q = ModelParams(m=500.0), ModelParams(m=1.0)
+        cohorts = (Cohort(0.0, 0.05, TumorState(0.1001, 0.05)),
+                   Cohort(0.0, 0.05, TumorState(0.5, 0.6)))
+        s, settings = initial_state(p, cohorts), SolverSettings(t_end=2.0)
+        failed, kept = simulate_ensemble([p, q], settings, s)
+        assert (failed.t, failed.reason) == (1e-2, "birth-term-limit")
+        solo = simulate(q, settings, s)
+        _assert_same_run(kept, solo)
+        assert kept[0].exited[1] == solo[0].exited[1] == 0.05
 
     def test_the_members_left_after_a_failure_step_as_their_solo_runs(self):
         # the second of four fails in the first step; the member arrays

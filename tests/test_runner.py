@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -419,18 +420,47 @@ class TestOneLambda0Solve:
             assert doc["lambda0"] == row["lambda0"] == lambda0, value
 
 
+class TestCsvText:
+    def test_cells_are_shortest_decimals_quoted_strings_or_empty(self):
+        error = 'ValueError: a, "b"\nc'
+        row = [0.1, None, 1e22, -0.0, 5e-324, math.inf, math.nan, error]
+        text = runner._csv_text(runner.SUMMARY_COLUMNS, [row])
+        assert text == (
+            "value,lambda0,mean_period,amplitude,min_after_transient,max_M,largest_volume,error\n"
+            '0.1,,1e+22,-0.0,5e-324,inf,nan,"ValueError: a, ""b""\nc"\n'
+        )
+
+    def test_a_summary_error_cell_with_a_comma_a_quote_and_a_newline_reads_back(
+        self, tmp_path, monkeypatch
+    ):
+        def failing(sc, *args):
+            raise ValueError('a, "b"\nc')
+
+        monkeypatch.setattr(runner, "_write_run", failing)
+        sw = SweepSpec(base=_scenario(), axis="e", values=(0.5, 2.0))
+        rows = run_sweep(sw, out_dir=str(tmp_path), jobs=1)
+        row = ',,,,,,,"ValueError: a, ""b""\nc"\n'
+        text = (tmp_path / "summary.csv").read_bytes().decode()
+        assert text == ",".join(runner.SUMMARY_COLUMNS) + "\n0.5" + row + "2.0" + row
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            cells = [r[-1] for r in csv.reader(fh)][1:]
+        assert cells == [r["error"] for r in rows] == ['ValueError: a, "b"\nc'] * 2
+
+
 class TestAtomicArtifacts:
     def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
-        real_dec = runner._dec
-        calls = []
+        real_csv_text = runner._csv_text
 
-        def dec_failing_on_fifth(x):
-            calls.append(x)
-            if len(calls) == 5:
-                raise RuntimeError("interrupted")
-            return real_dec(x)
+        def csv_text_failing_on_fifth_row(header, rows):
+            def until_fifth():
+                for i, row in enumerate(rows):
+                    if i == 4:
+                        raise RuntimeError("interrupted")
+                    yield row
 
-        monkeypatch.setattr(runner, "_dec", dec_failing_on_fifth)
+            return real_csv_text(header, until_fifth())
+
+        monkeypatch.setattr(runner, "_csv_text", csv_text_failing_on_fifth_row)
         with pytest.raises(RuntimeError, match="interrupted"):
             run_scenario(_scenario(outputs=["timeseries"]), out_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []

@@ -208,10 +208,14 @@ class TestMalthusExponent:
         assert lam2 > lam1
         assert lam2 == pytest.approx(0.7028569585168192, rel=1e-9, abs=0)
 
-    @pytest.mark.parametrize("params", [dict(), dict(b=5.0), dict(m=2.0), dict(b=0.3)])
+    @pytest.mark.parametrize(
+        "params", [dict(), dict(b=5.0), dict(m=2.0), dict(b=0.3), dict(b=0.3, m=3.0)]
+    )
     def test_matches_the_extrapolated_brute_force(self, params):
         # the oracle's trapezoid at h and h/2, extrapolated; both sides
-        # cancel their h^2 term, so they agree far below either grid error
+        # cancel their h^2 term, so they agree far below either grid
+        # error. b = 0.3, m = 3 has its first decay bound within the
+        # first horizon, so the walk stops after its first root solve
         p = ModelParams(e=0.0, **params)
         oracle = richardson_lambda0(p.b, p.m, p.alpha, p.V0, p.K0, p.Vm)
         assert malthus_exponent(p).lambda0 == pytest.approx(oracle, rel=1e-12, abs=0)

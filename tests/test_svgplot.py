@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metasim import svgplot
-from metasim.svgplot import line_chart
+from metasim.svgplot import _ML, _MR, _W, line_chart
 
 
 def test_basic_document_structure():
@@ -87,3 +87,13 @@ def test_finite_input_gives_finite_coordinates_and_labels(x, y):
     (points,) = re.findall(r'points="([^"]*)"', svg)
     coords = [float(v) for pair in points.split() for v in pair.split(",")]
     assert len(coords) == 4 and all(0 <= v <= 800 for v in coords), coords
+
+
+@pytest.mark.parametrize("t", [0.0, 1e17, -3e300, 1.7e308])
+def test_a_flat_time_axis_is_centred_like_a_flat_y(t):
+    # at |x| >= 2**53, x + 1 == x: a flat axis widens relative to |x|
+    svg = line_chart([t, t], [1.0, 2.0], "t")
+    assert re.search(r"\b(nan|inf)\b", svg) is None, svg
+    (points,) = re.findall(r'points="([^"]*)"', svg)
+    xs = [float(pair.split(",")[0]) for pair in points.split()]
+    assert xs == [(_ML + _W - _MR) / 2] * 2
