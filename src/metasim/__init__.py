@@ -1,5 +1,13 @@
 """Cohort-based simulator for populations of vascularized tumors coupled
-by a circulating angiogenesis inhibitor."""
+by a circulating angiogenesis inhibitor.
+
+Importing the package loads no SciPy. ``metasim.spectral``, the one
+module that imports it (``scipy.optimize``, for the lambda0 root solve),
+is loaded on first use: the first ``malthus_exponent``,
+``characteristic_flow``, ``fit_growth_rate`` or ``SpectralResult`` read
+from this package, an uncoupled run's metrics, or ``metasim lambda0``.
+A coupled run, a sweep of coupled points or a catalog pass never loads it.
+"""
 
 from .engine import (
     Cohort,
@@ -47,12 +55,6 @@ from .scenarios import (
     load_sweep,
     scenario_from_dict,
     scenario_to_dict,
-)
-from .spectral import (
-    SpectralResult,
-    characteristic_flow,
-    fit_growth_rate,
-    malthus_exponent,
 )
 
 __all__ = [
@@ -102,3 +104,18 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_SPECTRAL = frozenset(
+    {"SpectralResult", "characteristic_flow", "fit_growth_rate", "malthus_exponent"}
+)
+
+
+def __getattr__(name: str):
+    # PEP 562: the spectral names load metasim.spectral, and SciPy with it,
+    # on first access; the import binds the submodule, not these names, so
+    # each later access comes here again and finds the module loaded
+    if name in _SPECTRAL:
+        from . import spectral
+
+        return getattr(spectral, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

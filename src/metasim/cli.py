@@ -26,9 +26,8 @@ from .errors import (
     NoRootError,
     NotLinearError,
 )
-from .runner import _json_text, _write_atomic, run_scenario, run_sweep
+from .runner import _json_text, _write_atomic, malthus_exponent, run_scenario, run_sweep
 from .scenarios import catalog, load_scenario, load_sweep, scenario_to_dict
-from .spectral import malthus_exponent
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

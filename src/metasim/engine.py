@@ -271,7 +271,11 @@ class _Member:
             Vn, Kn = _rk4_step(p.V0, p.K0, p.b, p.e * (0.5 * (I0 + self.I)), h2)
             beta_n = emission_rate(Vn, p)
         except (ValueError, OverflowError, ZeroDivisionError, InvalidStateError) as exc:
-            raise IntegrationBlowupError(t_new, reason="newborn-step") from exc
+            raise IntegrationBlowupError(
+                t_new,
+                f"the newborn's half step failed at t={t_new:g}: {exc}",
+                reason="newborn-step",
+            ) from exc
         denom = 1.0 - h2 * beta_n
         if denom < self.min_denom:
             self.min_denom = denom

@@ -57,9 +57,9 @@ from .errors import (
     MetasimError,
     NoRootError,
 )
+from .model import ModelParams
 from .observables import _check_bins, _window, histogram, oscillation_metrics
 from .scenarios import Scenario, SweepSpec, scenario_to_dict
-from .spectral import malthus_exponent
 from .svgplot import line_chart
 
 __all__ = ["RunResult", "run_scenario", "run_sweep", "SUMMARY_COLUMNS"]
@@ -158,6 +158,15 @@ def compute_metrics(sc: Scenario, traj: Trajectory, lambda0: float | None) -> di
     if sc.params.e == 0.0:
         doc["lambda0"] = lambda0
     return doc
+
+
+def malthus_exponent(p: ModelParams):
+    """``spectral.malthus_exponent(p)``. ``metasim.spectral``, the one
+    module that imports SciPy, is loaded by the first call, so a run or
+    sweep that solves no lambda0 never loads it; the CLI solves here too."""
+    from . import spectral
+
+    return spectral.malthus_exponent(p)
 
 
 def _check_run(sc: Scenario, outputs) -> tuple[SystemState, float | None]:

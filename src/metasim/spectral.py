@@ -264,7 +264,7 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
                     "no births occur"
                 )
         else:
-            integral, tau_lo = _truncated_integral(beta, beta_star, tau_star)
+            decay_at, fine = _fine_rule(*_truncated_integral(beta, beta_star, tau_star))
             # F -> +inf as lam -> 0+ and F < 0 once lam exceeds the
             # emission-rate ceiling along the flow, m * max(V)^alpha over
             # the quadrature nodes: the crossing and the nodes from first on
@@ -276,7 +276,7 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
             # a truncated integral that stays <= 1 as lam -> 0 has no
             # root to bound the horizon with, so the horizon just doubles;
             # once one has a root, every longer one has
-            f = cache(lambda lam: integral(lam, _decay(lam, tau_lo)) - 1.0)
+            f = lambda lam: fine(lam) - 1.0
             if lam_lo is not None or f(_LAM_FLOOR) > 0.0:
                 lam_lo = _root(f, hi, lam_lo)[0]
                 C = p.m * max(1.0, peak)
@@ -284,8 +284,9 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
             if horizon >= tau_bound:
                 break
         # this horizon's rule keeps its slopes and, through its slices, this
-        # beta, and f its cell starts: let them go before the next batch is read
-        integral = f = tau_lo = None
+        # beta, and decay_at its cell starts and the exponentials at its last
+        # lambda: let them go before the next batch is read
+        decay_at = fine = f = None
         horizon = min(2.0 * horizon, tau_bound, _TAU_MAX_CAP)
 
     # the tail past the horizon as if the flow sat at (1, 1), where
@@ -304,9 +305,14 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     skip = 2 * _first_node(tau_star, 2 * _DTAU) - first
     assert skip >= 0, f"the coarse rule starts before the fine one ({skip})"
 
+    # F reads the fine rule through the last horizon's fine and decay_at.
+    # Where the walk broke right after its root solve on that horizon, F
+    # starts at that solve's root lam_lo: it takes the rule's value there
+    # from fine, and the exponentials from decay_at's slot when the solve
+    # evaluated its root last
     def F(lam: float) -> float:
-        decay = _decay(lam, tau_lo)
-        quadrature = (4.0 * integral(lam, decay) - coarse(lam, decay[skip::2].copy())) / 3.0
+        decay = decay_at(lam)
+        quadrature = (4.0 * fine(lam) - coarse(lam, decay[skip::2].copy())) / 3.0
         return quadrature + (p.m / lam) * math.exp(-lam * tau_max) - 1.0
 
     root, value = _root(F, hi, lam_lo)
@@ -361,6 +367,23 @@ def _truncated_integral(beta: np.ndarray, beta_star: np.ndarray, tau_star: float
         return first_cell + cells
 
     return integral, tau_lo
+
+
+def _fine_rule(integral, tau_lo: np.ndarray):
+    """``decay_at(lam)``, exp(-lam * tau_lo) in one slot that holds the
+    last lambda's only, and ``fine(lam)``, the rule ``integral`` at lam,
+    computed once per lambda from ``decay_at``. Brent's root is not
+    always the last lambda it evaluates, so the rule's values, floats,
+    are kept for every lambda and the exponentials for one."""
+    slot = []
+
+    def decay_at(lam: float) -> np.ndarray:
+        if not slot or slot[0] != lam:
+            slot.clear()  # one array of exponentials alive at a time
+            slot.extend((lam, _decay(lam, tau_lo)))
+        return slot[1]
+
+    return decay_at, cache(lambda lam: integral(lam, decay_at(lam)))
 
 
 def _decay(lam: float, tau: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -533,16 +534,104 @@ class TestParser:
         assert proc.returncode == 0
         assert "base" in proc.stdout.split()
 
-    def test_import_leaves_scipy_signal_out(self):
-        code = (
-            "import sys, metasim.cli; "
-            "print(*(m for m in ('scipy.signal', 'scipy.stats', 'scipy.interpolate',"
-            " 'scipy.integrate', 'jsonschema') if m in sys.modules))"
+
+def _python(code: str, *args: str) -> str:
+    """Run ``code`` in a new interpreter, which has loaded no SciPy yet,
+    and return its stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestSciPyOnDemand:
+    """Only ``metasim.spectral`` imports SciPy, and only a lambda0 solve,
+    a flow query or a growth-rate fit loads it."""
+
+    def test_a_coupled_run_sweep_and_catalog_load_no_scipy(self, tmp_path):
+        out = _python(
+            """
+            import contextlib, io, os, sys
+
+            def heavy(stage):
+                names = [m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema")]
+                print(stage, *names)
+
+            import metasim
+            heavy("package")
+            import metasim.cli
+            from metasim import SweepSpec, load_scenario, load_sweep, run_scenario, run_sweep
+            from metasim.scenarios import scenario_from_dict
+            heavy("cli")
+            sc = scenario_from_dict({
+                "name": "c", "settings": {"t_end": 5.0}, "transient": 1.0,
+                "outputs": ["timeseries", "histogram", "metrics", "plots"],
+            })
+            assert sc.params.e > 0
+            run_scenario(sc, out_dir=os.path.join(sys.argv[1], "run"))
+            heavy("run")
+            sw = SweepSpec(base=sc, axis="e", values=(0.5, 2.0))
+            rows = run_sweep(sw, out_dir=os.path.join(sys.argv[1], "sweep"), jobs=1)
+            assert [r["error"] for r in rows] == [None, None]
+            heavy("sweep")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert metasim.cli.main(["catalog", "--emit", os.path.join(sys.argv[1], "cat")]) == 0
+            heavy("catalog")
+            """,
+            str(tmp_path),
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        assert out.split("\n") == ["package", "cli", "run", "sweep", "catalog", ""]
+
+    def test_the_spectral_names_are_the_spectral_modules(self):
+        out = _python(
+            """
+            import sys
+            import metasim
+            assert "metasim.spectral" not in sys.modules
+            names = ("malthus_exponent", "characteristic_flow", "fit_growth_rate", "SpectralResult")
+            served = [getattr(metasim, name) for name in names]
+            import metasim.spectral as spectral
+            assert all(x is getattr(spectral, name) for x, name in zip(served, names))
+            assert "scipy.optimize" in sys.modules
+            try:
+                metasim.no_such_name
+            except AttributeError as exc:
+                print(exc)
+            """
         )
-        assert proc.stdout.split() == []
+        assert out == "module 'metasim' has no attribute 'no_such_name'\n"
+
+    def test_a_star_import_binds_every_public_name(self):
+        out = _python(
+            """
+            import metasim
+            from metasim import *
+            print(*(name for name in metasim.__all__ if name not in globals()))
+            import metasim.spectral
+            print(malthus_exponent is metasim.spectral.malthus_exponent)
+            """
+        )
+        assert out == "\nTrue\n"
+
+    def test_an_uncoupled_run_with_metrics_writes_the_anchor_lambda0(self, tmp_path):
+        out = _python(
+            """
+            import json, os, sys
+            from metasim import run_scenario, scenario_from_dict
+            sc = scenario_from_dict({
+                "name": "a", "params": {"e": 0}, "settings": {"t_end": 5.0},
+                "transient": 1.0, "outputs": ["metrics"],
+            })
+            run_scenario(sc, out_dir=sys.argv[1])
+            doc = json.load(open(os.path.join(sys.argv[1], "a_metrics.json")))
+            print(repr(doc["lambda0"]), "scipy.optimize" in sys.modules)
+            """,
+            str(tmp_path),
+        )
+        assert out == "0.4292814663581329 True\n"
 
 
 class TestInputFile:

@@ -376,6 +376,7 @@ class TestStep:
             step(s, p, 0.125)
         assert (exc.value.t, exc.value.reason) == (0.125, "newborn-step")
         assert isinstance(exc.value.__cause__, ValueError)
+        assert str(exc.value) == "the newborn's half step failed at t=0.125: math domain error"
         settings = SolverSettings(dt=0.125, t_end=1.0, sample_every=0.125)
         with pytest.raises(IntegrationBlowupError) as exc:
             simulate(p, settings, s)

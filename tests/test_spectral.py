@@ -587,10 +587,28 @@ class TestEachValueOnce:
         assert set().union(*(seen.values() for seen in counts)) == {1}
         assert 0 < sum(map(len, counts)) <= most
 
-    @pytest.mark.parametrize("params", [dict(), dict(b=0.1), dict(Vm=0.5), dict(b=0.01, m=0.01)])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(),
+            dict(b=0.1),
+            dict(Vm=0.5),
+            dict(b=0.01, m=0.01),
+            # the first decay bound lies within the horizon, so the walk
+            # breaks right after its root solve and the final F starts at
+            # that root; the first three end the solve on its root, the
+            # last two evaluate their root before its last lambda
+            dict(b=0.1, m=10.0),
+            dict(b=0.05, m=5.0),
+            dict(b=0.3, m=3.0),
+            dict(b=0.2, m=3.0),
+            dict(b=0.02, m=30.0),
+        ],
+    )
     def test_a_solve_evaluates_each_integral_once_per_lambda(self, params, monkeypatch):
         # the walk's check at the bracket floor, the lower-estimate solve,
-        # the final root solve and the residual share their values
+        # the final root solve and the residual share their values, and
+        # the final F shares the fine rule's with the walk's last solve
         counts = []
         truncated = spectral._truncated_integral
 
