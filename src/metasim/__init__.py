@@ -4,9 +4,9 @@ by a circulating angiogenesis inhibitor.
 Importing the package loads no SciPy. ``metasim.spectral``, the one
 module that imports it (``scipy.optimize``, for the lambda0 root solve),
 is loaded on first use: the first ``malthus_exponent``,
-``characteristic_flow``, ``fit_growth_rate`` or ``SpectralResult`` read
-from this package, an uncoupled run's metrics, or ``metasim lambda0``.
-A coupled run, a sweep of coupled points or a catalog pass never loads it.
+``characteristic_flow`` or ``SpectralResult`` read from this package, an
+uncoupled run's metrics, or ``metasim lambda0``. A coupled run, a sweep
+of coupled points, a catalog pass or a growth-rate fit never loads it.
 """
 
 from .engine import (
@@ -43,6 +43,7 @@ from .model import (
 from .observables import (
     OscillationMetrics,
     VolumeHistogram,
+    fit_growth_rate,
     histogram,
     oscillation_metrics,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "OscillationMetrics",
     "Trajectory",
     "VolumeHistogram",
+    "fit_growth_rate",
     "histogram",
     "oscillation_metrics",
     "RunResult",
@@ -99,15 +101,12 @@ __all__ = [
     "scenario_to_dict",
     "SpectralResult",
     "characteristic_flow",
-    "fit_growth_rate",
     "malthus_exponent",
 ]
 
 __version__ = "0.1.0"
 
-_SPECTRAL = frozenset(
-    {"SpectralResult", "characteristic_flow", "fit_growth_rate", "malthus_exponent"}
-)
+_SPECTRAL = frozenset({"SpectralResult", "characteristic_flow", "malthus_exponent"})
 
 
 def __getattr__(name: str):

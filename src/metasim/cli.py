@@ -7,8 +7,8 @@ Subcommands:
 - ``metasim catalog [--emit DIR]``
 - ``metasim lambda0 <scenario.json>``
 
-Exit codes: 0 success, 2 configuration or validation error,
-3 integration blowup, 4 I/O error.
+Exit codes: 0 success, 3 integration blowup, 2 any other metasim error
+(configuration, validation, or no growth exponent), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ import sys
 from dataclasses import asdict, replace
 from functools import cache
 
-from .errors import (
-    ConfigurationError,
-    IntegrationBlowupError,
-    InvalidStateError,
-    NoRootError,
-    NotLinearError,
-)
+from .errors import IntegrationBlowupError, MetasimError
 from .runner import _json_text, _write_atomic, malthus_exponent, run_scenario, run_sweep
 from .scenarios import catalog, load_scenario, load_sweep, scenario_to_dict
 
@@ -132,12 +126,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, InvalidStateError, NotLinearError, NoRootError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except IntegrationBlowupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
+    except MetasimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

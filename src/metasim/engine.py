@@ -49,7 +49,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import ConfigurationError, IntegrationBlowupError, InvalidStateError
-from .model import ModelParams, TumorState, _rk4_step, emission_rate, is_finite
+from .model import ModelParams, TumorState, _rk4_step, emission_rate, require
 
 __all__ = [
     "Cohort",
@@ -82,10 +82,8 @@ class Cohort:
     state: TumorState
 
     def __post_init__(self):
-        if not (is_finite(self.weight) and self.weight >= 0):
-            raise InvalidStateError(f"cohort weight must be finite and >= 0, got {self.weight!r}")
-        if not is_finite(self.birth_time):
-            raise InvalidStateError(f"cohort birth_time must be finite, got {self.birth_time!r}")
+        require("cohort weight", self.weight, ">=", InvalidStateError)
+        require("cohort birth_time", self.birth_time, error=InvalidStateError)
 
 
 # What ensemble members share besides the settings and start state.
@@ -130,17 +128,11 @@ class SystemState:
     V0: float
 
     def __post_init__(self):
-        if not (is_finite(self.I) and self.I >= 0):
-            raise InvalidStateError(f"inhibitor amount must be finite and >= 0, got {self.I!r}")
-        if not all(is_finite(x) and x >= 0 for x in (self.born_count, self.exited_count)):
-            raise InvalidStateError(
-                f"born_count and exited_count must be finite and >= 0, got "
-                f"{self.born_count!r} and {self.exited_count!r}"
-            )
-        if not is_finite(self.t):
-            raise InvalidStateError(f"time must be finite, got {self.t!r}")
-        if not (is_finite(self.V0) and self.V0 > 0):
-            raise InvalidStateError(f"V0 must be finite and > 0, got {self.V0!r}")
+        require("inhibitor amount", self.I, ">=", InvalidStateError)
+        require("born_count", self.born_count, ">=", InvalidStateError)
+        require("exited_count", self.exited_count, ">=", InvalidStateError)
+        require("time", self.t, error=InvalidStateError)
+        require("V0", self.V0, ">", InvalidStateError)
         for name in _COHORT_ARRAYS:
             arr = np.array(getattr(self, name), dtype=np.float64)
             if arr.ndim != 1 or arr.size != np.size(self.V):
@@ -157,6 +149,9 @@ class SystemState:
             raise InvalidStateError(
                 f"cohort at V={self.V.min()} lies below the domain edge V0={self.V0}"
             )
+
+
+_SETTING_SIGNS = {"dt": ">", "t_end": ">", "weight_floor": ">="}
 
 
 @dataclass(frozen=True)
@@ -176,18 +171,11 @@ class SolverSettings:
 
     def __post_init__(self):
         for f in fields(self):
-            if not is_finite(getattr(self, f.name)):
-                raise ConfigurationError(f"{f.name} must be finite")
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be > 0, got {self.dt}")
-        if self.t_end <= 0:
-            raise ConfigurationError(f"t_end must be > 0, got {self.t_end}")
+            require(f.name, getattr(self, f.name), _SETTING_SIGNS.get(f.name, ""))
         if self.sample_every < self.dt:
             raise ConfigurationError(
                 f"sample_every must be >= dt, got {self.sample_every} < {self.dt}"
             )
-        if self.weight_floor < 0:
-            raise ConfigurationError(f"weight_floor must be >= 0, got {self.weight_floor}")
         if self.t_end / self.dt > _MAX_STEPS:
             raise ConfigurationError(
                 f"t_end/dt = {self.t_end / self.dt:.3g} exceeds the step-count cap {_MAX_STEPS}"
@@ -724,10 +712,8 @@ def step(s: SystemState, p: ModelParams, dt: float, weight_floor: float = 0.0) -
     from the state, so to go on for many steps from a state, pass it to
     ``simulate``, which also samples the run.
     """
-    if not (is_finite(dt) and dt > 0):
-        raise ConfigurationError(f"dt must be finite and > 0, got {dt!r}")
-    if not (is_finite(weight_floor) and weight_floor >= 0):
-        raise ConfigurationError(f"weight_floor must be finite and >= 0, got {weight_floor!r}")
+    require("dt", dt, _SETTING_SIGNS["dt"])
+    require("weight_floor", weight_floor, _SETTING_SIGNS["weight_floor"])
     eng = _Engine(p, s, weight_floor=weight_floor)
     with np.errstate(all="ignore"):
         eng.step(dt)

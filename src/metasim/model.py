@@ -21,7 +21,9 @@ below which a tumor sheds nothing.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, fields
+from numbers import Real
 
 from .errors import ConfigurationError, InvalidStateError
 
@@ -45,9 +47,14 @@ def is_finite(value) -> bool:
         return False
 
 
-def _require_nonnegative(name: str, value: float) -> None:
-    if not (is_finite(value) and value >= 0):
-        raise ConfigurationError(f"parameter {name} must be finite and >= 0, got {value!r}")
+def require(what: str, value, op: str = "", error: type[Exception] = ConfigurationError) -> None:
+    """Raise ``error`` unless ``value`` is finite and, for ``op`` ``">"`` or
+    ``">="``, on that side of 0, with the one message such a check writes:
+    "{what} must be finite[ and {op} 0], got {value!r}"."""
+    if is_finite(value) and (not op or value > 0 or (op == ">=" and value == 0)):
+        return
+    sign = f" and {op} 0" if op else ""
+    raise error(f"{what} must be finite{sign}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,11 +66,10 @@ class TumorState:
 
     def __post_init__(self):
         for name in ("V", "K"):
-            value = getattr(self, name)
-            if not (is_finite(value) and value > 0):
-                raise InvalidStateError(
-                    f"TumorState.{name} must be finite and > 0, got {value!r}"
-                )
+            require(f"TumorState.{name}", getattr(self, name), ">", InvalidStateError)
+
+
+_PARAM_SIGNS = {"b": ">", "e": ">=", "k": ">", "m": ">=", "Vm": ">="}
 
 
 @dataclass(frozen=True)
@@ -102,25 +108,16 @@ class ModelParams:
             object.__setattr__(self, "Vm", self.V0)
         for f in fields(self):
             value = getattr(self, f.name)
-            if not is_finite(value):
-                raise ConfigurationError(f"parameter {f.name} must be finite, got {value!r}")
+            with suppress(OverflowError):  # an int with no float value is quoted as it is
+                value = float(value) if isinstance(value, Real) else value
+            require(f"parameter {f.name}", value, _PARAM_SIGNS.get(f.name, ""))
             object.__setattr__(self, f.name, float(value))
-        if self.b <= 0:
-            raise ConfigurationError(f"b must be > 0, got {self.b}")
-        if self.e < 0:
-            raise ConfigurationError(f"e must be >= 0, got {self.e}")
-        if self.k <= 0:
-            raise ConfigurationError(f"k must be > 0, got {self.k}")
-        if self.m < 0:
-            raise ConfigurationError(f"m must be >= 0, got {self.m}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 < self.V0 < self.K0:
             raise ConfigurationError(
                 f"need 0 < V0 < K0 for an inward birth flux, got V0={self.V0}, K0={self.K0}"
             )
-        if self.Vm < 0:
-            raise ConfigurationError(f"Vm must be >= 0, got {self.Vm}")
 
 
 @dataclass(frozen=True)
@@ -171,14 +168,13 @@ class DimensionalParams:
                 raise ConfigurationError(
                     "e missing and cannot be derived: supply e, or both e_hat and Vd"
                 )
-            _require_nonnegative("e_hat", self.e_hat)
-            if not (is_finite(self.Vd) and self.Vd > 0):
-                raise ConfigurationError(f"parameter Vd must be finite and > 0, got {self.Vd!r}")
+            require("parameter e_hat", self.e_hat, ">=")
+            require("parameter Vd", self.Vd, ">")
             object.__setattr__(self, "e", self.e_hat / self.Vd)
         # nan > 0 is false, so an unchecked NaN e would rescale to the
         # uncoupled model
         for name in ("e", "m"):
-            _require_nonnegative(name, getattr(self, name))
+            require(f"parameter {name}", getattr(self, name), ">=")
         if self.d is None:
             if self.Vd is None or self.p is None or self.D is None:
                 raise ConfigurationError(
@@ -188,13 +184,9 @@ class DimensionalParams:
                 self, "d", local_inhibition_coefficient(self.e, self.Vd, self.p, self.D)
             )
         for name in ("a", "b", "d", "k"):
-            value = getattr(self, name)
-            if not (is_finite(value) and value > 0):
-                raise ConfigurationError(f"parameter {name} must be finite and > 0, got {value!r}")
+            require(f"parameter {name}", getattr(self, name), ">")
         for name in ("V0", "K0", "Vm"):
-            value = getattr(self, name)
-            if not (is_finite(value) and value > 0):
-                raise ConfigurationError(f"volume {name} must be finite and > 0, got {value!r}")
+            require(f"volume {name}", getattr(self, name), ">")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must lie in [0, 1], got {self.alpha}")
 
@@ -212,8 +204,7 @@ def growth_field(s: TumorState, I: float, p: ModelParams) -> tuple[float, float]
     model. dK balances stimulation b*V against local inhibition
     b*V**(2/3)*K and systemic inhibition e*I*K.
     """
-    if not (is_finite(I) and I >= 0):
-        raise InvalidStateError(f"inhibitor amount must be finite and >= 0, got {I!r}")
+    require("inhibitor amount", I, ">=", InvalidStateError)
     return _field(s.V, s.K, p.b, p.e * float(I))
 
 
@@ -242,8 +233,7 @@ def emission_rate(V: float, p: ModelParams) -> float:
 
     Zero below the emission threshold Vm (no access to circulation).
     """
-    if not (is_finite(V) and V > 0):
-        raise InvalidStateError(f"volume must be finite and > 0, got {V!r}")
+    require("volume", V, ">", InvalidStateError)
     if V < p.Vm:
         return 0.0
     return p.m * float(V) ** p.alpha
@@ -270,8 +260,7 @@ def local_inhibition_coefficient(e: float, Vd: float, p: float, D: float) -> flo
     volume, and D the inhibitor diffusion length scale.
     """
     for name, value in (("e", e), ("Vd", Vd), ("p", p), ("D", D)):
-        if not (is_finite(value) and value > 0):
-            raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
+        require(name, value, ">")
     return e * Vd * (p / (15.0 * D * D)) * math.pow(3.0 / (4.0 * math.pi), 2.0 / 3.0)
 
 

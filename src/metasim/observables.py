@@ -1,4 +1,5 @@
-"""Volume histograms and oscillation metrics read from a simulation.
+"""Volume histograms, oscillation metrics and growth-rate fits read from
+a simulation.
 
 Everything here is a pure read of ``simulate``'s output (re-exported
 ``Trajectory`` and the final state); nothing feeds back into the dynamics.
@@ -20,6 +21,7 @@ __all__ = [
     "OscillationMetrics",
     "histogram",
     "oscillation_metrics",
+    "fit_growth_rate",
 ]
 
 
@@ -179,3 +181,30 @@ def oscillation_metrics(traj: Trajectory, transient: float) -> OscillationMetric
         amplitude=amplitude,
         min_after_transient=float(Mw.min()),
     )
+
+
+def fit_growth_rate(times, M, window: tuple[float, float]) -> float:
+    """Least-squares slope of ln M(t) over a time window.
+
+    The intercept is discarded; only the exponential rate is returned.
+    """
+    times = np.asarray(times, dtype=float)
+    M = np.asarray(M, dtype=float)
+    if times.shape != M.shape:
+        raise ConfigurationError("times and M must have matching shapes")
+    try:
+        t_lo, t_hi = window
+        mask = (times >= t_lo) & (times <= t_hi)
+    except OverflowError:
+        raise ConfigurationError(f"window {window!r} has a bound with no float value") from None
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"window must be a pair of numbers, got {window!r}") from None
+    if int(mask.sum()) < 10:
+        raise ConfigurationError(
+            f"window [{t_lo:g}, {t_hi:g}] holds fewer than 10 samples"
+        )
+    Mw = M[mask]
+    if not np.all(np.isfinite(Mw) & (Mw > 0)):
+        raise ConfigurationError("M must be finite and positive throughout the fit window")
+    slope, _ = np.polyfit(times[mask], np.log(Mw), 1)
+    return float(slope)

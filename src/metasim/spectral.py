@@ -43,7 +43,8 @@ of every horizon slice the one beta array. That array is the one
 node-sized array the walk keeps: a batch of volumes lives only while the
 onset search and the running maximum of the volume read it, and each
 rule holds its slopes (the coarse rule also its cell-start rates, a
-contiguous copy at half the size) and is handed its exponentials.
+contiguous copy at half the size) and is handed the fine rule's
+exponentials.
 One test finds the emission onset, the first node at or above Vm. Until
 it lies among the nodes sampled so far the walk doubles the horizon,
 and a flow that settles at the fixed point (1, 1), or reaches the cap,
@@ -72,13 +73,12 @@ from scipy.optimize import brentq
 
 from .errors import ConfigurationError, NoRootError, NotLinearError
 from ._dop853 import Dop853
-from .model import ModelParams, TumorState, _field, is_finite
+from .model import ModelParams, TumorState, _field, require
 
 __all__ = [
     "SpectralResult",
     "characteristic_flow",
     "malthus_exponent",
-    "fit_growth_rate",
 ]
 
 _DTAU = 2e-3
@@ -182,8 +182,7 @@ def _flow_for(p: ModelParams) -> _Flow:
 def characteristic_flow(tau: float, p: ModelParams) -> TumorState:
     """State reached at time tau by a tumor growing from (V0, K0) with
     no inhibitor; the flow the spectral equation integrates along."""
-    if not (is_finite(tau) and tau >= 0):
-        raise ConfigurationError(f"tau must be finite and >= 0, got {tau!r}")
+    require("tau", tau, ">=")
     V, K = _flow_for(p).at(tau)
     return TumorState(V=V, K=K)
 
@@ -264,7 +263,7 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
                     "no births occur"
                 )
         else:
-            decay_at, fine = _fine_rule(*_truncated_integral(beta, beta_star, tau_star))
+            decay_at, fine = _fine_rule(beta, beta_star, tau_star)
             # F -> +inf as lam -> 0+ and F < 0 once lam exceeds the
             # emission-rate ceiling along the flow, m * max(V)^alpha over
             # the quadrature nodes: the crossing and the nodes from first on
@@ -297,13 +296,7 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     # fourth-order one (Richardson); every horizon is a whole number, an
     # even node, so both end at tau_max.
     tau_max = last * _DTAU
-    coarse = _truncated_integral(beta, beta_star, tau_star, 2)[0]
-    # one exponential per F, on the fine rule's cell starts tau_lo: the
-    # coarse cells start on every second fine cell start, as i * (2 dtau)
-    # == (2 i) * dtau in floating point; a contiguous copy of those values
-    # rounds the coarse rule's dot products as an exponential of its own did
-    skip = 2 * _first_node(tau_star, 2 * _DTAU) - first
-    assert skip >= 0, f"the coarse rule starts before the fine one ({skip})"
+    coarse = _truncated_integral(beta, beta_star, tau_star, 2)
 
     # F reads the fine rule through the last horizon's fine and decay_at.
     # Where the walk broke right after its root solve on that horizon, F
@@ -311,8 +304,7 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
     # from fine, and the exponentials from decay_at's slot when the solve
     # evaluated its root last
     def F(lam: float) -> float:
-        decay = decay_at(lam)
-        quadrature = (4.0 * fine(lam) - coarse(lam, decay[skip::2].copy())) / 3.0
+        quadrature = (4.0 * fine(lam) - coarse(lam, decay_at(lam))) / 3.0
         return quadrature + (p.m / lam) * math.exp(-lam * tau_max) - 1.0
 
     root, value = _root(F, hi, lam_lo)
@@ -327,27 +319,32 @@ def malthus_exponent(p: ModelParams) -> SpectralResult:
 
 def _truncated_integral(beta: np.ndarray, beta_star: np.ndarray, tau_star: float, stride: int = 1):
     """The spectral integral over [tau_star, (beta.size - 1) * dtau] as a
-    function of lambda, with the starts of its grid cells.
+    function of lambda.
 
     beta holds the emission rates at the grid nodes, node i at i * dtau,
     and beta_star (one element) the rate at the crossing time. The
     quadrature nodes are the crossing time, then every ``stride``-th grid
     node past it up to the last, which ``stride`` divides. The function
-    takes exp(-lambda * tau) at the starts of the grid cells, the nodes
-    from ``_first_node`` up to the last but one, as ``decay``, and keeps
-    no cell starts. The rates are read through slices of beta: only the
-    slopes, and at a stride the cell-start rates, are arrays of their own.
+    takes exp(-lambda * tau) at the fine rule's cell starts, the grid
+    nodes from ``_first_node(tau_star, dtau)`` up to the last but one, as
+    ``decay``, reads every ``stride``-th of them from its own first cell
+    start on, and keeps no cell starts. The rates are read through slices
+    of beta: only the slopes, and at a stride the cell-start rates, are
+    arrays of their own.
     """
-    last, off = divmod(beta.size - 1, stride)
-    assert off == 0, f"node {beta.size - 1} is off the stride-{stride} grid"
+    assert (beta.size - 1) % stride == 0, f"node {beta.size - 1} is off the stride-{stride} grid"
     h = _DTAU * stride
     first = _first_node(tau_star, h)
+    # this rule's cells start on every stride-th fine cell start, as
+    # i * (stride dtau) == (stride i) * dtau in floating point
+    skip = stride * first - _first_node(tau_star, _DTAU)
+    assert skip >= 0, f"the stride-{stride} rule starts before the fine one ({skip})"
     nodes = beta[::stride][first:]
     # the first cell runs from the crossing to node `first` (there is none
     # when the crossing rounds onto the last node); every later cell is a
-    # grid cell of width h, starting at tau_lo. einsum rounds a strided
-    # operand otherwise than a contiguous one, so the coarse rule's
-    # cell-start rates are a contiguous copy
+    # grid cell of width h. einsum rounds a strided operand otherwise
+    # than a contiguous one, so the coarse rule's cell-start rates and
+    # exponentials are contiguous copies
     beta0, d0, slope0 = float(beta_star[0]), 0.0, 0.0
     if nodes.size:
         d0 = first * h - tau_star
@@ -355,9 +352,9 @@ def _truncated_integral(beta: np.ndarray, beta_star: np.ndarray, tau_star: float
     beta_lo = np.ascontiguousarray(nodes[:-1])
     slope = np.diff(nodes)
     slope /= h
-    tau_lo = np.arange(first, last) * h
 
     def integral(lam: float, decay: np.ndarray) -> float:
+        decay = np.ascontiguousarray(decay[skip::stride])  # a view at stride 1
         i0, i1 = _cell_weights(lam, h)
         j0, j1 = _cell_weights(lam, d0)
         # einsum, not a BLAS dot: a threaded BLAS wakes its workers on
@@ -366,15 +363,18 @@ def _truncated_integral(beta: np.ndarray, beta_star: np.ndarray, tau_star: float
         first_cell = math.exp(-lam * tau_star) * (beta0 * j0 + slope0 * j1)
         return first_cell + cells
 
-    return integral, tau_lo
+    return integral
 
 
-def _fine_rule(integral, tau_lo: np.ndarray):
-    """``decay_at(lam)``, exp(-lam * tau_lo) in one slot that holds the
-    last lambda's only, and ``fine(lam)``, the rule ``integral`` at lam,
-    computed once per lambda from ``decay_at``. Brent's root is not
-    always the last lambda it evaluates, so the rule's values, floats,
-    are kept for every lambda and the exponentials for one."""
+def _fine_rule(beta: np.ndarray, beta_star: np.ndarray, tau_star: float):
+    """``decay_at(lam)``, exp(-lam * tau_lo) at the fine rule's cell starts
+    tau_lo, in one slot that holds the last lambda's only, and
+    ``fine(lam)``, the rule on every node at lam, computed once per lambda
+    from ``decay_at``. Brent's root is not always the last lambda it
+    evaluates, so the rule's values, floats, are kept for every lambda and
+    the exponentials for one."""
+    integral = _truncated_integral(beta, beta_star, tau_star)
+    tau_lo = np.arange(_first_node(tau_star, _DTAU), beta.size - 1) * _DTAU
     slot = []
 
     def decay_at(lam: float) -> np.ndarray:
@@ -473,30 +473,3 @@ def _cell_weights(lam: float, width: float) -> tuple[float, float]:
     x = lam * width
     em = -math.expm1(-x)  # 1 - exp(-x), stable for small x
     return em / lam, (em - x * math.exp(-x)) / (lam * lam)
-
-
-def fit_growth_rate(times, M, window: tuple[float, float]) -> float:
-    """Least-squares slope of ln M(t) over a time window.
-
-    The intercept is discarded; only the exponential rate is returned.
-    """
-    times = np.asarray(times, dtype=float)
-    M = np.asarray(M, dtype=float)
-    if times.shape != M.shape:
-        raise ConfigurationError("times and M must have matching shapes")
-    try:
-        t_lo, t_hi = window
-        mask = (times >= t_lo) & (times <= t_hi)
-    except OverflowError:
-        raise ConfigurationError(f"window {window!r} has a bound with no float value") from None
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"window must be a pair of numbers, got {window!r}") from None
-    if int(mask.sum()) < 10:
-        raise ConfigurationError(
-            f"window [{t_lo:g}, {t_hi:g}] holds fewer than 10 samples"
-        )
-    Mw = M[mask]
-    if not np.all(np.isfinite(Mw) & (Mw > 0)):
-        raise ConfigurationError("M must be finite and positive throughout the fit window")
-    slope, _ = np.polyfit(times[mask], np.log(Mw), 1)
-    return float(slope)

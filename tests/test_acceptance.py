@@ -21,10 +21,10 @@ from metasim import (
     TumorState,
 )
 from metasim.engine import simulate, step
-from metasim.observables import histogram, oscillation_metrics
+from metasim.observables import fit_growth_rate, histogram, oscillation_metrics
 from metasim.runner import run_scenario
 from metasim.scenarios import catalog
-from metasim.spectral import fit_growth_rate, malthus_exponent
+from metasim.spectral import malthus_exponent
 from oracles import brute_lambda0, flow_dense, renewal, renewal_births
 
 

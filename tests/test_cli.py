@@ -548,8 +548,8 @@ def _python(code: str, *args: str) -> str:
 
 
 class TestSciPyOnDemand:
-    """Only ``metasim.spectral`` imports SciPy, and only a lambda0 solve,
-    a flow query or a growth-rate fit loads it."""
+    """Only ``metasim.spectral`` imports SciPy, and only a lambda0 solve or
+    a flow query loads it."""
 
     def test_a_coupled_run_sweep_and_catalog_load_no_scipy(self, tmp_path):
         out = _python(
@@ -571,8 +571,11 @@ class TestSciPyOnDemand:
                 "outputs": ["timeseries", "histogram", "metrics", "plots"],
             })
             assert sc.params.e > 0
-            run_scenario(sc, out_dir=os.path.join(sys.argv[1], "run"))
+            result = run_scenario(sc, out_dir=os.path.join(sys.argv[1], "run"))
             heavy("run")
+            traj = result.trajectory
+            assert metasim.fit_growth_rate(traj.times, traj.M, (1.0, 5.0)) > 0
+            heavy("fit")
             sw = SweepSpec(base=sc, axis="e", values=(0.5, 2.0))
             rows = run_sweep(sw, out_dir=os.path.join(sys.argv[1], "sweep"), jobs=1)
             assert [r["error"] for r in rows] == [None, None]
@@ -583,7 +586,7 @@ class TestSciPyOnDemand:
             """,
             str(tmp_path),
         )
-        assert out.split("\n") == ["package", "cli", "run", "sweep", "catalog", ""]
+        assert out.split("\n") == ["package", "cli", "run", "fit", "sweep", "catalog", ""]
 
     def test_the_spectral_names_are_the_spectral_modules(self):
         out = _python(
@@ -591,11 +594,12 @@ class TestSciPyOnDemand:
             import sys
             import metasim
             assert "metasim.spectral" not in sys.modules
-            names = ("malthus_exponent", "characteristic_flow", "fit_growth_rate", "SpectralResult")
+            names = ("malthus_exponent", "characteristic_flow", "SpectralResult")
             served = [getattr(metasim, name) for name in names]
             import metasim.spectral as spectral
             assert all(x is getattr(spectral, name) for x, name in zip(served, names))
             assert "scipy.optimize" in sys.modules
+            assert metasim.fit_growth_rate is metasim.observables.fit_growth_rate
             try:
                 metasim.no_such_name
             except AttributeError as exc:

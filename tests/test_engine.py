@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from metasim import (
     Cohort,
     ConfigurationError,
+    DimensionalParams,
     IntegrationBlowupError,
     InvalidStateError,
     ModelParams,
@@ -23,6 +24,7 @@ from metasim import (
     emission_rate,
     fit_growth_rate,
     growth_field,
+    local_inhibition_coefficient,
     oscillation_metrics,
 )
 from metasim.engine import (
@@ -83,7 +85,7 @@ _HUGE = 10**400  # an integer with no float value
         (
             lambda: _state(ModelParams(), born=_HUGE),
             InvalidStateError,
-            "born_count and exited_count must be finite and >= 0",
+            "born_count must be finite and >= 0",
         ),
         (
             lambda: emission_rate(_HUGE, ModelParams()),
@@ -188,6 +190,109 @@ def test_a_bad_argument_gets_its_field_message_and_error_type(build, error, mess
     # an argument of the wrong shape or type is a ConfigurationError
     with pytest.raises(error, match=message):
         build()
+
+
+def _dimensional(**kwargs):
+    base = dict(a=1.0, b=1.0, k=1.0, m=1.0, alpha=2.0 / 3.0, V0=0.1, K0=0.2, d=1.0, e=0.0)
+    return DimensionalParams(**{**base, **kwargs})
+
+
+# (what the message names, the side of 0, the error type, a call with the value)
+_SIGNED = {
+    **{
+        f"ModelParams.{name}": (f"parameter {name}", op, ConfigurationError,
+                                lambda v, name=name: ModelParams(**{name: v}))
+        for name, op in (("b", ">"), ("e", ">="), ("k", ">"), ("m", ">="), ("Vm", ">="))
+    },
+    **{
+        f"DimensionalParams.{name}": (f"parameter {name}", op, ConfigurationError,
+                                      lambda v, name=name: _dimensional(**{name: v}))
+        for name, op in (("a", ">"), ("b", ">"), ("d", ">"), ("k", ">"), ("e", ">="), ("m", ">="))
+    },
+    "DimensionalParams.e_hat": ("parameter e_hat", ">=", ConfigurationError,
+                                lambda v: _dimensional(e=None, e_hat=v, Vd=1.0)),
+    "DimensionalParams.Vd": ("parameter Vd", ">", ConfigurationError,
+                             lambda v: _dimensional(e=None, e_hat=1.0, Vd=v)),
+    **{
+        f"DimensionalParams.{name}": (f"volume {name}", ">", ConfigurationError,
+                                      lambda v, name=name: _dimensional(**{name: v}))
+        for name in ("V0", "K0", "Vm")
+    },
+    "TumorState.V": ("TumorState.V", ">", InvalidStateError, lambda v: TumorState(V=v, K=1.0)),
+    "TumorState.K": ("TumorState.K", ">", InvalidStateError, lambda v: TumorState(V=1.0, K=v)),
+    "growth_field.I": ("inhibitor amount", ">=", InvalidStateError,
+                       lambda v: growth_field(TumorState(0.1, 0.2), v, ModelParams())),
+    "emission_rate.V": ("volume", ">", InvalidStateError,
+                        lambda v: emission_rate(v, ModelParams())),
+    **{
+        f"local_inhibition_coefficient.{name}": (
+            name, ">", ConfigurationError,
+            lambda v, i=i: local_inhibition_coefficient(*[v if j == i else 1.0 for j in range(4)]),
+        )
+        for i, name in enumerate(("e", "Vd", "p", "D"))
+    },
+    "Cohort.weight": ("cohort weight", ">=", InvalidStateError,
+                      lambda v: Cohort(birth_time=0.0, weight=v, state=TumorState(V=0.5, K=1.0))),
+    "SystemState.I": ("inhibitor amount", ">=", InvalidStateError,
+                      lambda v: _state(ModelParams(), I=v)),
+    "SystemState.born_count": ("born_count", ">=", InvalidStateError,
+                               lambda v: _state(ModelParams(), born=v)),
+    "SystemState.exited_count": ("exited_count", ">=", InvalidStateError,
+                                 lambda v: _state(ModelParams(), exited=v)),
+    "SystemState.V0": ("V0", ">", InvalidStateError,
+                       lambda v: replace(_state(ModelParams()), V0=v)),
+    **{
+        f"SolverSettings.{name}": (name, op, ConfigurationError,
+                                   lambda v, name=name: SolverSettings(**{name: v}))
+        for name, op in (("dt", ">"), ("t_end", ">"), ("weight_floor", ">="))
+    },
+    "step.dt": ("dt", ">", ConfigurationError,
+                lambda v: step(initial_state(ModelParams()), ModelParams(), v)),
+    "step.weight_floor": ("weight_floor", ">=", ConfigurationError,
+                          lambda v: step(initial_state(ModelParams()), ModelParams(), 0.01, v)),
+    "characteristic_flow.tau": ("tau", ">=", ConfigurationError,
+                                lambda v: characteristic_flow(v, ModelParams())),
+}
+
+
+@pytest.mark.parametrize("value", ["wrong-side", math.nan, _HUGE], ids=["sign", "nan", "huge"])
+@pytest.mark.parametrize("field", list(_SIGNED))
+def test_a_signed_number_gets_the_one_message(field, value):
+    # model.require writes every finite-and-sign message: a value on the
+    # wrong side of 0 (0 itself for > 0), NaN and an int with no float
+    # value all name both conditions and quote the value
+    what, op, error, build = _SIGNED[field]
+    if value == "wrong-side":
+        value = 0.0 if op == ">" else -1.0
+    with pytest.raises(error) as info:
+        build(value)
+    assert str(info.value) == f"{what} must be finite and {op} 0, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "settings, call",
+    [
+        (lambda: SolverSettings(dt=0.0), lambda s, p: step(s, p, 0.0)),
+        (lambda: SolverSettings(weight_floor=-1.0), lambda s, p: step(s, p, 0.01, -1.0)),
+    ],
+    ids=["dt", "weight_floor"],
+)
+def test_step_refuses_a_setting_as_solver_settings_does(settings, call):
+    p = ModelParams()
+    with pytest.raises(ConfigurationError) as by_settings:
+        settings()
+    with pytest.raises(ConfigurationError) as by_step:
+        call(initial_state(p), p)
+    assert str(by_step.value) == str(by_settings.value)
+
+
+@pytest.mark.parametrize("field, value", [("b", 0.0), ("m", -1.0)])
+def test_model_and_dimensional_params_refuse_a_parameter_alike(field, value):
+    with pytest.raises(ConfigurationError) as model:
+        ModelParams(**{field: value})
+    with pytest.raises(ConfigurationError) as dimensional:
+        _dimensional(**{field: value})
+    assert str(model.value) == str(dimensional.value)
 
 
 class TestInitialState:

@@ -17,11 +17,8 @@ from metasim import (
 from metasim import spectral
 from metasim._dop853 import Dop853
 from metasim.model import _field
-from metasim.spectral import (
-    characteristic_flow,
-    fit_growth_rate,
-    malthus_exponent,
-)
+from metasim.observables import fit_growth_rate
+from metasim.spectral import characteristic_flow, malthus_exponent
 from oracles import (
     brute_lambda0,
     dop853_dense_at,
@@ -331,11 +328,22 @@ class TestQuadratureGrid:
         # fine rule's last but one does
         p = ModelParams(e=0.0, **params)
         beta, beta_star = _rates(p, _grid(p, tau_max), 0.0)
-        _, fine = spectral._truncated_integral(beta, beta_star, 0.0)
-        _, coarse = spectral._truncated_integral(beta, beta_star, 0.0, 2)
+        h = spectral._DTAU
+        fine = np.arange(spectral._first_node(0.0, h), nodes - 1) * h
+        coarse = np.arange(spectral._first_node(0.0, 2 * h), (nodes - 1) // 2) * (2 * h)
         assert fine.size + 2 == nodes
-        assert fine[-1] + spectral._DTAU == tau_max
+        assert fine[-1] + h == tau_max
         assert (coarse.size + 2, coarse[-1]) == ((nodes + 1) // 2, fine[-2])
+        # the coarse rule is handed the fine rule's exponentials and reads
+        # those at its own cell starts, every second fine one, and no other
+        skip = 2 * spectral._first_node(0.0, 2 * h) - spectral._first_node(0.0, h)
+        assert np.array_equal(fine[skip::2], coarse)
+        rule = spectral._truncated_integral(beta, beta_star, 0.0, 2)
+        lam = 0.4
+        decay = spectral._decay(lam, fine)
+        masked = np.full_like(decay, np.nan)
+        masked[skip::2] = spectral._decay(lam, coarse)
+        assert rule(lam, masked) == rule(lam, decay)
 
     def test_footprint_frozen_and_residual_tight(self, params, tau_max, nodes):
         res = malthus_exponent(ModelParams(e=0.0, **params))
@@ -420,12 +428,15 @@ class TestHorizon:
         Va = _grid(p, res.tau_max)
         tau_star = spectral._emission_threshold_time(spectral._flow_for(p), p.Vm, Va)
         beta, beta_star = _rates(p, Va, tau_star)
-        fine, fine_lo = spectral._truncated_integral(beta, beta_star, tau_star)
-        coarse, coarse_lo = spectral._truncated_integral(beta, beta_star, tau_star, 2)
+        fine = spectral._truncated_integral(beta, beta_star, tau_star)
+        coarse = spectral._truncated_integral(beta, beta_star, tau_star, 2)
+        # both rules take the exponentials at the fine rule's cell starts
+        h = spectral._DTAU
+        fine_lo = np.arange(spectral._first_node(tau_star, h), beta.size - 1) * h
 
         def F(lam):
-            fine_lam = fine(lam, spectral._decay(lam, fine_lo))
-            quadrature = (4.0 * fine_lam - coarse(lam, spectral._decay(lam, coarse_lo))) / 3.0
+            decay = spectral._decay(lam, fine_lo)
+            quadrature = (4.0 * fine(lam, decay) - coarse(lam, decay)) / 3.0
             return quadrature + (p.m / lam) * math.exp(-lam * res.tau_max) - 1.0
 
         assert F(res.lambda0 * (1 - 1e-12)) > 0 > F(res.lambda0 * (1 + 1e-12))
@@ -433,14 +444,20 @@ class TestHorizon:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_a_rule_keeps_no_cell_starts(self, stride):
-        # the caller hands a rule its exponentials, so the cell starts it
-        # returns are the only copy
+        # the caller hands a rule the fine rule's exponentials, so it holds
+        # neither the fine rule's cell starts nor its own
         p = ModelParams(e=0.0)
         beta, beta_star = _rates(p, _grid(p, 50.0), 0.0)
-        integral, tau_lo = spectral._truncated_integral(beta, beta_star, 0.0, stride)
+        integral = spectral._truncated_integral(beta, beta_star, 0.0, stride)
+        h = spectral._DTAU
+        starts = [
+            np.arange(spectral._first_node(0.0, h), beta.size - 1) * h,
+            np.arange(spectral._first_node(0.0, stride * h), (beta.size - 1) // stride)
+            * (stride * h),
+        ]
         held = [cell.cell_contents for cell in integral.__closure__]
-        assert all(x is not tau_lo for x in held)
-        assert not any(np.array_equal(x, tau_lo) for x in held if isinstance(x, np.ndarray))
+        arrays = [x for x in held if isinstance(x, np.ndarray)]
+        assert not any(np.array_equal(x, lo) for x in arrays for lo in starts)
 
     def test_every_horizon_is_an_even_node(self):
         # the walk's horizons are 50 * 2^k, an integer decay bound, or the cap
@@ -613,7 +630,7 @@ class TestEachValueOnce:
         truncated = spectral._truncated_integral
 
         def counting(*args, **kwargs):
-            integral, tau_lo = truncated(*args, **kwargs)
+            integral = truncated(*args, **kwargs)
             seen = Counter()
             counts.append(seen)
 
@@ -621,7 +638,7 @@ class TestEachValueOnce:
                 seen[lam] += 1
                 return integral(lam, decay)
 
-            return counted, tau_lo
+            return counted
 
         monkeypatch.setattr(spectral, "_truncated_integral", counting)
         spectral._flow.cache_clear()
