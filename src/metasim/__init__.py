@@ -7,106 +7,32 @@ is loaded on first use: the first ``malthus_exponent``,
 ``characteristic_flow`` or ``SpectralResult`` read from this package, an
 uncoupled run's metrics, or ``metasim lambda0``. A coupled run, a sweep
 of coupled points, a catalog pass or a growth-rate fit never loads it.
+
+Each module's ``__all__`` is the list of what the package takes from it.
 """
 
-from .engine import (
-    Cohort,
-    SolverSettings,
-    SystemState,
-    Trajectory,
-    birth_rate,
-    inhibitor_rate,
-    initial_state,
-    simulate,
-    simulate_ensemble,
-    step,
-    total_burden,
-)
-from .errors import (
-    ConfigurationError,
-    IntegrationBlowupError,
-    InvalidStateError,
-    MetasimError,
-    NoRootError,
-    NotLinearError,
-)
-from .model import (
-    DimensionalParams,
-    ModelParams,
-    TumorState,
-    birth_state,
-    emission_rate,
-    growth_field,
-    local_inhibition_coefficient,
-    nondimensionalize,
-)
-from .observables import (
-    OscillationMetrics,
-    VolumeHistogram,
-    fit_growth_rate,
-    histogram,
-    oscillation_metrics,
-)
-from .runner import RunResult, run_scenario, run_sweep
-from .scenarios import (
-    Scenario,
-    SweepSpec,
-    catalog,
-    load_scenario,
-    load_sweep,
-    scenario_from_dict,
-    scenario_to_dict,
-)
-
-__all__ = [
-    "ConfigurationError",
-    "IntegrationBlowupError",
-    "InvalidStateError",
-    "MetasimError",
-    "NoRootError",
-    "NotLinearError",
-    "DimensionalParams",
-    "ModelParams",
-    "TumorState",
-    "birth_state",
-    "emission_rate",
-    "growth_field",
-    "local_inhibition_coefficient",
-    "nondimensionalize",
-    "Cohort",
-    "SolverSettings",
-    "SystemState",
-    "birth_rate",
-    "inhibitor_rate",
-    "initial_state",
-    "simulate",
-    "simulate_ensemble",
-    "step",
-    "total_burden",
-    "OscillationMetrics",
-    "Trajectory",
-    "VolumeHistogram",
-    "fit_growth_rate",
-    "histogram",
-    "oscillation_metrics",
-    "RunResult",
-    "run_scenario",
-    "run_sweep",
-    "Scenario",
-    "SweepSpec",
-    "catalog",
-    "load_scenario",
-    "load_sweep",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "SpectralResult",
-    "characteristic_flow",
-    "malthus_exponent",
-]
+from . import engine, errors, model, observables, runner, scenarios
+from .engine import *
+from .errors import *
+from .model import *
+from .observables import *
+from .runner import *
+from .scenarios import *
 
 __version__ = "0.1.0"
 
-_SPECTRAL = frozenset({"SpectralResult", "characteristic_flow", "malthus_exponent"})
+# spectral.__all__, written out because reading it would load SciPy
+_SPECTRAL = ("SpectralResult", "characteristic_flow", "malthus_exponent")
+
+__all__ = [
+    *errors.__all__,
+    *model.__all__,
+    *engine.__all__,
+    *observables.__all__,
+    *runner.__all__,
+    *scenarios.__all__,
+    *_SPECTRAL,
+]
 
 
 def __getattr__(name: str):

@@ -56,6 +56,7 @@ __all__ = [
     "SystemState",
     "SolverSettings",
     "Trajectory",
+    "initial_state",
     "total_burden",
     "inhibitor_rate",
     "birth_rate",

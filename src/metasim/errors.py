@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "MetasimError",
+    "ConfigurationError",
+    "InvalidStateError",
+    "IntegrationBlowupError",
+    "NotLinearError",
+    "NoRootError",
+]
+
 
 class MetasimError(Exception):
     """Base class for all metasim errors."""

@@ -40,10 +40,11 @@ __all__ = [
 
 
 def is_finite(value) -> bool:
-    """``math.isfinite``, but False, not OverflowError, for an int beyond the float range."""
+    """``math.isfinite``, but False, not an error, for an int beyond the
+    float range or a value that is not a real number."""
     try:
         return math.isfinite(value)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 
@@ -183,10 +184,16 @@ class DimensionalParams:
             object.__setattr__(
                 self, "d", local_inhibition_coefficient(self.e, self.Vd, self.p, self.D)
             )
+        elif self.p is not None:
+            # nondimensionalize multiplies e by p, so a p that does not
+            # build d is checked too
+            require("parameter p", self.p, ">=")
         for name in ("a", "b", "d", "k"):
             require(f"parameter {name}", getattr(self, name), ">")
         for name in ("V0", "K0", "Vm"):
             require(f"volume {name}", getattr(self, name), ">")
+        if not isinstance(self.alpha, Real):  # a NaN or inf fails the interval below
+            require("parameter alpha", self.alpha)
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must lie in [0, 1], got {self.alpha}")
 

@@ -16,7 +16,6 @@ from .engine import SystemState, Trajectory
 from .errors import ConfigurationError
 
 __all__ = [
-    "Trajectory",
     "VolumeHistogram",
     "OscillationMetrics",
     "histogram",

@@ -62,7 +62,7 @@ from .observables import _check_bins, _window, histogram, oscillation_metrics
 from .scenarios import Scenario, SweepSpec, scenario_to_dict
 from .svgplot import line_chart
 
-__all__ = ["RunResult", "run_scenario", "run_sweep", "SUMMARY_COLUMNS"]
+__all__ = ["RunResult", "run_scenario", "run_sweep"]
 
 TIMESERIES_COLUMNS = ("t", "M", "N", "I", "Vp", "born_cum", "exited_cum")
 HISTOGRAM_COLUMNS = ("bin_lo", "bin_hi", "mass")

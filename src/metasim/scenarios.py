@@ -26,6 +26,7 @@ __all__ = [
     "catalog",
     "load_scenario",
     "load_sweep",
+    "scenario_from_dict",
     "scenario_to_dict",
 ]
 

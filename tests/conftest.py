@@ -3,10 +3,17 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from hypothesis import settings
 
 from metasim.engine import _Engine, initial_state, simulate_ensemble
 from metasim.runner import _group_key
 from metasim.scenarios import catalog
+
+# A deeper run of the properties that leave their example count to the
+# profile: pytest --hypothesis-profile=deep. A test that pins max_examples
+# keeps its count; every other setting is the active profile's (on CI,
+# Hypothesis's own derandomized "ci").
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 def _integrate(scs: list) -> list:

@@ -28,6 +28,21 @@ METRIC_KEYS = ["peaks", "mean_period", "amplitude", "min_after_transient", "larg
 # coarse steps whose RK4 update overshoots the domain: the inhibitor in
 # the first two, the cohort's K in the third
 COARSE = {"dt": 0.25, "t_end": 1.0, "sample_every": 0.25}
+# what the package exports, in the order of metasim.__all__: errors,
+# model, engine, observables, runner, scenarios and the three lazy
+# spectral names
+PUBLIC_NAMES = """
+    MetasimError ConfigurationError InvalidStateError IntegrationBlowupError NotLinearError
+    NoRootError
+    ModelParams DimensionalParams TumorState growth_field emission_rate birth_state
+    nondimensionalize local_inhibition_coefficient
+    Cohort SystemState SolverSettings Trajectory initial_state total_burden inhibitor_rate
+    birth_rate step simulate simulate_ensemble
+    VolumeHistogram OscillationMetrics histogram oscillation_metrics fit_growth_rate
+    RunResult run_scenario run_sweep
+    Scenario SweepSpec catalog load_scenario load_sweep scenario_from_dict scenario_to_dict
+    SpectralResult characteristic_flow malthus_exponent
+""".split()
 OVERSHOOT = {
     "neg_I": {
         "name": "neg_I", "params": {"b": 0.1, "e": 0.5, "k": 10}, "settings": COARSE,
@@ -609,16 +624,28 @@ class TestSciPyOnDemand:
         assert out == "module 'metasim' has no attribute 'no_such_name'\n"
 
     def test_a_star_import_binds_every_public_name(self):
+        # metasim.__all__ is the modules' own lists and the three lazy
+        # spectral names, each once; a module's star import binds its list
         out = _python(
             """
             import metasim
+            from metasim import engine, errors, model, observables, runner, scenarios
+            names = metasim.__all__
+            print(len(set(names)), *names)
+            modules = (errors, model, engine, observables, runner, scenarios)
+            assert names == [n for m in modules for n in m.__all__] + list(metasim._SPECTRAL)
+            for module, name in (("engine", "initial_state"), ("scenarios", "scenario_from_dict")):
+                scope = {}
+                exec(f"from metasim.{module} import *", scope)
+                assert name in scope, (module, name)
             from metasim import *
             print(*(name for name in metasim.__all__ if name not in globals()))
             import metasim.spectral
             print(malthus_exponent is metasim.spectral.malthus_exponent)
+            print(set(metasim._SPECTRAL) == set(metasim.spectral.__all__))
             """
         )
-        assert out == "\nTrue\n"
+        assert out == f"43 {' '.join(PUBLIC_NAMES)}\n\nTrue\nTrue\n"
 
     def test_an_uncoupled_run_with_metrics_writes_the_anchor_lambda0(self, tmp_path):
         out = _python(

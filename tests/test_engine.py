@@ -15,6 +15,7 @@ from metasim import (
     DimensionalParams,
     IntegrationBlowupError,
     InvalidStateError,
+    MetasimError,
     ModelParams,
     SolverSettings,
     SystemState,
@@ -174,6 +175,32 @@ _TRAJ = Trajectory(np.arange(50.0), *[np.ones(50)] * 7)
             ConfigurationError,
             "transient must be a number, got 'a'",
         ),
+        (
+            lambda: ModelParams(b="a"),
+            ConfigurationError,
+            "parameter b must be finite and > 0, got 'a'",
+        ),
+        (lambda: SolverSettings(dt=None), ConfigurationError, "dt must be finite and > 0, got None"),
+        (
+            lambda: TumorState(V=[1.0], K=1.0),
+            InvalidStateError,
+            r"TumorState.V must be finite and > 0, got \[1.0\]",
+        ),
+        (
+            lambda: emission_rate(1j, ModelParams()),
+            InvalidStateError,
+            "volume must be finite and > 0, got 1j",
+        ),
+        (
+            lambda: step(initial_state(ModelParams()), ModelParams(), "0.1"),
+            ConfigurationError,
+            "dt must be finite and > 0, got '0.1'",
+        ),
+        (
+            lambda: _dimensional(e=1.0, p="a"),
+            ConfigurationError,
+            "parameter p must be finite and >= 0, got 'a'",
+        ),
     ],
     ids=[
         "Cohort.weight",
@@ -183,11 +210,18 @@ _TRAJ = Trajectory(np.arange(50.0), *[np.ones(50)] * 7)
         "fit_growth_rate.window-length",
         "fit_growth_rate.window-bound",
         "oscillation_metrics.transient",
+        "ModelParams.b-str",
+        "SolverSettings.dt-None",
+        "TumorState.V-list",
+        "emission_rate.V-complex",
+        "step.dt-str",
+        "DimensionalParams.p-str",
     ],
 )
 def test_a_bad_argument_gets_its_field_message_and_error_type(build, error, message):
     # a NaN names both conditions, as growth_field and emission_rate do;
-    # an argument of the wrong shape or type is a ConfigurationError
+    # an argument of the wrong shape or type is a ConfigurationError, and
+    # a value that is not a real number gets require's message
     with pytest.raises(error, match=message):
         build()
 
@@ -213,6 +247,8 @@ _SIGNED = {
                                 lambda v: _dimensional(e=None, e_hat=v, Vd=1.0)),
     "DimensionalParams.Vd": ("parameter Vd", ">", ConfigurationError,
                              lambda v: _dimensional(e=None, e_hat=1.0, Vd=v)),
+    "DimensionalParams.p": ("parameter p", ">=", ConfigurationError,
+                            lambda v: _dimensional(p=v)),
     **{
         f"DimensionalParams.{name}": (f"volume {name}", ">", ConfigurationError,
                                       lambda v, name=name: _dimensional(**{name: v}))
@@ -267,6 +303,40 @@ def test_a_signed_number_gets_the_one_message(field, value):
     with pytest.raises(error) as info:
         build(value)
     assert str(info.value) == f"{what} must be finite and {op} 0, got {value!r}"
+
+
+# Every number model.require checks, the others held valid: the signed
+# ones above and those checked for finiteness alone.
+_CHECKED = {
+    **{field: build for field, (_, _, _, build) in _SIGNED.items()},
+    **{
+        f"ModelParams.{name}": lambda v, name=name: ModelParams(**{name: v})
+        for name in ("alpha", "V0", "K0")
+    },
+    "DimensionalParams.alpha": lambda v: _dimensional(alpha=v),
+    "SolverSettings.sample_every": lambda v: SolverSettings(sample_every=v),
+    "Cohort.birth_time": lambda v: Cohort(birth_time=v, weight=1.0, state=TumorState(V=0.5, K=1.0)),
+    "SystemState.t": lambda v: _state(ModelParams(), t=v),
+}
+
+_EXTREMES = [math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324, 0.0, 10**400]
+_JSON_VALUES = st.recursive(
+    st.sampled_from(_EXTREMES) | st.floats() | st.integers() | st.text(max_size=4)
+    | st.none() | st.booleans(),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@hsettings(deadline=None)
+@given(st.sampled_from(sorted(_CHECKED)), _JSON_VALUES)
+def test_any_json_value_at_a_checked_number_returns_or_raises_a_metasim_error(field, value):
+    # the example count is the profile's, so CI runs this deeper with
+    # --hypothesis-profile=deep (tests/conftest.py)
+    try:
+        _CHECKED[field](value)
+    except MetasimError:
+        pass
 
 
 @pytest.mark.parametrize(

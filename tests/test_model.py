@@ -274,6 +274,10 @@ class TestNondimensionalize:
                                **TestDimensionalParams.BASE)
         with pytest.raises(ConfigurationError):
             nondimensionalize(dp)
+        # a zero production rate is a given p: no inhibitor, so e rescales to 0
+        dp = DimensionalParams(d=0.00873, e=1e-4, p=0.0,
+                               **TestDimensionalParams.BASE)
+        assert nondimensionalize(dp).e == 0.0
 
     def test_volume_scaling(self):
         dp = DimensionalParams(d=0.00873, e=0.0,
